@@ -63,12 +63,11 @@ def fmt(x, cfg: RunConfig) -> str:
 
 
 def parse_window(text: str) -> Interval:
+    """'LO:HI' (closed) or bracketed: '[LO:HI]', '(LO:HI)', '[LO:HI)', '(LO:HI]'."""
     raw = text.strip()
     lo_open = hi_open = False
-    if raw.startswith("(") and raw.endswith(")"):
-        lo_open = hi_open = True
-        raw = raw[1:-1]
-    elif raw.startswith("[") and raw.endswith("]"):
+    if raw.startswith(("(", "[")) and raw.endswith((")", "]")):
+        lo_open, hi_open = raw[0] == "(", raw[-1] == ")"
         raw = raw[1:-1]
     lo_s, hi_s = raw.split(":")
     return Interval(rational(lo_s.strip()), rational(hi_s.strip()), lo_open, hi_open)
@@ -147,9 +146,10 @@ def cmd_verify(args) -> int:
     if args.measure:
         print("stage_stability / mass_decay: skipped for external measure files")
     else:
-        ok &= _check(f"stage_stability s={s}", construction.verify_stage_stability(s))
+        ok &= _check(f"stage_stability s={s}", construction.verify_stage_stability(s, cfg.atom_cap))
         if s >= 1:
-            decay = construction.verify_mass_decay(s, construction.stage_window(s + 1))
+            decay = construction.verify_mass_decay(s, construction.stage_window(s + 1),
+                                                   cfg.atom_cap)
             ok &= _check(f"mass_decay s={s}", decay.holds,
                          f"max_outside={fmt(decay.max_mass_outside, cfg)} bound={fmt(decay.bound, cfg)}")
     for n in range(2, args.tail_max + 1):

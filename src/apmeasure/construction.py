@@ -26,6 +26,7 @@ from .measures import (
     DiscreteMeasure,
     Interval,
     RationalLike,
+    atom_span,
     averaging_radius,
     rational,
     restrict,
@@ -158,36 +159,70 @@ def _finish_stage(s: int, entries) -> StageMeasure:
     return StageMeasure(s, measure, provenance)
 
 
-def _atoms_within(s: int, J: Interval) -> list[tuple[Fraction, Fraction]]:
-    """(position, mass) list of the stage-s measure inside J, without
-    materializing the stage: branches that cannot land in J are pruned."""
-    cached = _stage_cache.get(s)
-    if cached is not None:
-        overlap = J.intersect(cached.measure.window)
-        if overlap is None:
-            return []
-        return [(a.position, a.mass) for a in restrict(cached.measure, overlap).atoms]
-    if s == 0:
-        return [(Fraction(0), Fraction(1))] if J.contains(0) else []
+class _WindowBudget:
+    """Running count of the atoms one windowed expansion has produced."""
+
+    def __init__(self, J: Interval, cap: int):
+        if cap < 1:
+            raise ValueError("atom cap must be >= 1")
+        self.J = J
+        self.cap = cap
+        self.used = 0
+
+    def charge(self, n: int) -> None:
+        self.used += n
+        if self.used > self.cap:
+            raise AtomBudgetError(
+                f"expanding window {self.J} produced {self.used} atoms, cap is {self.cap}")
+
+
+def _side_blocks(s: int, J: Interval, budget: _WindowBudget
+                 ) -> tuple[list[tuple[Fraction, Fraction]], list[tuple[Fraction, Fraction]]]:
+    """The atoms inside J of the two blocks stage s adds around its copy of stage s-1.
+
+    Each block is stage s-1 shifted by -+3^(s-1) and averaged; only the
+    stage-(s-1) atoms within one averaging radius of the shifted J are expanded.
+    """
     radius = averaging_radius(s)
     offsets = _averaging_offsets(s)
     weight = Fraction(1, 2 * s)
     shift_mag = Fraction(3 ** (s - 1))
     blocks = []
-    for sign in (-1, 1):
-        sh = sign * shift_mag
+    for sh in (-shift_mag, shift_mag):
         source_window = Interval.closed(J.lo - sh - radius, J.hi - sh + radius)
+        room = budget.cap - budget.used
         block = []
-        for pos, mass in _atoms_within(s - 1, source_window):
+        for pos, mass in _atoms_within(s - 1, source_window, budget):
             base = pos + sh
             new_mass = mass * weight
             for off in offsets:
                 q = base + off
                 if J.contains(q):
                     block.append((q, new_mass))
+            if len(block) > room:
+                break  # charge() below raises
+        budget.charge(len(block))
         blocks.append(block)
-    middle = _atoms_within(s - 1, J)
-    out = blocks[0] + middle + blocks[1]
+    return blocks[0], blocks[1]
+
+
+def _atoms_within(s: int, J: Interval, budget: _WindowBudget) -> list[tuple[Fraction, Fraction]]:
+    """(position, mass) list of the stage-s measure inside J, without
+    materializing the stage: branches that cannot land in J are pruned.
+
+    A stage already in the cache is read from it; nothing is added to it.
+    """
+    if J.intersect(stage_window(s)) is None:
+        return []
+    cached = _stage_cache.get(s)
+    if cached is not None:
+        atoms = restrict(cached.measure, J.intersect(cached.measure.window)).atoms
+        budget.charge(len(atoms))
+        return [(a.position, a.mass) for a in atoms]
+    if s == 0:
+        return [(Fraction(0), Fraction(1))] if J.contains(0) else []
+    left, right = _side_blocks(s, J, budget)
+    out = left + _atoms_within(s - 1, J, budget) + right
     for (p, _), (q, _) in zip(out, out[1:]):
         if not p < q:
             raise AssertionError(f"windowed stage {s}: atom collision at {p} / {q}")
@@ -197,19 +232,26 @@ def _atoms_within(s: int, J: Interval) -> list[tuple[Fraction, Fraction]]:
 def limit_window(J: Interval, atom_cap: int | None = None) -> DiscreteMeasure:
     """The weak-limit measure restricted to the bounded interval J.
 
-    Picks the smallest stage whose window contains J, restricts it, and
-    cross-checks the result against a window-pruned expansion of the next
-    stage; any mismatch raises `StageStabilityError`.
+    Expands the smallest stage s whose window contains J, pruned to J; no
+    stage is built.  Stage s+1 is stage s flanked by two new blocks, so it
+    agrees with stage s on J exactly when both new blocks miss J; that is
+    checked, and a hit raises `StageStabilityError`.  `atom_cap` bounds the
+    atoms the expansion produces (stability check included); passing it
+    raises `AtomBudgetError`.
     """
-    cap = DEFAULT_ATOM_CAP if atom_cap is None else atom_cap
+    budget = _WindowBudget(J, DEFAULT_ATOM_CAP if atom_cap is None else atom_cap)
     s = 0
     while not stage_window(s).contains_interval(J):
         s += 1
-        if projected_atom_count(s) > cap:
-            raise AtomBudgetError(f"window {J} needs stage {s} ({projected_atom_count(s)} atoms), cap is {cap}")
-    out = restrict(build_stage(s, cap).measure, J)
-    expected = [(a.position, a.mass) for a in out.atoms]
-    if _atoms_within(s + 1, J) != expected:
+    cached = _stage_cache.get(s)
+    if cached is not None:  # slice it: no (position, mass) round trip through Atom
+        out = restrict(cached.measure, J)
+        budget.charge(len(out))
+    else:
+        atoms = tuple(Atom(p, m) for p, m in _atoms_within(s, J, budget))
+        out = DiscreteMeasure(atoms, J)
+    left, right = _side_blocks(s + 1, J, budget)
+    if left or right:
         raise StageStabilityError(f"stage {s + 1} disagrees with stage {s} on {J}")
     return out
 
@@ -324,32 +366,33 @@ class MassDecayCheck:
         return self.holds
 
 
-def verify_mass_decay(s: int, J: Interval) -> MassDecayCheck:
+def verify_mass_decay(s: int, J: Interval, atom_cap: int | None = None) -> MassDecayCheck:
     """Check that atom masses outside the stage-s window stay below 1/(2s).
 
     J must strictly contain the stage window, so the check actually sees
-    atoms created by later stages.
+    atoms created by later stages.  `atom_cap` is passed to `limit_window`.
     """
     if s < 1:
         raise ValueError("mass decay bound is undefined for stage 0")
     inner = stage_window(s)
     if not J.contains_interval(inner) or (J.lo == inner.lo and J.hi == inner.hi):
         raise ValueError(f"window {J} must strictly contain the stage window {inner}")
-    mu = limit_window(J)
+    mu = limit_window(J, atom_cap)
     worst = Fraction(0)
     witness: Fraction | None = None
-    for a in mu.atoms:
-        if not inner.contains(a.position) and abs(a.mass) > worst:
+    lo, hi = atom_span(mu, inner)
+    for a in mu.atoms[:lo] + mu.atoms[hi:]:
+        if abs(a.mass) > worst:
             worst = abs(a.mass)
             witness = a.position
     bound = Fraction(1, 2 * s)
     return MassDecayCheck(s, worst, bound, worst < bound, witness)
 
 
-def verify_stage_stability(s: int) -> bool:
+def verify_stage_stability(s: int, atom_cap: int | None = None) -> bool:
     """Exact structural equality of stage s with stage s+1 on the stage-s window."""
-    cur = build_stage(s)
-    nxt = build_stage(s + 1)
+    cur = build_stage(s, atom_cap)
+    nxt = build_stage(s + 1, atom_cap)
     return restrict(nxt.measure, cur.measure.window) == cur.measure
 
 

@@ -267,10 +267,16 @@ def restrict(mu: DiscreteMeasure, J: Interval) -> DiscreteMeasure:
     """
     if not mu.window.contains_interval(J):
         raise WindowError(f"cannot restrict to {J}: outside window {mu.window}")
-    lo = bisect_left(mu.atoms, J.lo, key=lambda a: a.position)
-    hi = bisect_right(mu.atoms, J.hi, key=lambda a: a.position)
-    atoms = [a for a in mu.atoms[lo:hi] if J.contains(a.position)]
-    return DiscreteMeasure(tuple(atoms), J)
+    lo, hi = atom_span(mu, J)
+    return DiscreteMeasure(mu.atoms[lo:hi], J)
+
+
+def atom_span(mu: DiscreteMeasure, J: Interval) -> tuple[int, int]:
+    """(lo, hi) such that mu.atoms[lo:hi] are exactly the atoms inside J."""
+    key = lambda a: a.position
+    lo = (bisect_right if J.lo_open else bisect_left)(mu.atoms, J.lo, key=key)
+    hi = (bisect_left if J.hi_open else bisect_right)(mu.atoms, J.hi, key=key)
+    return lo, max(lo, hi)
 
 
 def variation_on(mu: DiscreteMeasure, J: Interval) -> Fraction:

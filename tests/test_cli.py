@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 from fractions import Fraction as F
 
-from apmeasure import Interval, build_stage, combine, make_measure
+import pytest
+
+from apmeasure import Interval, build_stage, combine, construction, make_measure
 from apmeasure.cli import main, parse_window, parse_windows
 from apmeasure.serialize import load_measure, provenance_sidecar_path, save_measure
 from helpers import integer_comb, perturbed_comb
@@ -13,12 +17,28 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+AP3_FAR = ("ap", "3", "--epsilon", "1/10", "--range", "81")
+
+
+@pytest.fixture(scope="module")
+def ap3_table():
+    """stdout of the uncapped `ap 3 --epsilon 1/10 --range 81` run."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(list(AP3_FAR)) == 0
+    return buf.getvalue()
+
+
 class TestParsing:
     def test_windows(self):
         assert parse_window("-1/2:1/2") == Interval.closed(F(-1, 2), F(1, 2))
         assert parse_window("(0:1)") == Interval.open(0, 1)
         assert parse_window("[0:1]") == Interval.closed(0, 1)
         assert parse_windows("-1:1;-2:2") == [Interval.closed(-1, 1), Interval.closed(-2, 2)]
+
+    def test_half_open_windows(self):
+        assert parse_window("[0:1)") == Interval(F(0), F(1), False, True)
+        assert parse_window("(-1/2:1/2]") == Interval(F(-1, 2), F(1, 2), True, False)
 
 
 class TestBuild:
@@ -73,6 +93,11 @@ class TestVerify:
         assert "cell n=-1 mass=5/4" in out
         assert "overall: FAIL" in out
 
+    def test_cap_covers_the_next_stage(self, capsys):
+        # stage 4 fits in 10k atoms; the stability check's stage 5 does not
+        code, _, err = run(capsys, "verify", "4", "--cap", "10000")
+        assert code == 1 and "cap" in err
+
     def test_decimal_flag(self, capsys):
         code, out, _ = run(capsys, "verify", "1", "--tail-max", "2", "--decimal", "4")
         assert code == 0
@@ -97,6 +122,19 @@ class TestAp:
         assert "ap_certificate: PASS" in out
         max_line = next(l for l in out.splitlines() if l.startswith("max_defect="))
         assert F(max_line.split("=")[1].split()[0]) <= F(3, 512)
+
+    def test_far_table_within_small_cap(self, capsys, ap3_table):
+        code, out, _ = run(capsys, *AP3_FAR, "--cap", "10000")
+        assert code == 0 and out == ap3_table
+
+    def test_far_table_builds_no_stage(self, capsys, ap3_table, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ap must not build a stage")
+
+        monkeypatch.setattr(construction, "build_stage", refuse)
+        monkeypatch.setattr(construction, "_stage_cache", {})
+        code, out, _ = run(capsys, *AP3_FAR)
+        assert code == 0 and out == ap3_table
 
     def test_report_written(self, tmp_path, capsys):
         report = tmp_path / "ap.json"
@@ -123,6 +161,13 @@ class TestConv:
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "x,value"
         assert any(line.startswith("0,") for line in lines)
+
+    def test_half_open_window(self, tmp_path, capsys):
+        mpath = tmp_path / "m.json"
+        save_measure(build_stage(1).measure, mpath)
+        code, out, _ = run(capsys, "conv", "--measure", str(mpath), "--window", "[0:1)")
+        assert code == 0
+        assert "x=0 value=1" in out
 
     def test_faithfulness_error_is_usage(self, tmp_path, capsys):
         mpath = tmp_path / "m.json"

@@ -1,10 +1,14 @@
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apmeasure import (
     AtomBudgetError,
     Interval,
+    StageStabilityError,
     averaging_radius,
     build_stage,
     cluster_certificate,
@@ -19,6 +23,7 @@ from apmeasure import (
     verify_stage_support,
     verify_tail_estimate,
 )
+from apmeasure import construction
 from apmeasure.construction import cell_center_bound
 from apmeasure.measures import make_measure
 
@@ -165,6 +170,10 @@ class TestMassDecay:
         assert report.holds
         assert report.max_mass_outside <= F(1, 6) < F(1, 4) == report.bound
 
+    def test_cap_bounds_the_window(self):
+        with pytest.raises(AtomBudgetError, match="cap is 100"):
+            verify_mass_decay(2, Interval.closed(-14, 14), atom_cap=100)
+
     def test_stage0_rejected(self):
         with pytest.raises(ValueError):
             verify_mass_decay(0, Interval.closed(-5, 5))
@@ -197,11 +206,68 @@ class TestLimitWindow:
         assert out.total_mass == 1
         assert all(abs(a.position - 27) < F(1, 3) for a in out.atoms)
 
+    def test_builds_no_stage(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("limit_window must not build a stage")
+
+        monkeypatch.setattr(construction, "build_stage", refuse)
+        monkeypatch.setattr(construction, "_stage_cache", {})
+        # the window needs stage 10: the whole cell at 3^9 and half of each neighbour
+        out = limit_window(Interval.closed(3 ** 9 - 1, 3 ** 9 + 1))
+        assert out.total_mass == 2
+        assert restrict(out, Interval.open(3 ** 9 - F(1, 3), 3 ** 9 + F(1, 3))).total_mass == 1
+        assert construction._stage_cache == {}
+
+    def test_cap_bounds_the_expansion(self):
+        # the window needs stage 9; its expansion passes 10k atoms long before the end
+        with pytest.raises(AtomBudgetError, match="cap is 10000"):
+            limit_window(Interval.closed(-3 ** 8, 3 ** 8), atom_cap=10_000)
+
+    def test_unstable_stage_is_reported(self, monkeypatch):
+        # a new block of stage s+1 that lands in J means stage s was not frozen there
+        side_blocks = construction._side_blocks
+
+        def stray_stage_two_atom(s, J, budget):
+            return ([(F(0), F(1))], []) if s == 2 else side_blocks(s, J, budget)
+
+        monkeypatch.setattr(construction, "_side_blocks", stray_stage_two_atom)
+        with pytest.raises(StageStabilityError, match="stage 2 disagrees with stage 1"):
+            limit_window(Interval.closed(-1, 1))
+
+
+@st.composite
+def stage_subwindows(draw):
+    """A stage s <= 4 and a window inside its open window, often ending on atoms."""
+    s = draw(st.integers(min_value=0, max_value=4))
+    inner = stage_window(s)
+    positions = build_stage(s).measure.positions()
+    point = (st.sampled_from(positions)
+             | st.fractions(min_value=inner.lo, max_value=inner.hi, max_denominator=1024)
+             .filter(inner.contains))
+    a, b = sorted((draw(point), draw(point)))
+    return s, Interval(a, b, draw(st.booleans()), draw(st.booleans()))
+
+
+@given(stage_subwindows())
+@settings(max_examples=60, deadline=None)
+def test_window_expansion_agrees_with_builder(case):
+    s, J = case
+    stage = build_stage(s)
+    with mock.patch.dict(construction._stage_cache, clear=True):
+        windowed = limit_window(J)
+        assert construction._stage_cache == {}
+    assert windowed == restrict(stage.measure, J)
+
 
 class TestStability:
     def test_small_stages(self):
         for s in range(3):
             assert verify_stage_stability(s)
+
+    def test_cap_covers_the_next_stage(self):
+        # stage 3 has 585 atoms, stage 4 has 9945
+        with pytest.raises(AtomBudgetError, match="stage 4"):
+            verify_stage_stability(3, atom_cap=1000)
 
 
 class TestClusterCertificate:

@@ -111,3 +111,14 @@ def test_restriction_tower(mu):
     mid = restrict(mu, Interval.closed(-2, 2))
     inner = restrict(mid, Interval.closed(-1, 1))
     assert inner == restrict(mu, Interval.closed(-1, 1))
+
+
+@given(measures(min_atoms=1), st.data(), st.booleans(), st.booleans())
+def test_restrict_matches_literal_filter(mu, data, lo_open, hi_open):
+    # endpoints sit on atom positions, where openness decides membership
+    endpoints = st.sampled_from(mu.positions()) | rationals
+    a, b = sorted((data.draw(endpoints), data.draw(endpoints)))
+    J = Interval(a, b, lo_open, hi_open)
+    out = restrict(mu, J)
+    assert out.atoms == tuple(x for x in mu.atoms if J.contains(x.position))
+    assert out.window == J
