@@ -16,6 +16,7 @@ from .construction import (
     cluster_certificate,
     limit_window,
     projected_atom_count,
+    provenance,
     radius_series_tail_bound,
     stage_window,
     verify_cell_mass,

@@ -4,9 +4,9 @@ Stage 0 is a unit mass at the origin.  Stage s adds two translated copies
 (by +-3**(s-1)) of the stage-(s-1) measure smeared by the s-th averaging
 operator.  Every finite window of the weak limit is eventually frozen: once
 a stage covers the window, later stages never change it.  All positions and
-masses stay exact rationals, and every atom carries provenance: the list of
-(stage, lattice shift, averaging offset) steps that produced it from the
-origin atom.
+masses stay exact rationals.  One pruned expansion builds whole stages and
+windows of the limit.  An atom's provenance, the (stage, lattice shift,
+averaging offset) steps that made it from the origin, is decoded from its index.
 
 Besides the builder, this module certifies the arithmetic facts the
 construction relies on: support confinement, unit mass per lattice cell,
@@ -19,7 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import cache
+from typing import Iterator, Sequence
 
 from .measures import (
     Atom,
@@ -27,6 +28,7 @@ from .measures import (
     Interval,
     RationalLike,
     atom_span,
+    averaging_offsets,
     averaging_radius,
     rational,
     restrict,
@@ -83,41 +85,28 @@ class ProvenanceStep:
 
 @dataclass(frozen=True)
 class StageMeasure:
-    """A built stage: the measure plus per-atom provenance, index-aligned."""
+    """A built stage; per-atom provenance is decoded from the atom index."""
 
     stage: int
     measure: DiscreteMeasure
-    provenance: tuple[tuple[ProvenanceStep, ...], ...]
+
+    @property
+    def provenance(self) -> Iterator[tuple[ProvenanceStep, ...]]:
+        """Index-aligned provenance of the atoms, decoded on the fly."""
+        return (provenance(self.stage, i) for i in range(len(self.measure)))
 
 
 _stage_cache: dict[int, StageMeasure] = {}
 
 
-def _averaging_offsets(k: int) -> list[Fraction]:
-    radius = averaging_radius(k)
-    return [radius * j / k for j in range(-k, k + 1) if j != 0]
-
-
-def _expand_entries(entries, k: int, shift_value: Fraction):
-    offsets = _averaging_offsets(k)
-    weight = Fraction(1, 2 * k)
-    out = []
-    for pos, mass, prov in entries:
-        base = pos + shift_value
-        new_mass = mass * weight
-        for off in offsets:
-            out.append((base + off, new_mass, prov + (ProvenanceStep(k, shift_value, off),)))
-    return out
-
-
 def build_stage(s: int, atom_cap: int | None = None) -> StageMeasure:
-    """Build (and cache) the stage-s measure with full provenance.
+    """Build (and cache) the stage-s measure.
 
     Raises `AtomBudgetError` before doing any work if the closed-form count
-    n_s = prod(1+4k) exceeds the cap (default 10**7).  The builder emits the
-    three blocks of each stage already in increasing position order and
-    asserts strict increase, so any accidental atom collision (a merge
-    event) fails loudly.
+    n_s = prod(1+4k) exceeds the cap (default 10**7).  The atoms come from
+    the windowed expansion over the whole stage window, which emits each
+    stage's three blocks in increasing position order and asserts strict
+    increase, so any accidental atom collision (a merge event) fails loudly.
     """
     if s < 0:
         raise ValueError(f"stage must be >= 0, got {s}")
@@ -127,42 +116,50 @@ def build_stage(s: int, atom_cap: int | None = None) -> StageMeasure:
     projected = projected_atom_count(s)
     if projected > cap:
         raise AtomBudgetError(f"stage {s} needs {projected} atoms, cap is {cap}")
-    if s in _stage_cache:
-        return _stage_cache[s]
-
-    start = max((k for k in _stage_cache if k < s), default=-1)
-    if start == -1:
-        entries = [(Fraction(0), Fraction(1), ())]
-        _stage_cache[0] = _finish_stage(0, entries)
-        start = 0
-    for k in range(start + 1, s + 1):
-        prev = _stage_cache[k - 1]
-        prev_entries = list(zip(
-            (a.position for a in prev.measure.atoms),
-            (a.mass for a in prev.measure.atoms),
-            prev.provenance,
-        ))
-        shift_mag = Fraction(3 ** (k - 1))
-        left = _expand_entries(prev_entries, k, -shift_mag)
-        right = _expand_entries(prev_entries, k, shift_mag)
-        _stage_cache[k] = _finish_stage(k, left + prev_entries + right)
+    if s not in _stage_cache:
+        window = stage_window(s)
+        # the closed-form count bounds this expansion; it was checked above
+        pairs = _atoms_within(s, window, _WindowBudget(window, math.inf))
+        atoms = tuple(Atom(p, m) for p, m in pairs)
+        _stage_cache[s] = StageMeasure(s, DiscreteMeasure(atoms, window.closure()))
     return _stage_cache[s]
 
 
-def _finish_stage(s: int, entries) -> StageMeasure:
-    for (p, _, _), (q, _, _) in zip(entries, entries[1:]):
-        if not p < q:
-            raise AssertionError(f"stage {s}: atom collision or misorder at {p} / {q}")
-    atoms = tuple(Atom(p, m) for p, m, _ in entries)
-    provenance = tuple(prov for _, _, prov in entries)
-    measure = DiscreteMeasure(atoms, stage_window(s).closure())
-    return StageMeasure(s, measure, provenance)
+@cache
+def _provenance_step(k: int, sign: int, j: int) -> ProvenanceStep:
+    return ProvenanceStep(k, Fraction(sign * 3 ** (k - 1)), averaging_offsets(k)[j])
+
+
+def provenance(s: int, i: int) -> tuple[ProvenanceStep, ...]:
+    """The averaging passes that produced atom i of stage s, decoded in O(s).
+
+    Stage k is a left block of 2k*n_{k-1} atoms, then stage k-1, then a
+    right block of the same size.  Inside a side block the index is
+    (index in stage k-1) * 2k + (offset index), so the index is a
+    mixed-radix number whose digits are the steps.
+    """
+    n = projected_atom_count(s)
+    if not 0 <= i < n:
+        raise IndexError(f"stage {s} has {n} atoms, no atom {i}")
+    steps = []
+    for k in range(s, 0, -1):
+        n //= 1 + 4 * k
+        side = 2 * k * n
+        if i < side:
+            i, j = divmod(i, 2 * k)
+            steps.append(_provenance_step(k, -1, j))
+        elif i >= side + n:
+            i, j = divmod(i - side - n, 2 * k)
+            steps.append(_provenance_step(k, 1, j))
+        else:
+            i -= side
+    return tuple(reversed(steps))
 
 
 class _WindowBudget:
     """Running count of the atoms one windowed expansion has produced."""
 
-    def __init__(self, J: Interval, cap: int):
+    def __init__(self, J: Interval, cap: int | float):
         if cap < 1:
             raise ValueError("atom cap must be >= 1")
         self.J = J
@@ -183,22 +180,27 @@ def _side_blocks(s: int, J: Interval, budget: _WindowBudget
     Each block is stage s-1 shifted by -+3^(s-1) and averaged; only the
     stage-(s-1) atoms within one averaging radius of the shifted J are expanded.
     """
-    radius = averaging_radius(s)
-    offsets = _averaging_offsets(s)
+    offsets = averaging_offsets(s)
+    radius = offsets[-1]
     weight = Fraction(1, 2 * s)
     shift_mag = Fraction(3 ** (s - 1))
     blocks = []
     for sh in (-shift_mag, shift_mag):
         source_window = Interval.closed(J.lo - sh - radius, J.hi - sh + radius)
+        source = _atoms_within(s - 1, source_window, budget)
+        bases = ((pos + sh, mass * weight) for pos, mass in source)
+        if (source and J.contains(source[0][0] + sh - radius)
+                and J.contains(source[-1][0] + sh + radius)):  # the whole block lies in J
+            budget.charge(len(source) * len(offsets))
+            blocks.append([(base + off, mass) for base, mass in bases for off in offsets])
+            continue
         room = budget.cap - budget.used
         block = []
-        for pos, mass in _atoms_within(s - 1, source_window, budget):
-            base = pos + sh
-            new_mass = mass * weight
+        for base, mass in bases:
             for off in offsets:
                 q = base + off
                 if J.contains(q):
-                    block.append((q, new_mass))
+                    block.append((q, mass))
             if len(block) > room:
                 break  # charge() below raises
         budget.charge(len(block))
@@ -453,7 +455,7 @@ def cluster_certificate(target: StageMeasure, ancestor_stage: int,
     for k in stages:
         step = set()
         for base in level_offsets[-1]:
-            for off in _averaging_offsets(k):
+            for off in averaging_offsets(k):
                 step.add(base + off)
         if len(step) != len(level_offsets[-1]) * 2 * k:
             raise AssertionError(f"offset collision while expanding stage {k}")

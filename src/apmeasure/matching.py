@@ -72,13 +72,6 @@ class MatchReport:
     coincide_on_window: bool
 
 
-def _align_equal(a: Sequence[Atom], b: Sequence[Atom]) -> list[tuple[Atom, Atom]]:
-    # For equal counts the order-preserving pairing minimizes the total
-    # |position gap|: any crossing pair can be uncrossed without increasing
-    # the cost of the convex distance.
-    return list(zip(a, b))
-
-
 def _align_partial(short: Sequence[Atom], long: Sequence[Atom]) -> tuple[list[tuple[Atom, Atom]], list[Atom]]:
     """Order-preserving min-cost matching of all of `short` into `long`."""
     m, n = len(short), len(long)
@@ -129,7 +122,10 @@ def match_close(mu: DiscreteMeasure, nu: DiscreteMeasure,
     unmatched_left: list[Atom] = []
     unmatched_right: list[Atom] = []
     if len(a) == len(b):
-        raw = _align_equal(a, b)
+        # For equal counts the order-preserving pairing minimizes the total
+        # |position gap|: any crossing pair can be uncrossed without increasing
+        # the cost of the convex distance.
+        raw = list(zip(a, b))
     elif len(a) < len(b):
         raw, unmatched_right = _align_partial(a, b)
     else:

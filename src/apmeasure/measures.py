@@ -14,6 +14,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, Union
 
 RationalLike = Union[Fraction, int, str]
@@ -113,11 +114,6 @@ class Interval:
 
     def closure(self) -> "Interval":
         return Interval(self.lo, self.hi)
-
-    def hull(self, other: "Interval") -> "Interval":
-        lo = min(self.lo, other.lo)
-        hi = max(self.hi, other.hi)
-        return Interval(lo, hi)
 
     def __str__(self) -> str:
         left = "(" if self.lo_open else "["
@@ -227,6 +223,13 @@ def averaging_radius(k: int) -> Fraction:
     return Fraction(1, 2 ** ((k + 1) ** 2))
 
 
+@cache
+def averaging_offsets(k: int) -> tuple[Fraction, ...]:
+    """The 2k increasing shifts j*radius/k (0 < |j| <= k) of the k-th averaging operator."""
+    radius = averaging_radius(k)
+    return tuple(radius * j / k for j in range(-k, k + 1) if j != 0)
+
+
 def averaging_operator(mu: DiscreteMeasure, k: int) -> DiscreteMeasure:
     """Average mu over 2k symmetric shifts of step radius/k.
 
@@ -236,11 +239,10 @@ def averaging_operator(mu: DiscreteMeasure, k: int) -> DiscreteMeasure:
     """
     if k < 1:
         raise ValueError(f"averaging operator needs k >= 1, got {k}")
-    radius = averaging_radius(k)
     weight = Fraction(1, 2 * k)
-    offsets = [radius * j / k for j in range(-k, k + 1) if j != 0]
+    offsets = averaging_offsets(k)
     pairs = [(a.position + off, a.mass * weight) for a in mu.atoms for off in offsets]
-    return make_measure(pairs, mu.window.widen(radius))
+    return make_measure(pairs, mu.window.widen(averaging_radius(k)))
 
 
 def combine(c1: RationalLike, mu: DiscreteMeasure,

@@ -224,6 +224,26 @@ def convolve(f: PiecewiseLinearFn, mu: DiscreteMeasure, J: Interval) -> Piecewis
 # Exact suprema and almost-period defects
 # ---------------------------------------------------------------------------
 
+def _sup_at_breakpoints(fns: tuple[PiecewiseLinearFn, ...], J: Interval,
+                        value: Callable[[Fraction], Fraction]) -> tuple[Fraction, Fraction]:
+    """Max of `value` (and its leftmost witness) over J's endpoints and the fns'
+    breakpoints inside J: the exact sup when `value` is |h|, h linear between them."""
+    for g in fns:
+        if not g.defined_on(J):
+            raise FaithfulnessError(f"function with span {g.span} is not defined on {J}")
+    candidates = {J.lo, J.hi}
+    for g in fns:
+        candidates.update(b for b in g.breakpoints if J.lo < b < J.hi)
+    best = Fraction(-1)
+    witness = J.lo
+    for x in sorted(candidates):
+        d = value(x)
+        if d > best:
+            best = d
+            witness = x
+    return best, witness
+
+
 def sup_abs_diff(g1: PiecewiseLinearFn, g2: PiecewiseLinearFn,
                  J: Interval) -> tuple[Fraction, Fraction]:
     """Exact sup of |g1 - g2| over J with its (leftmost) witness point.
@@ -231,36 +251,12 @@ def sup_abs_diff(g1: PiecewiseLinearFn, g2: PiecewiseLinearFn,
     The difference is piecewise linear, so the supremum is attained at a
     breakpoint of the merged breakpoint set or at an endpoint of J.
     """
-    for g in (g1, g2):
-        if not g.defined_on(J):
-            raise FaithfulnessError(f"function with span {g.span} is not defined on {J}")
-    candidates = {J.lo, J.hi}
-    for g in (g1, g2):
-        candidates.update(b for b in g.breakpoints if J.lo < b < J.hi)
-    best = Fraction(-1)
-    witness = J.lo
-    for x in sorted(candidates):
-        d = abs(g1.eval(x) - g2.eval(x))
-        if d > best:
-            best = d
-            witness = x
-    return best, witness
+    return _sup_at_breakpoints((g1, g2), J, lambda x: abs(g1.eval(x) - g2.eval(x)))
 
 
 def sup_abs(g: PiecewiseLinearFn, J: Interval) -> tuple[Fraction, Fraction]:
     """Exact sup of |g| over J with its leftmost witness."""
-    if not g.defined_on(J):
-        raise FaithfulnessError(f"function with span {g.span} is not defined on {J}")
-    candidates = {J.lo, J.hi}
-    candidates.update(b for b in g.breakpoints if J.lo < b < J.hi)
-    best = Fraction(-1)
-    witness = J.lo
-    for x in sorted(candidates):
-        d = abs(g.eval(x))
-        if d > best:
-            best = d
-            witness = x
-    return best, witness
+    return _sup_at_breakpoints((g,), J, lambda x: abs(g.eval(x)))
 
 
 MeasureSource = Union[DiscreteMeasure, Callable[[Interval], DiscreteMeasure]]

@@ -80,3 +80,25 @@ def perturbed_comb(n_lo: int, n_hi: int, pad=Fraction(1, 2)) -> DiscreteMeasure:
     return make_measure(
         [(n + Fraction(1, 8 * (abs(n) + 1)), Fraction(1)) for n in range(n_lo, n_hi + 1)],
         Interval.closed(n_lo - pad, n_hi + pad))
+
+
+def literal_stage(s: int):
+    """Stage s by the literal recursion: no pruning, no cache, provenance carried.
+
+    Stage k is stage k-1 shifted by -3^(k-1) and averaged, then stage k-1,
+    then stage k-1 shifted by +3^(k-1) and averaged; the k-th averaging puts
+    mass/(2k) at j * 2^-((k+1)^2) / k for 0 < |j| <= k.  Returns the
+    index-aligned (position, mass, provenance) triples, each provenance a
+    tuple of (stage, shift, offset) steps.
+    """
+    entries = [(Fraction(0), Fraction(1), ())]
+    for k in range(1, s + 1):
+        radius = Fraction(1, 2 ** ((k + 1) ** 2))
+        offsets = [radius * j / k for j in range(-k, k + 1) if j != 0]
+
+        def averaged(shift):
+            return [(pos + shift + off, mass / (2 * k), prov + ((k, shift, off),))
+                    for pos, mass, prov in entries for off in offsets]
+
+        entries = averaged(Fraction(-3 ** (k - 1))) + entries + averaged(Fraction(3 ** (k - 1)))
+    return entries

@@ -14,6 +14,7 @@ from apmeasure import (
     cluster_certificate,
     limit_window,
     projected_atom_count,
+    provenance,
     radius_series_tail_bound,
     restrict,
     stage_window,
@@ -26,6 +27,7 @@ from apmeasure import (
 from apmeasure import construction
 from apmeasure.construction import cell_center_bound
 from apmeasure.measures import make_measure
+from helpers import literal_stage
 
 
 def atoms_of(mu):
@@ -93,6 +95,39 @@ class TestBuildStage:
     def test_negative_stage(self):
         with pytest.raises(ValueError):
             build_stage(-1)
+
+
+class TestLiteralOracle:
+    """The one expansion kernel and the index decode against the literal recursion."""
+
+    @pytest.mark.parametrize("s", range(5))
+    def test_builder_matches(self, s):
+        with mock.patch.dict(construction._stage_cache, clear=True):
+            built = atoms_of(build_stage(s).measure)
+        assert built == [(p, m) for p, m, _ in literal_stage(s)]
+
+    @pytest.mark.parametrize("lo_open", [False, True])
+    @pytest.mark.parametrize("hi_open", [False, True])
+    def test_window_cutting_clusters_matches(self, lo_open, hi_open):
+        # both ends inside the outermost stage-3 clusters, so the side blocks are clipped
+        literal = literal_stage(3)
+        J = Interval(literal[1][0], literal[-2][0], lo_open, hi_open)
+        with mock.patch.dict(construction._stage_cache, clear=True):
+            windowed = atoms_of(limit_window(J))
+        assert windowed == [(p, m) for p, m, _ in literal if J.contains(p)]
+
+    @pytest.mark.parametrize("s", range(4))
+    def test_provenance_decode_matches(self, s):
+        decoded = [tuple((step.stage, step.shift, step.offset) for step in provenance(s, i))
+                   for i in range(projected_atom_count(s))]
+        assert decoded == [prov for _, _, prov in literal_stage(s)]
+
+    @pytest.mark.parametrize("s", range(4))
+    def test_provenance_index_out_of_range(self, s):
+        with pytest.raises(IndexError):
+            provenance(s, projected_atom_count(s))
+        with pytest.raises(IndexError):
+            provenance(s, -1)
 
 
 class TestSupportAndCells:

@@ -1,0 +1,58 @@
+"""Golden SHA-256 digests of the CLI outputs that certify the construction.
+
+Any rewrite of the builder, the windowed expansion or the serializer must
+leave these bytes unchanged; a mismatch names the stage and the file.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from apmeasure.cli import main
+
+STAGE_FILES = {
+    0: ("e8f6512a6614b52dd5531333f44e47b2c609e131d83d8ae57fe881145ee76b25",
+        "b08ae61fa82d71dc56087bbe1c5f50d4ff19954159193c91cb238f2882abb39e"),
+    1: ("ee6ceb7266fc181b44a5c3480ae8ada5e59cb0d9357fb5fed6ff5c4d86e97e50",
+        "56b8ad8cdc7f7e3533be9f2e17da68719b719a53de9469f170e098a9889b7015"),
+    2: ("579cdf8a6246adf221dc8b2f2c0d93aa553d169811222b195b989fddcecc4a12",
+        "9133ad72ddd750c96467d3888463ff738aed041f30d1f6ce479648c0af846a1e"),
+    3: ("5170a6092aed16a2e34f0832be7bdb2e1230c6dd8ef49ef36a1d74aa833cdc93",
+        "fd308bffe46bc801d9833e0053fa962aafc16e98d11b7e7c9cd087c82212b932"),
+    4: ("3f41cd4ba389a6003eda0c6d094f34c031a439f476bceea03a8ed6bf744f7c01",
+        "e9c772e36b4d13c87f33ac4f0692c3ead0b3369e0b97711a56cdaacc1209ca4f"),
+}
+
+STDOUT = {
+    ("ap", "2", "--epsilon", "1/10", "--range", "81"):
+        "a66e6a93792cdd939e2c9b6a6526f4892df7b2df6ca8b82237ab4613820c07f1",
+    ("ap", "3", "--epsilon", "1/10", "--range", "81"):
+        "74cc803bdb1dae15b456c819e09898bf3ecd9dbe9d8afc252672ceabd0a4e01a",
+    ("verify", "4"):
+        "d58056596fd3d8dc127d1aa2c5f5dedaa58bad2d7e5474401d7826161ef4a3cd",
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("s", sorted(STAGE_FILES))
+def test_stage_files(s, tmp_path, capsys):
+    out = tmp_path / f"stage{s}.json"
+    assert main(["build", str(s), "--out", str(out)]) == 0
+    capsys.readouterr()
+    for path, want in zip((out, tmp_path / f"stage{s}.provenance.json"), STAGE_FILES[s]):
+        got = sha256(path.read_bytes())
+        assert got == want, f"stage {s}: {path.name} digest {got}, expected {want}"
+
+
+@pytest.mark.parametrize("argv", sorted(STDOUT), ids=lambda argv: "".join(argv[:2]))
+def test_stdout(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(list(argv)) == 0
+    got = sha256(buf.getvalue().encode())
+    assert got == STDOUT[argv], f"`apmeasure {' '.join(argv)}` stdout digest {got}, expected {STDOUT[argv]}"
