@@ -4,8 +4,8 @@ Two stories.  First, an integer comb against a slightly perturbed comb:
 the supports drift together at infinity, the product harness certifies the
 far-field smallness bound, and the origin identity pins the product's value
 at a disagreement point.  Second, the constructed measure against its
-double: positions agree everywhere, masses halve their gap shell by shell,
-the measures come close at infinity yet never coincide.
+double: positions agree everywhere, masses halve their gap shell by shell
+(a monotone profile on the examined windows), yet the measures never coincide.
 
 Run:  python demos/matching_and_harness.py
 """
@@ -62,7 +62,7 @@ report = match_close(mu, nu, shells)
 print(f"  {len(report.pairs)} pairs, every position gap zero")
 for s, profile in zip((1, 2, 3), report.profiles):
     print(f"  outside shell {s}: max mass gap {profile.max_abs_mass_gap} < 1/{2 * s}")
-print(f"  come close: {'certified' if report.profile_decreasing else 'no'} on {report.window}")
+print(f"  monotone profile on the given windows: {'yes' if report.profile_decreasing else 'no'}")
 print(f"  coincide: {'yes' if report.coincide_on_window else 'no'}")
 
 print("\nlumps of the doubled pair at linking distance 1/100 (first few):")

@@ -203,7 +203,7 @@ def cmd_match(args) -> int:
     mu = serialize.load_measure(args.mu)
     nu = serialize.load_measure(args.nu)
     windows = parse_windows(args.windows)
-    report = matching.match_close(mu, nu, windows)
+    report = matching.match_close(mu, nu, windows, cfg.atom_cap)
     print(f"pairs={len(report.pairs)} unmatched_left={len(report.unmatched_left)} "
           f"unmatched_right={len(report.unmatched_right)}")
     for pr in report.profiles:
@@ -211,8 +211,7 @@ def cmd_match(args) -> int:
               f"max_pos_gap={fmt(pr.max_abs_position_gap, cfg)} "
               f"max_mass_gap={fmt(pr.max_abs_mass_gap, cfg)} "
               f"unmatched={pr.unmatched_outside}")
-    closeness = "certified" if report.profile_decreasing else "not certified"
-    print(f"come close: {closeness} (window {report.window})")
+    print(f"monotone profile on the given windows: {'yes' if report.profile_decreasing else 'no'}")
     print(f"coincide: {'yes' if report.coincide_on_window else 'no'}")
     print(f"measures differ: {'no' if report.coincide_on_window else 'yes'}")
     _write_report(cfg, serialize.match_report_to_dict(report))
@@ -244,7 +243,7 @@ def _run_harness(args, cfg: RunConfig, mu, nu,
                                   f"expected={fmt(ident.expected, cfg)}{flag}")
     if args.samples:
         samples = [rational(b.strip()) for b in args.samples.split(",") if b.strip()]
-        report = matching.far_field_check(mu, nu, hc, samples, match_report)
+        report = matching.far_field_check(mu, nu, hc, samples, match_report, cfg.atom_cap)
         print(f"examined={report.examined} C={fmt(report.c_bound, cfg)}")
         _check("matching_hypothesis", report.hypothesis_ok, report.hypothesis_note)
         for row in report.samples:

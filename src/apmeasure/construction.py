@@ -107,6 +107,8 @@ def build_stage(s: int, atom_cap: int | None = None) -> StageMeasure:
     the windowed expansion over the whole stage window, which emits each
     stage's three blocks in increasing position order and asserts strict
     increase, so any accidental atom collision (a merge event) fails loudly.
+    Stage s-1 is built (and cached) first, so the expansion reads each
+    lower stage from the cache instead of expanding it three times.
     """
     if s < 0:
         raise ValueError(f"stage must be >= 0, got {s}")
@@ -117,6 +119,8 @@ def build_stage(s: int, atom_cap: int | None = None) -> StageMeasure:
     if projected > cap:
         raise AtomBudgetError(f"stage {s} needs {projected} atoms, cap is {cap}")
     if s not in _stage_cache:
+        if s > 0:
+            build_stage(s - 1, cap)
         window = stage_window(s)
         # the closed-form count bounds this expansion; it was checked above
         pairs = _atoms_within(s, window, _WindowBudget(window, math.inf))

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .construction import DEFAULT_ATOM_CAP, AtomBudgetError
 from .measures import (
     Atom,
     DiscreteMeasure,
@@ -72,43 +73,50 @@ class MatchReport:
     coincide_on_window: bool
 
 
-def _align_partial(short: Sequence[Atom], long: Sequence[Atom]) -> tuple[list[tuple[Atom, Atom]], list[Atom]]:
-    """Order-preserving min-cost matching of all of `short` into `long`."""
+def _align_partial(short: Sequence[Atom], long: Sequence[Atom],
+                   atom_cap: int) -> tuple[list[tuple[Atom, Atom]], list[Atom]]:
+    """Order-preserving min-cost matching of all of `short` into `long`.
+
+    Cost cell (i, j) reads (i-1, j-1) and (i, j-1), so only the diagonals
+    0 <= j - i <= n - m reach (m, n): band[i][d] = cost[i][i + d] holds
+    m * (n - m + 1) cells, checked against `atom_cap` before allocating.
+    """
     m, n = len(short), len(long)
-    inf = None
-    cost = [[inf] * (n + 1) for _ in range(m + 1)]
-    for j in range(n + 1):
-        cost[0][j] = Fraction(0)
+    width = n - m + 1
+    if m * width > atom_cap:
+        raise AtomBudgetError(f"matching {m} against {n} atoms needs {m * width} "
+                              f"DP cells, cap is {atom_cap}")
+    band = [[Fraction(0)] * width]
     for i in range(1, m + 1):
-        for j in range(i, n + 1):
-            pay = cost[i - 1][j - 1] + abs(short[i - 1].position - long[j - 1].position)
-            skip = cost[i][j - 1]
-            cost[i][j] = pay if (skip is None or pay <= skip) else skip
+        row: list[Fraction] = []
+        for d, above in enumerate(band[-1]):
+            pay = above + abs(short[i - 1].position - long[i + d - 1].position)
+            row.append(pay if (d == 0 or pay <= row[-1]) else row[-1])
+        band.append(row)
     pairs: list[tuple[Atom, Atom]] = []
-    used = [False] * n
-    i, j = m, n
-    while i > 0:
-        if j > i and cost[i][j] == cost[i][j - 1]:
-            j -= 1
+    leftovers: list[Atom] = []
+    i, d = m, width - 1
+    while i + d > 0:  # row 0 is all zeros, so it skips the rest of `long`
+        if d > 0 and band[i][d] == band[i][d - 1]:
+            d -= 1
+            leftovers.append(long[i + d])
         else:
-            pairs.append((short[i - 1], long[j - 1]))
-            used[j - 1] = True
             i -= 1
-            j -= 1
-    pairs.reverse()
-    leftovers = [long[k] for k in range(n) if not used[k]]
-    return pairs, leftovers
+            pairs.append((short[i], long[i + d]))
+    return pairs[::-1], leftovers[::-1]
 
 
 def match_close(mu: DiscreteMeasure, nu: DiscreteMeasure,
-                nested_windows: Sequence[Interval]) -> MatchReport:
+                nested_windows: Sequence[Interval],
+                atom_cap: int = DEFAULT_ATOM_CAP) -> MatchReport:
     """Match the supports on the outermost window and profile the closeness.
 
     The bijection minimizes total |position gap| (for equal atom counts the
     sorted order pairing; unequal counts degrade to a partial matching of
     the smaller support with the leftovers reported).  Profiles list, per
     nested window, the exact sup of |position gap| and |mass gap| over pairs
-    with either endpoint outside the window.
+    with either endpoint outside the window.  `atom_cap` bounds the cells of
+    the partial matching (`AtomBudgetError`).
     """
     if not nested_windows:
         raise ValueError("need at least one window")
@@ -127,9 +135,9 @@ def match_close(mu: DiscreteMeasure, nu: DiscreteMeasure,
         # the cost of the convex distance.
         raw = list(zip(a, b))
     elif len(a) < len(b):
-        raw, unmatched_right = _align_partial(a, b)
+        raw, unmatched_right = _align_partial(a, b, atom_cap)
     else:
-        swapped, unmatched_left = _align_partial(b, a)
+        swapped, unmatched_left = _align_partial(b, a, atom_cap)
         raw = [(x, y) for y, x in swapped]
     pairs = tuple(MatchedPair(x, y) for x, y in raw)
 
@@ -386,14 +394,15 @@ class FarFieldReport:
 
 def far_field_check(mu: DiscreteMeasure, nu: DiscreteMeasure, cfg: HarnessConfig,
                     sample_points: Sequence[RationalLike],
-                    match_report: MatchReport | None = None) -> FarFieldReport:
+                    match_report: MatchReport | None = None,
+                    atom_cap: int = DEFAULT_ATOM_CAP) -> FarFieldReport:
     """Validate the far-field smallness of the product at the given samples.
 
     Each sample must lie outside the compact enlarged by the separation
     radius.  The matching hypothesis (position gaps within v, mass gaps
     below epsilon for every pair escaping the compact) is verified on the
-    supplied or freshly computed match report before the inequality is
-    asserted.
+    supplied or freshly computed match report (under `atom_cap`) before the
+    inequality is asserted.
     """
     samples = [rational(b) for b in sample_points]
     if not samples:
@@ -409,7 +418,7 @@ def far_field_check(mu: DiscreteMeasure, nu: DiscreteMeasure, cfg: HarnessConfig
     if common is None or not common.contains_interval(k):
         raise ValueError("the compact must lie inside the common measure window")
     if match_report is None:
-        match_report = match_close(mu, nu, [k, common])
+        match_report = match_close(mu, nu, [k, common], atom_cap)
     note = "position gaps within v and mass gaps below epsilon outside the compact"
     ok = True
     for p in match_report.pairs:

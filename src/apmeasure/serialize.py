@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable, Iterator
 
 from .construction import StageMeasure
 from .matching import FarFieldReport, LumpDecomposition, MatchReport
@@ -37,11 +38,12 @@ def interval_from_dict(d: dict[str, Any]) -> Interval:
                     bool(d.get("lo_open", False)), bool(d.get("hi_open", False)))
 
 
+def _atom_entries(mu: DiscreteMeasure) -> Iterator[dict[str, str]]:
+    return ({"pos": frac(a.position), "mass": frac(a.mass)} for a in mu.atoms)
+
+
 def measure_to_dict(mu: DiscreteMeasure) -> dict[str, Any]:
-    return {
-        "window": interval_to_dict(mu.window),
-        "atoms": [{"pos": frac(a.position), "mass": frac(a.mass)} for a in mu.atoms],
-    }
+    return {"window": interval_to_dict(mu.window), "atoms": list(_atom_entries(mu))}
 
 
 def measure_from_dict(d: dict[str, Any]) -> DiscreteMeasure:
@@ -50,8 +52,25 @@ def measure_from_dict(d: dict[str, Any]) -> DiscreteMeasure:
     return make_measure(pairs, window)
 
 
+def _stream_atoms(path: Path, head: dict[str, Any], atoms: Iterable[dict[str, Any]]) -> None:
+    """Write {**head, "atoms": [...]} byte for byte as `json.dumps(indent=1)`
+    would, a batch of atom entries at a time, so the whole document is never
+    in memory.  A batch is encoded at its final depth as {"atoms": batch}
+    and cut out of that wrapper."""
+    wrap_head, wrap_tail = '{\n "atoms": [\n', '\n ]\n}'
+    entries = iter(atoms)
+    with path.open("w") as fh:
+        fh.write(json.dumps(head, indent=1)[:-2] + ',\n "atoms": [')
+        sep = "\n"
+        while chunk := list(islice(entries, 4096)):
+            body = json.dumps({"atoms": chunk}, indent=1)
+            fh.write(sep + body[len(wrap_head):-len(wrap_tail)])
+            sep = ",\n"
+        fh.write("]\n}\n" if sep == "\n" else "\n ]\n}\n")
+
+
 def save_measure(mu: DiscreteMeasure, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(measure_to_dict(mu), indent=1) + "\n")
+    _stream_atoms(Path(path), {"window": interval_to_dict(mu.window)}, _atom_entries(mu))
 
 
 def load_measure(path: str | Path) -> DiscreteMeasure:
@@ -63,28 +82,30 @@ def provenance_sidecar_path(measure_path: str | Path) -> Path:
     return p.with_name(p.stem + ".provenance.json")
 
 
+def _provenance_entries(stage: StageMeasure) -> Iterator[dict[str, Any]]:
+    for atom, prov in zip(stage.measure.atoms, stage.provenance):
+        yield {
+            "pos": frac(atom.position),
+            "stages": [step.stage for step in prov],
+            "shifts": [frac(step.shift) for step in prov],
+            "offsets": [frac(step.offset) for step in prov],
+        }
+
+
 def stage_to_dicts(stage: StageMeasure) -> tuple[dict[str, Any], dict[str, Any]]:
-    sidecar = {
-        "stage": stage.stage,
-        "atoms": [
-            {
-                "pos": frac(atom.position),
-                "stages": [step.stage for step in prov],
-                "shifts": [frac(step.shift) for step in prov],
-                "offsets": [frac(step.offset) for step in prov],
-            }
-            for atom, prov in zip(stage.measure.atoms, stage.provenance)
-        ],
-    }
+    sidecar = {"stage": stage.stage, "atoms": list(_provenance_entries(stage))}
     return measure_to_dict(stage.measure), sidecar
 
 
 def save_stage(stage: StageMeasure, path: str | Path) -> Path:
-    """Write the stage measure plus its provenance sidecar; returns the sidecar path."""
-    measure_dict, sidecar = stage_to_dicts(stage)
-    Path(path).write_text(json.dumps(measure_dict, indent=1) + "\n")
+    """Write the stage measure plus its provenance sidecar; returns the sidecar path.
+
+    Both files are streamed in batches of entries, so neither exists in
+    memory as one list of dicts or as one JSON string.
+    """
+    save_measure(stage.measure, path)
     side = provenance_sidecar_path(path)
-    side.write_text(json.dumps(sidecar, indent=1) + "\n")
+    _stream_atoms(side, {"stage": stage.stage}, _provenance_entries(stage))
     return side
 
 

@@ -1,15 +1,16 @@
 """Independent oracles and scenario builders shared across the test suite.
 
 Everything here deliberately avoids the library's own fast paths: counts go
-through quadratic scans, matchings through permutation enumeration, and
-convolution values through literal pointwise sums, so that agreement is an
-actual cross-check.
+through quadratic scans, matchings through permutation enumeration or the
+full DP table, and convolution values through literal pointwise sums, so
+that agreement is an actual cross-check.
 """
 
 from fractions import Fraction
 from itertools import permutations
+from typing import Sequence
 
-from apmeasure import DiscreteMeasure, Interval, make_measure
+from apmeasure import Atom, DiscreteMeasure, Interval, make_measure
 
 
 def brute_count_sup(mu: DiscreteMeasure, u: Fraction) -> int:
@@ -41,6 +42,38 @@ def brute_min_matching_cost(a_positions, b_positions) -> Fraction:
         if best is None or cost < best:
             best = cost
     return best
+
+
+def full_table_align_partial(short: Sequence[Atom], long: Sequence[Atom]) -> tuple[list[tuple[Atom, Atom]], list[Atom]]:
+    """Order-preserving min-cost matching of all of `short` into `long`.
+
+    The whole (m+1)(n+1) cost table, with the library's recurrence and
+    tie-breaks: the reference for its banded DP.
+    """
+    m, n = len(short), len(long)
+    inf = None
+    cost = [[inf] * (n + 1) for _ in range(m + 1)]
+    for j in range(n + 1):
+        cost[0][j] = Fraction(0)
+    for i in range(1, m + 1):
+        for j in range(i, n + 1):
+            pay = cost[i - 1][j - 1] + abs(short[i - 1].position - long[j - 1].position)
+            skip = cost[i][j - 1]
+            cost[i][j] = pay if (skip is None or pay <= skip) else skip
+    pairs: list[tuple[Atom, Atom]] = []
+    used = [False] * n
+    i, j = m, n
+    while i > 0:
+        if j > i and cost[i][j] == cost[i][j - 1]:
+            j -= 1
+        else:
+            pairs.append((short[i - 1], long[j - 1]))
+            used[j - 1] = True
+            i -= 1
+            j -= 1
+    pairs.reverse()
+    leftovers = [long[k] for k in range(n) if not used[k]]
+    return pairs, leftovers
 
 
 def pointwise_convolution(f, mu: DiscreteMeasure, x: Fraction) -> Fraction:

@@ -199,7 +199,7 @@ def test_criterion_10_counterexample_demonstration():
         assert profile.max_abs_position_gap == 0
         assert profile.max_abs_mass_gap < F(1, 2 * s), (s, profile)
     assert report.profiles[-1].pairs_outside == 0
-    assert report.profile_decreasing  # "come close: certified (window)"
+    assert report.profile_decreasing  # "monotone profile on the given windows: yes"
     assert not report.coincide_on_window  # "coincide: no"
     print(f"ACCEPTANCE 10 PASS: {len(report.pairs)} pairs on [-40, 40], zero position "
           f"gaps, mass profile below 1/(2s) per shell, measures do not coincide")

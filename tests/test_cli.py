@@ -188,7 +188,7 @@ class TestMatch:
         assert code == 0
         assert "pairs=45" in out
         assert "max_pos_gap=0" in out
-        assert "come close: certified" in out
+        assert "monotone profile on the given windows: yes" in out
         assert "coincide: no" in out
         assert "measures differ: yes" in out
 
@@ -199,6 +199,20 @@ class TestMatch:
         code, out, _ = run(capsys, "match", str(path), str(path), "--windows", "-4/3:4/3")
         assert code == 0
         assert "coincide: yes" in out
+
+    def test_partial_match_cap(self, tmp_path, capsys):
+        # 10_000 atoms into 10_001 fill a band of 2 * 10_000 DP cells
+        full = integer_comb(0, 10_000)
+        dropped = make_measure([(a.position, a.mass) for a in full.atoms if a.position != 777],
+                               full.window)
+        mpath, npath = tmp_path / "full.json", tmp_path / "dropped.json"
+        save_measure(full, mpath)
+        save_measure(dropped, npath)
+        argv = ("match", str(mpath), str(npath), "--windows", "-1/2:20001/2")
+        code, out, _ = run(capsys, *argv, "--cap", "20000")
+        assert code == 0 and "pairs=10000 unmatched_left=1 unmatched_right=0" in out
+        code, _, err = run(capsys, *argv, "--cap", "19999")
+        assert code == 1 and "cap" in err
 
     def test_match_with_psi(self, tmp_path, capsys):
         mu = integer_comb(-30, 30)

@@ -1,16 +1,20 @@
 """Golden SHA-256 digests of the CLI outputs that certify the construction.
 
-Any rewrite of the builder, the windowed expansion or the serializer must
-leave these bytes unchanged; a mismatch names the stage and the file.
+Any rewrite of the builder, the windowed expansion, the matching or the
+serializer must leave these bytes unchanged; a mismatch names the stage and
+the file.
 """
 
 import contextlib
 import hashlib
 import io
+from fractions import Fraction as F
 
 import pytest
 
+from apmeasure import DiscreteMeasure, Interval, build_stage, restrict
 from apmeasure.cli import main
+from apmeasure.serialize import save_measure
 
 STAGE_FILES = {
     0: ("e8f6512a6614b52dd5531333f44e47b2c609e131d83d8ae57fe881145ee76b25",
@@ -32,6 +36,15 @@ STDOUT = {
         "74cc803bdb1dae15b456c819e09898bf3ecd9dbe9d8afc252672ceabd0a4e01a",
     ("verify", "4"):
         "d58056596fd3d8dc127d1aa2c5f5dedaa58bad2d7e5474401d7826161ef4a3cd",
+}
+
+# `match --out-report` of the 960 stage-4 atoms on [63/2, 69/2] against the
+# same atoms with atom 479 dropped, in both orders (the partial matching DP)
+MATCH_REPORTS = {
+    ("far.json", "far_drop.json"):
+        "3174ef5e58186ab707b503f239bbdbf67303ded9664e92332d2e9416d1db0b00",
+    ("far_drop.json", "far.json"):
+        "d61f6db6027f17e5e4a78b2d4c2aa57b302bba02a2efbcd87a81ee201d6f9d31",
 }
 
 
@@ -56,3 +69,18 @@ def test_stdout(argv):
         assert main(list(argv)) == 0
     got = sha256(buf.getvalue().encode())
     assert got == STDOUT[argv], f"`apmeasure {' '.join(argv)}` stdout digest {got}, expected {STDOUT[argv]}"
+
+
+@pytest.mark.parametrize("files", sorted(MATCH_REPORTS), ids=lambda files: files[0])
+def test_partial_match_report(files, tmp_path, capsys):
+    J = Interval.closed(F(63, 2), F(69, 2))
+    far = restrict(build_stage(4).measure, J)
+    assert len(far) == 960
+    save_measure(far, tmp_path / "far.json")
+    save_measure(DiscreteMeasure(far.atoms[:479] + far.atoms[480:], J), tmp_path / "far_drop.json")
+    report = tmp_path / "report.json"
+    assert main(["match", *(str(tmp_path / f) for f in files), "--windows", "32:33;63/2:69/2",
+                 "--out-report", str(report)]) == 0
+    capsys.readouterr()
+    got = sha256(report.read_bytes())
+    assert got == MATCH_REPORTS[files], f"match {' '.join(files)}: report digest {got}"

@@ -1,8 +1,11 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from apmeasure import (
+    AtomBudgetError,
     HarnessConfig,
     HarnessConfigError,
     Interval,
@@ -19,7 +22,12 @@ from apmeasure import (
     shift,
     sparsity_bound,
 )
-from helpers import brute_min_matching_cost, integer_comb, perturbed_comb
+from helpers import (
+    brute_min_matching_cost,
+    full_table_align_partial,
+    integer_comb,
+    perturbed_comb,
+)
 
 BIG = Interval.closed(-100, 100)
 
@@ -104,6 +112,67 @@ class TestMatchClose:
         mu = measure([(0, 1)])
         with pytest.raises(ValueError, match="nested"):
             match_close(mu, mu, [Interval.closed(-1, 1), Interval.closed(0, 5)])
+
+
+@st.composite
+def tie_heavy_pairs(draw):
+    """Two measures on one coarse grid, so that many matchings tie."""
+    step = draw(st.sampled_from([1, F(1, 2), F(1, 3)]))
+    sides = []
+    for _ in range(2):
+        cells = draw(st.lists(st.integers(-6, 6), unique=True, max_size=10))
+        sides.append(measure([(c * step, draw(st.sampled_from([1, 2, F(1, 2)])))
+                              for c in cells]))
+    return tuple(sides)
+
+
+ABC = measure([(0, 1), (1, 1), (2, 1)])
+
+
+class TestBandedPartialMatching:
+    @given(tie_heavy_pairs())
+    @example((measure([]), ABC))
+    @example((ABC, measure([])))
+    @example((ABC, measure([(F(1, 2), 1), (F(3, 2), 1), (F(5, 2), 1)])))
+    @example((measure([(1, 1)]), ABC))
+    @example((ABC, measure([(1, 1)])))
+    @settings(max_examples=400, deadline=None)
+    def test_same_as_full_table(self, pair):
+        mu, nu = pair
+        report = match_close(mu, nu, [BIG])
+        if len(mu) <= len(nu):
+            pairs, leftovers = full_table_align_partial(mu.atoms, nu.atoms)
+            want = (pairs, [], leftovers)
+        else:
+            pairs, leftovers = full_table_align_partial(nu.atoms, mu.atoms)
+            want = ([(x, y) for y, x in pairs], leftovers, [])
+        got = ([(p.left, p.right) for p in report.pairs],
+               list(report.unmatched_left), list(report.unmatched_right))
+        assert got == want
+
+    def test_drop_one_runs_in_the_band(self):
+        # the full table would need about 10**8 cells; the band needs 2 * 10_000
+        n = 10_001
+        full = integer_comb(0, n - 1)
+        dropped = make_measure([(k, 1) for k in range(n) if k != 4321], full.window)
+        report = match_close(dropped, full, [full.window], atom_cap=2 * n)
+        assert len(report.pairs) == n - 1
+        assert [a.position for a in report.unmatched_right] == [4321]
+        assert all(p.position_gap == 0 for p in report.pairs)
+        swapped = match_close(full, dropped, [full.window], atom_cap=2 * (n - 1))
+        assert [a.position for a in swapped.unmatched_left] == [4321]
+        with pytest.raises(AtomBudgetError, match=r"20000 DP cells, cap is 19999"):
+            match_close(full, dropped, [full.window], atom_cap=2 * (n - 1) - 1)
+
+    def test_far_field_check_passes_the_cap(self):
+        mu = integer_comb(-30, 30)
+        nu = make_measure([(a.position, a.mass) for a in mu.atoms if a.position != 25],
+                          mu.window)
+        cfg = HarnessConfig(v=F(1, 32), n=2, epsilon=F(1, 8),
+                            compact=Interval.closed(-10, 10), u=F(1, 2))
+        with pytest.raises(AtomBudgetError, match="cap"):
+            far_field_check(mu, nu, cfg, [12], atom_cap=60 * 2 - 1)
+        assert not far_field_check(mu, nu, cfg, [12], atom_cap=60 * 2).hypothesis_ok
 
 
 class TestSparsityBound:

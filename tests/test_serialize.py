@@ -34,6 +34,14 @@ def test_measure_file_is_decimal_free(tmp_path):
     assert load_measure(path) == mu
 
 
+def test_streamed_file_is_json_dumps(tmp_path):
+    # the golden digests pin stages 0..4; this also covers an empty atom list
+    path = tmp_path / "m.json"
+    for mu in (make_measure([], Interval(F(-1), F(1), True, False)), build_stage(3).measure):
+        save_measure(mu, path)
+        assert path.read_text() == json.dumps(measure_to_dict(mu), indent=1) + "\n"
+
+
 def test_window_openness_round_trip():
     for flags in [(False, False), (True, False), (False, True), (True, True)]:
         mu = make_measure([(0, 1)], Interval(F(-1), F(1), *flags))
