@@ -44,7 +44,6 @@ from .measures import (
     DiscreteMeasure,
     Interval,
     WindowError,
-    averaging_operator,
     averaging_radius,
     combine,
     make_measure,

@@ -27,7 +27,6 @@ from .measures import (
     DiscreteMeasure,
     Interval,
     RationalLike,
-    atom_span,
     averaging_offsets,
     averaging_radius,
     rational,
@@ -99,6 +98,17 @@ class StageMeasure:
 _stage_cache: dict[int, StageMeasure] = {}
 
 
+def _check_stage_cap(s: int, atom_cap: int | None) -> int:
+    """The cap in force; raises `AtomBudgetError` if n_s exceeds it."""
+    cap = DEFAULT_ATOM_CAP if atom_cap is None else atom_cap
+    if cap < 1:
+        raise ValueError("atom cap must be >= 1")
+    projected = projected_atom_count(s)
+    if projected > cap:
+        raise AtomBudgetError(f"stage {s} needs {projected} atoms, cap is {cap}")
+    return cap
+
+
 def build_stage(s: int, atom_cap: int | None = None) -> StageMeasure:
     """Build (and cache) the stage-s measure.
 
@@ -112,12 +122,7 @@ def build_stage(s: int, atom_cap: int | None = None) -> StageMeasure:
     """
     if s < 0:
         raise ValueError(f"stage must be >= 0, got {s}")
-    cap = DEFAULT_ATOM_CAP if atom_cap is None else atom_cap
-    if cap < 1:
-        raise ValueError("atom cap must be >= 1")
-    projected = projected_atom_count(s)
-    if projected > cap:
-        raise AtomBudgetError(f"stage {s} needs {projected} atoms, cap is {cap}")
+    cap = _check_stage_cap(s, atom_cap)
     if s not in _stage_cache:
         if s > 0:
             build_stage(s - 1, cap)
@@ -177,39 +182,57 @@ class _WindowBudget:
                 f"expanding window {self.J} produced {self.used} atoms, cap is {self.cap}")
 
 
-def _side_blocks(s: int, J: Interval, budget: _WindowBudget
-                 ) -> tuple[list[tuple[Fraction, Fraction]], list[tuple[Fraction, Fraction]]]:
-    """The atoms inside J of the two blocks stage s adds around its copy of stage s-1.
+def _side_sources(s: int, J: Interval, budget: _WindowBudget
+                  ) -> Iterator[tuple[Fraction, list[tuple[Fraction, Fraction]]]]:
+    """(shift, source) for the two blocks stage s adds around its copy of stage s-1, left first.
 
-    Each block is stage s-1 shifted by -+3^(s-1) and averaged; only the
-    stage-(s-1) atoms within one averaging radius of the shifted J are expanded.
+    Each block is stage s-1 shifted by -+3^(s-1) and averaged; its source
+    holds the stage-(s-1) atoms within one averaging radius of the shifted
+    J, the only ones whose averaged copies can land in J.
     """
-    offsets = averaging_offsets(s)
-    radius = offsets[-1]
-    weight = Fraction(1, 2 * s)
+    radius = averaging_radius(s)
     shift_mag = Fraction(3 ** (s - 1))
-    blocks = []
     for sh in (-shift_mag, shift_mag):
         source_window = Interval.closed(J.lo - sh - radius, J.hi - sh + radius)
-        source = _atoms_within(s - 1, source_window, budget)
-        bases = ((pos + sh, mass * weight) for pos, mass in source)
-        if (source and J.contains(source[0][0] + sh - radius)
-                and J.contains(source[-1][0] + sh + radius)):  # the whole block lies in J
-            budget.charge(len(source) * len(offsets))
-            blocks.append([(base + off, mass) for base, mass in bases for off in offsets])
-            continue
-        room = budget.cap - budget.used
-        block = []
-        for base, mass in bases:
-            for off in offsets:
-                q = base + off
-                if J.contains(q):
-                    block.append((q, mass))
-            if len(block) > room:
-                break  # charge() below raises
-        budget.charge(len(block))
-        blocks.append(block)
-    return blocks[0], blocks[1]
+        yield sh, _atoms_within(s - 1, source_window, budget)
+
+
+def _groups(s: int, sh: Fraction, source: list[tuple[Fraction, Fraction]], J: Interval,
+            budget: _WindowBudget) -> Iterator[tuple[Fraction, Fraction, Sequence[Fraction]]]:
+    """The averaged copies in J of one shifted source block, one group per source atom.
+
+    A source atom at p stands for the 2s atoms base + offset (base = p + sh,
+    offsets from `averaging_offsets(s)`, increasing), all of mass
+    mass_p/(2s); the group is (base, mass, offsets kept in J).  Containment
+    is tested at the two ends of the block, then of each group, and only a
+    group that J cuts is tested atom by atom.  The atoms are charged to the
+    budget before a block inside J is expanded, else as each group is made.
+    """
+    offsets = averaging_offsets(s)
+    weight = Fraction(1, 2 * s)
+    whole = bool(source) and J.contains(source[0][0] + sh + offsets[0]) \
+        and J.contains(source[-1][0] + sh + offsets[-1])
+    if whole:
+        budget.charge(len(source) * len(offsets))
+    for pos, mass in source:
+        base = pos + sh
+        kept = offsets
+        if not whole:
+            if not (J.contains(base + offsets[0]) and J.contains(base + offsets[-1])):
+                kept = [off for off in offsets if J.contains(base + off)]
+                if not kept:
+                    continue
+            budget.charge(len(kept))
+        yield base, mass * weight, kept
+
+
+def _side_blocks(s: int, J: Interval, budget: _WindowBudget
+                 ) -> tuple[list[tuple[Fraction, Fraction]], list[tuple[Fraction, Fraction]]]:
+    """The atoms inside J of the two blocks stage s adds around its copy of stage s-1."""
+    left, right = ([(base + off, mass) for base, mass, kept in _groups(s, sh, source, J, budget)
+                    for off in kept]
+                   for sh, source in _side_sources(s, J, budget))
+    return left, right
 
 
 def _atoms_within(s: int, J: Interval, budget: _WindowBudget) -> list[tuple[Fraction, Fraction]]:
@@ -235,20 +258,35 @@ def _atoms_within(s: int, J: Interval, budget: _WindowBudget) -> list[tuple[Frac
     return out
 
 
+def _covering_stage(J: Interval) -> int:
+    """The smallest stage whose window contains J."""
+    s = 0
+    while not stage_window(s).contains_interval(J):
+        s += 1
+    return s
+
+
+def _check_frozen(s: int, J: Interval, budget: _WindowBudget) -> None:
+    """Raise `StageStabilityError` unless stage s+1 agrees with stage s on J.
+
+    Stage s+1 is stage s flanked by two new blocks, so the two stages agree
+    on J exactly when both new blocks miss J.
+    """
+    left, right = _side_blocks(s + 1, J, budget)
+    if left or right:
+        raise StageStabilityError(f"stage {s + 1} disagrees with stage {s} on {J}")
+
+
 def limit_window(J: Interval, atom_cap: int | None = None) -> DiscreteMeasure:
     """The weak-limit measure restricted to the bounded interval J.
 
     Expands the smallest stage s whose window contains J, pruned to J; no
-    stage is built.  Stage s+1 is stage s flanked by two new blocks, so it
-    agrees with stage s on J exactly when both new blocks miss J; that is
-    checked, and a hit raises `StageStabilityError`.  `atom_cap` bounds the
-    atoms the expansion produces (stability check included); passing it
-    raises `AtomBudgetError`.
+    stage is built.  That stage s+1 agrees with stage s on J is checked
+    (`StageStabilityError`).  `atom_cap` bounds the atoms the expansion
+    produces (stability check included); passing it raises `AtomBudgetError`.
     """
     budget = _WindowBudget(J, DEFAULT_ATOM_CAP if atom_cap is None else atom_cap)
-    s = 0
-    while not stage_window(s).contains_interval(J):
-        s += 1
+    s = _covering_stage(J)
     cached = _stage_cache.get(s)
     if cached is not None:  # slice it: no (position, mass) round trip through Atom
         out = restrict(cached.measure, J)
@@ -256,9 +294,7 @@ def limit_window(J: Interval, atom_cap: int | None = None) -> DiscreteMeasure:
     else:
         atoms = tuple(Atom(p, m) for p, m in _atoms_within(s, J, budget))
         out = DiscreteMeasure(atoms, J)
-    left, right = _side_blocks(s + 1, J, budget)
-    if left or right:
-        raise StageStabilityError(f"stage {s + 1} disagrees with stage {s} on {J}")
+    _check_frozen(s, J, budget)
     return out
 
 
@@ -376,30 +412,64 @@ def verify_mass_decay(s: int, J: Interval, atom_cap: int | None = None) -> MassD
     """Check that atom masses outside the stage-s window stay below 1/(2s).
 
     J must strictly contain the stage window, so the check actually sees
-    atoms created by later stages.  `atom_cap` is passed to `limit_window`.
+    atoms created by later stages.  On J the limit is stage t, the smallest
+    stage whose window contains J (that stage t+1 agrees with it there is
+    checked, as in `limit_window`).  Stage t is, in position order, the left
+    blocks of stages t..s+1, stage s, and the right blocks of stages s+1..t;
+    stage s lies inside its window and is never read.  The side blocks are
+    scanned one averaging group at a time (see `_groups`): one mass per
+    group, and the witness is the first atom of the first group reaching a
+    new maximum.  Strict increase is proved across the whole stream, group
+    ends against the next group's start, with stage s standing in as the
+    closure of its window.  `atom_cap` bounds the atoms the groups stand for
+    and their sources (`AtomBudgetError`).
     """
     if s < 1:
         raise ValueError("mass decay bound is undefined for stage 0")
     inner = stage_window(s)
     if not J.contains_interval(inner) or (J.lo == inner.lo and J.hi == inner.hi):
         raise ValueError(f"window {J} must strictly contain the stage window {inner}")
-    mu = limit_window(J, atom_cap)
+    budget = _WindowBudget(J, DEFAULT_ATOM_CAP if atom_cap is None else atom_cap)
+    t = _covering_stage(J)
+    sources = {}
+    for k in range(s + 1, t + 1):
+        offsets = averaging_offsets(k)
+        if not all(a < b for a, b in zip(offsets, offsets[1:])):
+            raise AssertionError(f"stage {k} averaging offsets do not increase")
+        sources[k] = _side_sources(k, J, budget)  # yields the left source, then the right one
     worst = Fraction(0)
     witness: Fraction | None = None
-    lo, hi = atom_span(mu, inner)
-    for a in mu.atoms[:lo] + mu.atoms[hi:]:
-        if abs(a.mass) > worst:
-            worst = abs(a.mass)
-            witness = a.position
+    last: Fraction | None = None
+    for k in (*range(t, s, -1), s, *range(s + 1, t + 1)):
+        if k == s:
+            spans = [(inner.lo, inner.hi, None)]
+        else:
+            sh, source = next(sources[k])
+            spans = ((base + kept[0], base + kept[-1], mass)
+                     for base, mass, kept in _groups(k, sh, source, J, budget))
+        for first, end, mass in spans:
+            if last is not None and not last < first:
+                raise AssertionError(f"stage {t} on {J}: atom collision at {last} / {first}")
+            last = end
+            if mass is not None and abs(mass) > worst:
+                worst, witness = abs(mass), first
+    _check_frozen(t, J, budget)
     bound = Fraction(1, 2 * s)
     return MassDecayCheck(s, worst, bound, worst < bound, witness)
 
 
 def verify_stage_stability(s: int, atom_cap: int | None = None) -> bool:
-    """Exact structural equality of stage s with stage s+1 on the stage-s window."""
-    cur = build_stage(s, atom_cap)
-    nxt = build_stage(s + 1, atom_cap)
-    return restrict(nxt.measure, cur.measure.window) == cur.measure
+    """Whether stage s+1 equals stage s on the closure of the stage-s window.
+
+    Stage s+1 is a left block, stage s, then a right block, so the two agree
+    there exactly when both side blocks miss the closed window; the pruned
+    expansion shows that without building stage s+1.  `atom_cap` is still
+    checked against the closed-form count n_{s+1} (`AtomBudgetError`).
+    """
+    cap = _check_stage_cap(s + 1, atom_cap)
+    window = stage_window(s).closure()
+    left, right = _side_blocks(s + 1, window, _WindowBudget(window, cap))
+    return not left and not right
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from .measures import (
     rational,
     restrict,
     sliding_count_sup,
+    span_within,
 )
 from .piecewise import PiecewiseLinearFn, bump, convolution_value, convolve, sup_abs
 
@@ -143,10 +144,15 @@ def match_close(mu: DiscreteMeasure, nu: DiscreteMeasure,
 
     profiles = []
     for K in nested_windows:
-        outside = [p for p in pairs
-                   if not (K.contains(p.left.position) and K.contains(p.right.position))]
-        stray = sum(1 for at in (*unmatched_left, *unmatched_right)
-                    if not K.contains(at.position))
+        # the matching preserves order, so the pairs with both ends in K are one index range
+        left_lo, left_hi = span_within(pairs, K, key=lambda p: p.left.position)
+        right_lo, right_hi = span_within(pairs, K, key=lambda p: p.right.position)
+        lo = max(left_lo, right_lo)
+        outside = pairs[:lo] + pairs[max(lo, min(left_hi, right_hi)):]
+        stray = 0
+        for atoms in (unmatched_left, unmatched_right):
+            inside_lo, inside_hi = span_within(atoms, K)
+            stray += len(atoms) - (inside_hi - inside_lo)
         profiles.append(WindowProfile(
             window=K,
             pairs_outside=len(outside),

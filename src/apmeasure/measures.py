@@ -15,9 +15,10 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Iterable, Union
+from typing import Callable, Iterable, Sequence, TypeVar, Union
 
 RationalLike = Union[Fraction, int, str]
+T = TypeVar("T")
 
 
 class WindowError(ValueError):
@@ -230,21 +231,6 @@ def averaging_offsets(k: int) -> tuple[Fraction, ...]:
     return tuple(radius * j / k for j in range(-k, k + 1) if j != 0)
 
 
-def averaging_operator(mu: DiscreteMeasure, k: int) -> DiscreteMeasure:
-    """Average mu over 2k symmetric shifts of step radius/k.
-
-    The operator replaces each atom by 2k copies at distances j*radius/k
-    (j = 1..k, both signs), each carrying 1/(2k) of the mass.  Total mass is
-    preserved exactly; the window widens by the radius on each side.
-    """
-    if k < 1:
-        raise ValueError(f"averaging operator needs k >= 1, got {k}")
-    weight = Fraction(1, 2 * k)
-    offsets = averaging_offsets(k)
-    pairs = [(a.position + off, a.mass * weight) for a in mu.atoms for off in offsets]
-    return make_measure(pairs, mu.window.widen(averaging_radius(k)))
-
-
 def combine(c1: RationalLike, mu: DiscreteMeasure,
             c2: RationalLike, nu: DiscreteMeasure) -> DiscreteMeasure:
     """Exact linear combination c1*mu + c2*nu on the common window.
@@ -269,15 +255,23 @@ def restrict(mu: DiscreteMeasure, J: Interval) -> DiscreteMeasure:
     """
     if not mu.window.contains_interval(J):
         raise WindowError(f"cannot restrict to {J}: outside window {mu.window}")
-    lo, hi = atom_span(mu, J)
+    lo, hi = span_within(mu.atoms, J)
     return DiscreteMeasure(mu.atoms[lo:hi], J)
 
 
-def atom_span(mu: DiscreteMeasure, J: Interval) -> tuple[int, int]:
-    """(lo, hi) such that mu.atoms[lo:hi] are exactly the atoms inside J."""
-    key = lambda a: a.position
-    lo = (bisect_right if J.lo_open else bisect_left)(mu.atoms, J.lo, key=key)
-    hi = (bisect_left if J.hi_open else bisect_right)(mu.atoms, J.hi, key=key)
+def _position(atom: Atom) -> Fraction:
+    return atom.position
+
+
+def span_within(items: Sequence[T], J: Interval,
+                key: Callable[[T], Fraction] = _position) -> tuple[int, int]:
+    """(lo, hi) such that items[lo:hi] are exactly the items whose key lies in J.
+
+    The keys must increase strictly along `items`; by default they are atom
+    positions.
+    """
+    lo = (bisect_right if J.lo_open else bisect_left)(items, J.lo, key=key)
+    hi = (bisect_left if J.hi_open else bisect_right)(items, J.hi, key=key)
     return lo, max(lo, hi)
 
 

@@ -115,19 +115,37 @@ def perturbed_comb(n_lo: int, n_hi: int, pad=Fraction(1, 2)) -> DiscreteMeasure:
         Interval.closed(n_lo - pad, n_hi + pad))
 
 
+def literal_offsets(k: int) -> list[Fraction]:
+    """The k-th averaging shifts j * 2^-((k+1)^2) / k for 0 < |j| <= k, increasing."""
+    radius = Fraction(1, 2 ** ((k + 1) ** 2))
+    return [radius * j / k for j in range(-k, k + 1) if j != 0]
+
+
+def averaging_operator(mu: DiscreteMeasure, k: int) -> DiscreteMeasure:
+    """Average mu over the 2k shifts of `literal_offsets(k)`.
+
+    Each atom becomes 2k copies carrying 1/(2k) of its mass, so total mass
+    is preserved exactly; the window widens by the radius on each side.
+    """
+    if k < 1:
+        raise ValueError(f"averaging operator needs k >= 1, got {k}")
+    offsets = literal_offsets(k)
+    pairs = [(a.position + off, a.mass / (2 * k)) for a in mu.atoms for off in offsets]
+    return make_measure(pairs, mu.window.widen(offsets[-1]))
+
+
 def literal_stage(s: int):
     """Stage s by the literal recursion: no pruning, no cache, provenance carried.
 
     Stage k is stage k-1 shifted by -3^(k-1) and averaged, then stage k-1,
-    then stage k-1 shifted by +3^(k-1) and averaged; the k-th averaging puts
-    mass/(2k) at j * 2^-((k+1)^2) / k for 0 < |j| <= k.  Returns the
-    index-aligned (position, mass, provenance) triples, each provenance a
-    tuple of (stage, shift, offset) steps.
+    then stage k-1 shifted by +3^(k-1) and averaged; the k-th averaging
+    moves each atom by every shift of `literal_offsets(k)`, with mass/(2k).
+    Returns the index-aligned (position, mass, provenance) triples, each
+    provenance a tuple of (stage, shift, offset) steps.
     """
     entries = [(Fraction(0), Fraction(1), ())]
     for k in range(1, s + 1):
-        radius = Fraction(1, 2 ** ((k + 1) ** 2))
-        offsets = [radius * j / k for j in range(-k, k + 1) if j != 0]
+        offsets = literal_offsets(k)
 
         def averaged(shift):
             return [(pos + shift + off, mass / (2 * k), prov + ((k, shift, off),))

@@ -98,6 +98,20 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "4", "--cap", "10000")
         assert code == 1 and "cap" in err
 
+    def test_builds_no_next_stage(self, capsys, monkeypatch):
+        build_stage = construction.build_stage
+
+        def up_to_four(s, *args, **kwargs):
+            if s > 4:
+                raise AssertionError(f"verify 4 must not build stage {s}")
+            return build_stage(s, *args, **kwargs)
+
+        monkeypatch.setattr(construction, "build_stage", up_to_four)
+        monkeypatch.setattr(construction, "_stage_cache", {})
+        code, out, _ = run(capsys, "verify", "4")
+        assert code == 0 and "overall: PASS" in out
+        assert sorted(construction._stage_cache) == [0, 1, 2, 3, 4]
+
     def test_decimal_flag(self, capsys):
         code, out, _ = run(capsys, "verify", "1", "--tail-max", "2", "--decimal", "4")
         assert code == 0

@@ -217,6 +217,63 @@ class TestMassDecay:
         with pytest.raises(ValueError):
             verify_mass_decay(1, stage_window(1))
 
+    @pytest.mark.parametrize("alter", [
+        # a source atom one radius right of the first: its group starts inside the first group
+        lambda source: [source[0], (source[0][0] + averaging_radius(2), F(1)), *source[1:]],
+        # a source atom that the shift -3 takes to the origin, inside the stage-1 window
+        lambda source: [*source, (F(3), F(1))],
+    ], ids=["overlapping-groups", "group-inside-stage-window"])
+    def test_collisions_are_reported(self, monkeypatch, alter):
+        side_sources = construction._side_sources
+
+        def altered(s, J, budget):
+            for sh, source in side_sources(s, J, budget):
+                yield sh, alter(source) if s == 2 and sh < 0 else source
+
+        monkeypatch.setattr(construction, "_side_sources", altered)
+        with pytest.raises(AssertionError, match="collision"):
+            verify_mass_decay(1, stage_window(2))
+
+
+@pytest.fixture(scope="module")
+def literal_four():
+    """Stage 4 by the literal recursion: the limit on the closure of its window."""
+    return [(p, m) for p, m, _ in literal_stage(4)]
+
+
+def decay_windows(s, literal):
+    """Windows strictly containing the stage-s window, all inside the stage-4 window."""
+    inner = stage_window(s)
+    windows = [stage_window(s + 1), Interval.closed(-5, 5), Interval.closed(-14, 14),
+               # ends inside the outermost stage-4 clusters, then inside a stage-4
+               # cluster of the left block and the rightmost stage-3 cluster
+               Interval.closed(literal[1][0], literal[-2][0]),
+               Interval.open(literal[len(literal) // 3][0], literal[len(literal) // 2 + 290][0])]
+    witness = literal_decay(s, windows[2], literal)[1]
+    windows.append(Interval(witness, 14, lo_open=True))  # the closed window's witness left out
+    return [J for J in windows
+            if J.contains_interval(inner) and (J.lo, J.hi) != (inner.lo, inner.hi)]
+
+
+def literal_decay(s, J, literal):
+    """(max mass, witness, holds) by a scan of every atom of J outside the stage-s window."""
+    inner = stage_window(s)
+    worst, witness = F(0), None
+    for p, m in literal:
+        if J.contains(p) and not inner.contains(p) and abs(m) > worst:
+            worst, witness = abs(m), p
+    return worst, witness, worst < F(1, 2 * s)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_mass_decay_matches_literal_scan(s, literal_four):
+    windows = decay_windows(s, literal_four)
+    assert len(windows) >= 4
+    for J in windows:
+        report = verify_mass_decay(s, J)
+        assert (report.max_mass_outside, report.witness, report.holds) == \
+            literal_decay(s, J, literal_four), J
+
 
 class TestLimitWindow:
     def test_center_cell(self):
@@ -298,6 +355,23 @@ class TestStability:
     def test_small_stages(self):
         for s in range(3):
             assert verify_stage_stability(s)
+
+    @pytest.mark.parametrize("s", range(4))
+    def test_literal_next_stage_agrees(self, s):
+        window = stage_window(s).closure()
+        restricted = [(p, m) for p, m, _ in literal_stage(s + 1) if window.contains(p)]
+        assert restricted == [(p, m) for p, m, _ in literal_stage(s)]
+        assert verify_stage_stability(s)
+
+    def test_stray_side_block_atom_is_reported(self, monkeypatch):
+        side_blocks = construction._side_blocks
+
+        def stray_stage_three_atom(s, J, budget):
+            return ([], [(F(4), F(1))]) if s == 3 else side_blocks(s, J, budget)
+
+        monkeypatch.setattr(construction, "_side_blocks", stray_stage_three_atom)
+        assert not verify_stage_stability(2)
+        assert verify_stage_stability(1)
 
     def test_cap_covers_the_next_stage(self):
         # stage 3 has 585 atoms, stage 4 has 9945

@@ -126,6 +126,31 @@ def tie_heavy_pairs(draw):
     return tuple(sides)
 
 
+@st.composite
+def nested_windows(draw):
+    """Two or three strictly nested windows on a 1/6 grid, each end open or closed."""
+    ends = sorted(draw(st.lists(st.integers(-42, 42), min_size=4, max_size=6, unique=True)))
+    k = len(ends) // 2
+    return [Interval(F(ends[k - 1 - i], 6), F(ends[k + i], 6), draw(st.booleans()), draw(st.booleans()))
+            for i in range(k)]
+
+
+@given(tie_heavy_pairs(), nested_windows())
+@settings(max_examples=200, deadline=None)
+def test_profiles_match_literal_scan(pair, windows):
+    mu, nu = pair
+    report = match_close(mu, nu, windows)
+    for K, profile in zip(windows, report.profiles):
+        outside = [p for p in report.pairs
+                   if not (K.contains(p.left.position) and K.contains(p.right.position))]
+        stray = [a for a in (*report.unmatched_left, *report.unmatched_right)
+                 if not K.contains(a.position)]
+        assert profile.pairs_outside == len(outside)
+        assert profile.max_abs_position_gap == max((abs(p.position_gap) for p in outside), default=0)
+        assert profile.max_abs_mass_gap == max((abs(p.mass_gap) for p in outside), default=0)
+        assert profile.unmatched_outside == len(stray)
+
+
 ABC = measure([(0, 1), (1, 1), (2, 1)])
 
 

@@ -5,7 +5,6 @@ import pytest
 from apmeasure import (
     Interval,
     WindowError,
-    averaging_operator,
     averaging_radius,
     build_stage,
     combine,
@@ -16,7 +15,7 @@ from apmeasure import (
     sliding_variation_sup,
     variation_on,
 )
-from helpers import brute_count_sup, brute_variation_sup
+from helpers import averaging_operator, brute_count_sup, brute_variation_sup
 
 W = Interval.closed(-1, 1)
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from apmeasure import (
     Interval,
-    averaging_operator,
     combine,
     make_measure,
     restrict,
@@ -15,6 +14,7 @@ from apmeasure import (
     sliding_count_sup,
     sliding_variation_sup,
 )
+from helpers import averaging_operator
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=64)
 masses = st.fractions(min_value=-3, max_value=3, max_denominator=32).filter(lambda m: m != 0)
