@@ -5,8 +5,11 @@ Stage 0 is a unit mass at the origin.  Stage s adds two translated copies
 operator.  Every finite window of the weak limit is eventually frozen: once
 a stage covers the window, later stages never change it.  All positions and
 masses stay exact rationals.  One pruned expansion builds whole stages and
-windows of the limit.  An atom's provenance, the (stage, lattice shift,
-averaging offset) steps that made it from the origin, is decoded from its index.
+windows of the limit; it runs on Python ints, positions on (1/D)Z and
+masses on (1/M)Z for a grid each query picks (see `_Query`), and returns
+to `Fraction` only in the atoms it hands out and in the reports.  An atom's
+provenance, the (stage, lattice shift, averaging offset) steps that made it
+from the origin, is decoded from its index.
 
 Besides the builder, this module certifies the arithmetic facts the
 construction relies on: support confinement, unit mass per lattice cell,
@@ -29,8 +32,10 @@ from .measures import (
     RationalLike,
     averaging_offsets,
     averaging_radius,
+    common_denominator,
     rational,
     restrict,
+    span_within,
 )
 
 DEFAULT_ATOM_CAP = 10_000_000
@@ -61,6 +66,7 @@ def cell_center_bound(s: int) -> int:
     return (3 ** s - 1) // 2
 
 
+@cache
 def projected_atom_count(s: int) -> int:
     """Closed-form atom count n_s = prod_{k<=s} (1+4k) before building."""
     count = 1
@@ -128,52 +134,78 @@ def build_stage(s: int, atom_cap: int | None = None) -> StageMeasure:
             build_stage(s - 1, cap)
         window = stage_window(s)
         # the closed-form count bounds this expansion; it was checked above
-        pairs = _atoms_within(s, window, _WindowBudget(window, math.inf))
-        atoms = tuple(Atom(p, m) for p, m in pairs)
+        query = _Query(s, window, math.inf)
+        atoms = query.atoms(_atoms_within(s, query.window(window), query))
         _stage_cache[s] = StageMeasure(s, DiscreteMeasure(atoms, window.closure()))
     return _stage_cache[s]
 
 
 @cache
-def _provenance_step(k: int, sign: int, j: int) -> ProvenanceStep:
+def provenance_step(k: int, sign: int, j: int) -> ProvenanceStep:
+    """The stage-k averaging pass on side `sign` (-1 left, +1 right) with offset index j."""
     return ProvenanceStep(k, Fraction(sign * 3 ** (k - 1)), averaging_offsets(k)[j])
 
 
-def provenance(s: int, i: int) -> tuple[ProvenanceStep, ...]:
-    """The averaging passes that produced atom i of stage s, decoded in O(s).
+def provenance_digits(s: int, i: int) -> list[tuple[int, int, int]]:
+    """(stage k, side -1 or +1, offset index) of each averaging pass that made
+    atom i of stage s, first pass first, decoded in O(s).
 
     Stage k is a left block of 2k*n_{k-1} atoms, then stage k-1, then a
     right block of the same size.  Inside a side block the index is
     (index in stage k-1) * 2k + (offset index), so the index is a
-    mixed-radix number whose digits are the steps.
+    mixed-radix number whose digits are the passes.
     """
     n = projected_atom_count(s)
     if not 0 <= i < n:
         raise IndexError(f"stage {s} has {n} atoms, no atom {i}")
-    steps = []
+    digits = []
     for k in range(s, 0, -1):
         n //= 1 + 4 * k
         side = 2 * k * n
         if i < side:
             i, j = divmod(i, 2 * k)
-            steps.append(_provenance_step(k, -1, j))
+            digits.append((k, -1, j))
         elif i >= side + n:
             i, j = divmod(i - side - n, 2 * k)
-            steps.append(_provenance_step(k, 1, j))
+            digits.append((k, 1, j))
         else:
             i -= side
-    return tuple(reversed(steps))
+    digits.reverse()
+    return digits
 
 
-class _WindowBudget:
-    """Running count of the atoms one windowed expansion has produced."""
+def provenance(s: int, i: int) -> tuple[ProvenanceStep, ...]:
+    """The averaging passes that produced atom i of stage s (see `provenance_digits`)."""
+    return tuple(provenance_step(*digit) for digit in provenance_digits(s, i))
 
-    def __init__(self, J: Interval, cap: int | float):
+
+@cache
+def _grid_denominator(s: int) -> int:
+    """lcm(6, the denominators of the stage-k averaging offsets for k <= s)."""
+    return math.lcm(6, *(off.denominator for k in range(1, s + 1) for off in averaging_offsets(k)))
+
+
+class _Query:
+    """One top-level expansion up to stage s: its integer grid and its atom budget.
+
+    The kernel runs on Python ints.  A position x is the int x*D and a mass
+    m the int m*M, with D = lcm(6, the stage-k offset denominators for
+    k <= s, the denominators of J's ends) and M = prod_{k<=s} 2k: every
+    stage-k position (a sum of integer shifts and stage-k offsets), every
+    stage window end and every stage-k mass 1/prod(2j) lies on that grid.
+    `pos` and `mass` raise rather than round a value that is not on it.
+    `atoms` is the way back to `Fraction`.
+    """
+
+    def __init__(self, s: int, J: Interval, cap: int | float):
         if cap < 1:
             raise ValueError("atom cap must be >= 1")
         self.J = J
         self.cap = cap
         self.used = 0
+        self.D = math.lcm(_grid_denominator(s), J.lo.denominator, J.hi.denominator)
+        self.M = math.prod(range(2, 2 * s + 1, 2))
+        self._offsets: dict[int, tuple[int, ...]] = {}
 
     def charge(self, n: int) -> None:
         self.used += n
@@ -181,24 +213,66 @@ class _WindowBudget:
             raise AtomBudgetError(
                 f"expanding window {self.J} produced {self.used} atoms, cap is {self.cap}")
 
+    def pos(self, x: Fraction) -> int:
+        scale, rem = divmod(self.D, x.denominator)
+        if rem:
+            raise AssertionError(f"position {x} is not on the grid (1/{self.D})Z")
+        return x.numerator * scale
 
-def _side_sources(s: int, J: Interval, budget: _WindowBudget
-                  ) -> Iterator[tuple[Fraction, list[tuple[Fraction, Fraction]]]]:
+    def mass(self, m: Fraction) -> int:
+        scale, rem = divmod(self.M, m.denominator)
+        if rem:
+            raise AssertionError(f"mass {m} is not on the grid (1/{self.M})Z")
+        return m.numerator * scale
+
+    def window(self, J: Interval) -> tuple[int, int]:
+        """The grid points of J as a closed range (lo, hi), empty when lo > hi."""
+        return self.pos(J.lo) + J.lo_open, self.pos(J.hi) - J.hi_open
+
+    def half_width(self, s: int) -> int:
+        """The stage-s window is the open range (-h, h) for this h."""
+        return (3 ** s - 1) * self.D // 2 + self.D // 3
+
+    def offsets(self, k: int) -> tuple[int, ...]:
+        """The stage-k averaging offsets on the grid, increasing."""
+        if k not in self._offsets:
+            self._offsets[k] = tuple(self.pos(off) for off in averaging_offsets(k))
+        return self._offsets[k]
+
+    def atoms(self, pairs: list) -> tuple[Atom, ...]:
+        """(position, mass) grid pairs as `Atom`s; atoms of one mass share its `Fraction`.
+
+        Each pair is replaced in `pairs` by its atom, so the pairs are freed
+        as the atoms are made.
+        """
+        D, M = self.D, self.M
+        masses: dict[int, Fraction] = {}
+        for i, (p, m) in enumerate(pairs):
+            mass = masses.get(m)
+            if mass is None:
+                mass = masses[m] = Fraction(m, M)
+            pairs[i] = Atom(Fraction(p, D), mass)
+        return tuple(pairs)
+
+
+def _side_sources(s: int, J: tuple[int, int], query: _Query
+                  ) -> Iterator[tuple[int, list[tuple[int, int]]]]:
     """(shift, source) for the two blocks stage s adds around its copy of stage s-1, left first.
 
-    Each block is stage s-1 shifted by -+3^(s-1) and averaged; its source
-    holds the stage-(s-1) atoms within one averaging radius of the shifted
-    J, the only ones whose averaged copies can land in J.
+    J is a closed range of grid points.  Each block is stage s-1 shifted by
+    -+3^(s-1) and averaged; its source holds the stage-(s-1) atoms within
+    one averaging radius of the shifted J, the only ones whose averaged
+    copies can land in J.
     """
-    radius = averaging_radius(s)
-    shift_mag = Fraction(3 ** (s - 1))
+    lo, hi = J
+    radius = query.offsets(s)[-1]
+    shift_mag = 3 ** (s - 1) * query.D
     for sh in (-shift_mag, shift_mag):
-        source_window = Interval.closed(J.lo - sh - radius, J.hi - sh + radius)
-        yield sh, _atoms_within(s - 1, source_window, budget)
+        yield sh, _atoms_within(s - 1, (lo - sh - radius, hi - sh + radius), query)
 
 
-def _groups(s: int, sh: Fraction, source: list[tuple[Fraction, Fraction]], J: Interval,
-            budget: _WindowBudget) -> Iterator[tuple[Fraction, Fraction, Sequence[Fraction]]]:
+def _groups(s: int, sh: int, source: list[tuple[int, int]], J: tuple[int, int],
+            query: _Query) -> Iterator[tuple[int, int, tuple[int, ...] | list[int]]]:
     """The averaged copies in J of one shifted source block, one group per source atom.
 
     A source atom at p stands for the 2s atoms base + offset (base = p + sh,
@@ -208,53 +282,64 @@ def _groups(s: int, sh: Fraction, source: list[tuple[Fraction, Fraction]], J: In
     group that J cuts is tested atom by atom.  The atoms are charged to the
     budget before a block inside J is expanded, else as each group is made.
     """
-    offsets = averaging_offsets(s)
-    weight = Fraction(1, 2 * s)
-    whole = bool(source) and J.contains(source[0][0] + sh + offsets[0]) \
-        and J.contains(source[-1][0] + sh + offsets[-1])
+    lo, hi = J
+    offsets = query.offsets(s)
+    first, last = offsets[0], offsets[-1]
+    weight = 2 * s
+    whole = bool(source) and lo <= source[0][0] + sh + first \
+        and source[-1][0] + sh + last <= hi
     if whole:
-        budget.charge(len(source) * len(offsets))
+        query.charge(len(source) * len(offsets))
     for pos, mass in source:
         base = pos + sh
         kept = offsets
         if not whole:
-            if not (J.contains(base + offsets[0]) and J.contains(base + offsets[-1])):
-                kept = [off for off in offsets if J.contains(base + off)]
+            if not (lo <= base + first and base + last <= hi):
+                kept = [off for off in offsets if lo <= base + off <= hi]
                 if not kept:
                     continue
-            budget.charge(len(kept))
-        yield base, mass * weight, kept
+            query.charge(len(kept))
+        mass, rem = divmod(mass, weight)
+        if rem:
+            raise AssertionError(f"stage {s}: a source mass is not divisible by {weight}")
+        yield base, mass, kept
 
 
-def _side_blocks(s: int, J: Interval, budget: _WindowBudget
-                 ) -> tuple[list[tuple[Fraction, Fraction]], list[tuple[Fraction, Fraction]]]:
-    """The atoms inside J of the two blocks stage s adds around its copy of stage s-1."""
-    left, right = ([(base + off, mass) for base, mass, kept in _groups(s, sh, source, J, budget)
+def _side_blocks(s: int, J: tuple[int, int], query: _Query
+                 ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """The atoms in the grid range J of the two blocks stage s adds around its copy of stage s-1."""
+    left, right = ([(base + off, mass) for base, mass, kept in _groups(s, sh, source, J, query)
                     for off in kept]
-                   for sh, source in _side_sources(s, J, budget))
+                   for sh, source in _side_sources(s, J, query))
     return left, right
 
 
-def _atoms_within(s: int, J: Interval, budget: _WindowBudget) -> list[tuple[Fraction, Fraction]]:
-    """(position, mass) list of the stage-s measure inside J, without
-    materializing the stage: branches that cannot land in J are pruned.
+def _atoms_within(s: int, J: tuple[int, int], query: _Query) -> list[tuple[int, int]]:
+    """(position, mass) grid pairs of the stage-s measure in the closed grid
+    range J, without materializing the stage: branches that cannot land in J
+    are pruned.
 
-    A stage already in the cache is read from it; nothing is added to it.
+    A stage already in the cache is read from it and put on the grid;
+    nothing is added to it.
     """
-    if J.intersect(stage_window(s)) is None:
+    lo, hi = J
+    half = query.half_width(s)
+    if max(lo, 1 - half) > min(hi, half - 1):
         return []
     cached = _stage_cache.get(s)
     if cached is not None:
-        atoms = restrict(cached.measure, J.intersect(cached.measure.window)).atoms
-        budget.charge(len(atoms))
-        return [(a.position, a.mass) for a in atoms]
+        atoms = cached.measure.atoms
+        i, j = span_within(atoms, Interval.closed(Fraction(lo, query.D), Fraction(hi, query.D)))
+        query.charge(j - i)
+        return [(query.pos(a.position), query.mass(a.mass)) for a in atoms[i:j]]
     if s == 0:
-        return [(Fraction(0), Fraction(1))] if J.contains(0) else []
-    left, right = _side_blocks(s, J, budget)
-    out = left + _atoms_within(s - 1, J, budget) + right
+        return [(0, query.M)] if lo <= 0 <= hi else []
+    left, right = _side_blocks(s, J, query)
+    out = left + _atoms_within(s - 1, J, query) + right
     for (p, _), (q, _) in zip(out, out[1:]):
         if not p < q:
-            raise AssertionError(f"windowed stage {s}: atom collision at {p} / {q}")
+            raise AssertionError(f"windowed stage {s}: atom collision at "
+                                 f"{Fraction(p, query.D)} / {Fraction(q, query.D)}")
     return out
 
 
@@ -266,15 +351,15 @@ def _covering_stage(J: Interval) -> int:
     return s
 
 
-def _check_frozen(s: int, J: Interval, budget: _WindowBudget) -> None:
-    """Raise `StageStabilityError` unless stage s+1 agrees with stage s on J.
+def _check_frozen(s: int, J: tuple[int, int], query: _Query) -> None:
+    """Raise `StageStabilityError` unless stage s+1 agrees with stage s on the grid range J.
 
     Stage s+1 is stage s flanked by two new blocks, so the two stages agree
     on J exactly when both new blocks miss J.
     """
-    left, right = _side_blocks(s + 1, J, budget)
+    left, right = _side_blocks(s + 1, J, query)
     if left or right:
-        raise StageStabilityError(f"stage {s + 1} disagrees with stage {s} on {J}")
+        raise StageStabilityError(f"stage {s + 1} disagrees with stage {s} on {query.J}")
 
 
 def limit_window(J: Interval, atom_cap: int | None = None) -> DiscreteMeasure:
@@ -285,16 +370,16 @@ def limit_window(J: Interval, atom_cap: int | None = None) -> DiscreteMeasure:
     (`StageStabilityError`).  `atom_cap` bounds the atoms the expansion
     produces (stability check included); passing it raises `AtomBudgetError`.
     """
-    budget = _WindowBudget(J, DEFAULT_ATOM_CAP if atom_cap is None else atom_cap)
     s = _covering_stage(J)
+    query = _Query(s + 1, J, DEFAULT_ATOM_CAP if atom_cap is None else atom_cap)
+    grid_J = query.window(J)
     cached = _stage_cache.get(s)
-    if cached is not None:  # slice it: no (position, mass) round trip through Atom
+    if cached is not None:  # slice it: no round trip through the grid
         out = restrict(cached.measure, J)
-        budget.charge(len(out))
+        query.charge(len(out))
     else:
-        atoms = tuple(Atom(p, m) for p, m in _atoms_within(s, J, budget))
-        out = DiscreteMeasure(atoms, J)
-    _check_frozen(s, J, budget)
+        out = DiscreteMeasure(query.atoms(_atoms_within(s, grid_J, query)), J)
+    _check_frozen(s, grid_J, query)
     return out
 
 
@@ -352,12 +437,18 @@ class SupportCheck:
 
 
 def verify_stage_support(s: int, measure: DiscreteMeasure | None = None) -> SupportCheck:
-    """Check that every atom lies strictly inside the open stage window."""
+    """Check that every atom lies strictly inside the open stage window.
+
+    The atoms strictly increase, so the window holds them all exactly when
+    it holds both end atoms; the offender, the first atom outside, is found
+    by bisection.
+    """
     mu = measure if measure is not None else build_stage(s).measure
-    window = stage_window(s)
-    for a in mu.atoms:
-        if not window.contains(a.position):
-            return SupportCheck(s, False, a.position)
+    lo, hi = span_within(mu.atoms, stage_window(s))
+    if lo > 0:
+        return SupportCheck(s, False, mu.atoms[0].position)
+    if hi < len(mu.atoms):
+        return SupportCheck(s, False, mu.atoms[hi].position)
     return SupportCheck(s, True, None)
 
 
@@ -381,18 +472,21 @@ def verify_cell_mass(s: int, measure: DiscreteMeasure | None = None) -> CellMass
     """
     mu = measure if measure is not None else build_stage(s).measure
     bound = cell_center_bound(s)
-    third = Fraction(1, 3)
-    totals: dict[int, Fraction] = {}
+    # an atom p = num/den lies in cell n = floor(p + 1/2), strictly inside it
+    # when 3|num - n*den| < den; cell masses are numerators over `unit`
+    unit = common_denominator(a.mass for a in mu.atoms)
+    totals: dict[int, int] = {}
     strays: list[Fraction] = []
     for a in mu.atoms:
-        n = math.floor(a.position + Fraction(1, 2))
-        if abs(a.position - n) >= third or abs(n) > bound:
+        num, den = a.position.numerator, a.position.denominator
+        n = (2 * num + den) // (2 * den)
+        if 3 * abs(num - n * den) >= den or abs(n) > bound:
             strays.append(a.position)
             continue
-        totals[n] = totals.get(n, Fraction(0)) + a.mass
-    bad = [(n, totals.get(n, Fraction(0)))
+        totals[n] = totals.get(n, 0) + a.mass.numerator * (unit // a.mass.denominator)
+    bad = [(n, Fraction(totals.get(n, 0), unit))
            for n in range(-bound, bound + 1)
-           if totals.get(n, Fraction(0)) != 1]
+           if totals.get(n, 0) != unit]
     return CellMassCheck(s, not bad and not strays, tuple(bad), tuple(strays))
 
 
@@ -429,33 +523,38 @@ def verify_mass_decay(s: int, J: Interval, atom_cap: int | None = None) -> MassD
     inner = stage_window(s)
     if not J.contains_interval(inner) or (J.lo == inner.lo and J.hi == inner.hi):
         raise ValueError(f"window {J} must strictly contain the stage window {inner}")
-    budget = _WindowBudget(J, DEFAULT_ATOM_CAP if atom_cap is None else atom_cap)
     t = _covering_stage(J)
+    query = _Query(t + 1, J, DEFAULT_ATOM_CAP if atom_cap is None else atom_cap)
+    grid_J = query.window(J)
     sources = {}
     for k in range(s + 1, t + 1):
-        offsets = averaging_offsets(k)
+        offsets = query.offsets(k)
         if not all(a < b for a, b in zip(offsets, offsets[1:])):
             raise AssertionError(f"stage {k} averaging offsets do not increase")
-        sources[k] = _side_sources(k, J, budget)  # yields the left source, then the right one
-    worst = Fraction(0)
-    witness: Fraction | None = None
-    last: Fraction | None = None
+        sources[k] = _side_sources(k, grid_J, query)  # yields the left source, then the right one
+    worst = 0
+    witness: int | None = None
+    last: int | None = None
+
+    def group_spans(k):  # a block's source list is freed once its groups are scanned
+        sh, source = next(sources[k])
+        for base, mass, kept in _groups(k, sh, source, grid_J, query):
+            yield base + kept[0], base + kept[-1], mass
+
     for k in (*range(t, s, -1), s, *range(s + 1, t + 1)):
-        if k == s:
-            spans = [(inner.lo, inner.hi, None)]
-        else:
-            sh, source = next(sources[k])
-            spans = ((base + kept[0], base + kept[-1], mass)
-                     for base, mass, kept in _groups(k, sh, source, J, budget))
+        spans = [(query.pos(inner.lo), query.pos(inner.hi), None)] if k == s else group_spans(k)
         for first, end, mass in spans:
             if last is not None and not last < first:
-                raise AssertionError(f"stage {t} on {J}: atom collision at {last} / {first}")
+                raise AssertionError(f"stage {t} on {J}: atom collision at "
+                                     f"{Fraction(last, query.D)} / {Fraction(first, query.D)}")
             last = end
             if mass is not None and abs(mass) > worst:
                 worst, witness = abs(mass), first
-    _check_frozen(t, J, budget)
+    _check_frozen(t, grid_J, query)
+    worst_mass = Fraction(worst, query.M)
     bound = Fraction(1, 2 * s)
-    return MassDecayCheck(s, worst, bound, worst < bound, witness)
+    return MassDecayCheck(s, worst_mass, bound, worst_mass < bound,
+                          None if witness is None else Fraction(witness, query.D))
 
 
 def verify_stage_stability(s: int, atom_cap: int | None = None) -> bool:
@@ -468,7 +567,8 @@ def verify_stage_stability(s: int, atom_cap: int | None = None) -> bool:
     """
     cap = _check_stage_cap(s + 1, atom_cap)
     window = stage_window(s).closure()
-    left, right = _side_blocks(s + 1, window, _WindowBudget(window, cap))
+    query = _Query(s + 1, window, cap)
+    left, right = _side_blocks(s + 1, query.window(window), query)
     return not left and not right
 
 

@@ -11,6 +11,7 @@ truncating silently.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,6 +33,11 @@ def rational(x: RationalLike) -> Fraction:
     if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
+
+
+def common_denominator(values: Iterable[Fraction]) -> int:
+    """The lcm of the denominators of `values` (1 when there are none)."""
+    return math.lcm(*{x.denominator for x in values})
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +165,10 @@ class DiscreteMeasure:
 
     @property
     def total_mass(self) -> Fraction:
-        return sum((a.mass for a in self.atoms), Fraction(0))
+        """Summed as integer numerators over the lcm of the mass denominators."""
+        unit = common_denominator(a.mass for a in self.atoms)
+        return Fraction(sum(a.mass.numerator * (unit // a.mass.denominator) for a in self.atoms),
+                        unit)
 
     @property
     def total_variation(self) -> Fraction:

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import cache
 from itertools import islice
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterator
 
-from .construction import StageMeasure
+from .construction import StageMeasure, provenance_digits, provenance_step
 from .matching import FarFieldReport, LumpDecomposition, MatchReport
 from .measures import DiscreteMeasure, Interval, make_measure
 from .piecewise import AlmostPeriodCertificate, PiecewiseLinearFn
@@ -38,12 +39,9 @@ def interval_from_dict(d: dict[str, Any]) -> Interval:
                     bool(d.get("lo_open", False)), bool(d.get("hi_open", False)))
 
 
-def _atom_entries(mu: DiscreteMeasure) -> Iterator[dict[str, str]]:
-    return ({"pos": frac(a.position), "mass": frac(a.mass)} for a in mu.atoms)
-
-
 def measure_to_dict(mu: DiscreteMeasure) -> dict[str, Any]:
-    return {"window": interval_to_dict(mu.window), "atoms": list(_atom_entries(mu))}
+    return {"window": interval_to_dict(mu.window),
+            "atoms": [{"pos": frac(a.position), "mass": frac(a.mass)} for a in mu.atoms]}
 
 
 def measure_from_dict(d: dict[str, Any]) -> DiscreteMeasure:
@@ -52,21 +50,28 @@ def measure_from_dict(d: dict[str, Any]) -> DiscreteMeasure:
     return make_measure(pairs, window)
 
 
-def _stream_atoms(path: Path, head: dict[str, Any], atoms: Iterable[dict[str, Any]]) -> None:
+_BATCH = 4096
+
+
+def _stream_atoms(path: Path, head: dict[str, Any], entries: Iterator[str]) -> None:
     """Write {**head, "atoms": [...]} byte for byte as `json.dumps(indent=1)`
-    would, a batch of atom entries at a time, so the whole document is never
-    in memory.  A batch is encoded at its final depth as {"atoms": batch}
-    and cut out of that wrapper."""
-    wrap_head, wrap_tail = '{\n "atoms": [\n', '\n ]\n}'
-    entries = iter(atoms)
+    would, from entries already rendered at their final depth, a batch at a
+    time, so the whole document is never in memory.
+
+    Fraction strings hold only digits, '-' and '/', which JSON never escapes,
+    so an entry can be rendered by a template.
+    """
     with path.open("w") as fh:
         fh.write(json.dumps(head, indent=1)[:-2] + ',\n "atoms": [')
         sep = "\n"
-        while chunk := list(islice(entries, 4096)):
-            body = json.dumps({"atoms": chunk}, indent=1)
-            fh.write(sep + body[len(wrap_head):-len(wrap_tail)])
+        while chunk := list(islice(entries, _BATCH)):
+            fh.write(sep + ",\n".join(chunk))
             sep = ",\n"
         fh.write("]\n}\n" if sep == "\n" else "\n ]\n}\n")
+
+
+def _atom_entries(mu: DiscreteMeasure) -> Iterator[str]:
+    return (f'  {{\n   "pos": "{a.position!s}",\n   "mass": "{a.mass!s}"\n  }}' for a in mu.atoms)
 
 
 def save_measure(mu: DiscreteMeasure, path: str | Path) -> None:
@@ -82,26 +87,28 @@ def provenance_sidecar_path(measure_path: str | Path) -> Path:
     return p.with_name(p.stem + ".provenance.json")
 
 
-def _provenance_entries(stage: StageMeasure) -> Iterator[dict[str, Any]]:
-    for atom, prov in zip(stage.measure.atoms, stage.provenance):
-        yield {
-            "pos": frac(atom.position),
-            "stages": [step.stage for step in prov],
-            "shifts": [frac(step.shift) for step in prov],
-            "offsets": [frac(step.offset) for step in prov],
-        }
+@cache
+def _step_fragments(k: int, sign: int, j: int) -> tuple[str, str, str]:
+    """One averaging pass as items of the sidecar's stages, shifts and offsets lists."""
+    step = provenance_step(k, sign, j)
+    return f"\n    {step.stage}", f'\n    "{step.shift!s}"', f'\n    "{step.offset!s}"'
 
 
-def stage_to_dicts(stage: StageMeasure) -> tuple[dict[str, Any], dict[str, Any]]:
-    sidecar = {"stage": stage.stage, "atoms": list(_provenance_entries(stage))}
-    return measure_to_dict(stage.measure), sidecar
+def _provenance_entries(stage: StageMeasure) -> Iterator[str]:
+    for i, atom in enumerate(stage.measure.atoms):
+        digits = provenance_digits(stage.stage, i)
+        columns = zip(*(_step_fragments(*digit) for digit in digits))
+        stages, shifts, offsets = ((",".join(column) + "\n   " for column in columns)
+                                   if digits else ("", "", ""))
+        yield (f'  {{\n   "pos": "{atom.position!s}",\n   "stages": [{stages}],\n'
+               f'   "shifts": [{shifts}],\n   "offsets": [{offsets}]\n  }}')
 
 
 def save_stage(stage: StageMeasure, path: str | Path) -> Path:
     """Write the stage measure plus its provenance sidecar; returns the sidecar path.
 
     Both files are streamed in batches of entries, so neither exists in
-    memory as one list of dicts or as one JSON string.
+    memory as one list or one string.
     """
     save_measure(stage.measure, path)
     side = provenance_sidecar_path(path)

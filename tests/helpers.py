@@ -6,11 +6,15 @@ full DP table, and convolution values through literal pointwise sums, so
 that agreement is an actual cross-check.
 """
 
+import math
 from fractions import Fraction
 from itertools import permutations
 from typing import Sequence
 
-from apmeasure import Atom, DiscreteMeasure, Interval, make_measure
+from apmeasure import Atom, DiscreteMeasure, Interval, StageMeasure, make_measure
+from apmeasure.construction import (CellMassCheck, SupportCheck, cell_center_bound,
+                                    stage_window)
+from apmeasure.serialize import measure_to_dict
 
 
 def brute_count_sup(mu: DiscreteMeasure, u: Fraction) -> int:
@@ -153,3 +157,46 @@ def literal_stage(s: int):
 
         entries = averaged(Fraction(-3 ** (k - 1))) + entries + averaged(Fraction(3 ** (k - 1)))
     return entries
+
+
+def stage_to_dicts(stage: StageMeasure) -> tuple[dict, dict]:
+    """The measure file and the provenance sidecar of `stage` as dicts.
+
+    `json.dumps(d, indent=1) + "\\n"` of each is the byte oracle for what
+    `serialize.save_stage` writes.
+    """
+    sidecar = {"stage": stage.stage, "atoms": [
+        {"pos": str(atom.position),
+         "stages": [step.stage for step in prov],
+         "shifts": [str(step.shift) for step in prov],
+         "offsets": [str(step.offset) for step in prov]}
+        for atom, prov in zip(stage.measure.atoms, stage.provenance)]}
+    return measure_to_dict(stage.measure), sidecar
+
+
+def literal_stage_support(s: int, mu: DiscreteMeasure) -> SupportCheck:
+    """Stage support by a `Fraction` scan of every atom: the first one outside the window."""
+    window = stage_window(s)
+    for a in mu.atoms:
+        if not window.contains(a.position):
+            return SupportCheck(s, False, a.position)
+    return SupportCheck(s, True, None)
+
+
+def literal_cell_mass(s: int, mu: DiscreteMeasure) -> CellMassCheck:
+    """Cell masses by `Fraction` arithmetic: each atom's cell is floor(p + 1/2),
+    and an atom at distance >= 1/3 from it, or in a cell past the stage, is a stray."""
+    bound = cell_center_bound(s)
+    third = Fraction(1, 3)
+    totals: dict[int, Fraction] = {}
+    strays: list[Fraction] = []
+    for a in mu.atoms:
+        n = math.floor(a.position + Fraction(1, 2))
+        if abs(a.position - n) >= third or abs(n) > bound:
+            strays.append(a.position)
+            continue
+        totals[n] = totals.get(n, Fraction(0)) + a.mass
+    bad = [(n, totals.get(n, Fraction(0)))
+           for n in range(-bound, bound + 1)
+           if totals.get(n, Fraction(0)) != 1]
+    return CellMassCheck(s, not bad and not strays, tuple(bad), tuple(strays))

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 from unittest import mock
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from apmeasure import (
     AtomBudgetError,
     Interval,
+    StageMeasure,
     StageStabilityError,
     averaging_radius,
     build_stage,
@@ -27,7 +29,7 @@ from apmeasure import (
 from apmeasure import construction
 from apmeasure.construction import cell_center_bound
 from apmeasure.measures import make_measure
-from helpers import literal_stage
+from helpers import literal_cell_mass, literal_stage, literal_stage_support
 
 
 def atoms_of(mu):
@@ -162,6 +164,41 @@ class TestSupportAndCells:
         assert not report.holds and F(1, 2) in report.stray_positions
 
 
+@st.composite
+def perturbed_stages(draw):
+    """A stage s <= 3 and its measure with a few atoms moved or masses changed:
+    onto n -+ 1/3 or a half-integer (n the atom's cell), onto or past an end
+    of the stage window, or a mass shifted."""
+    s = draw(st.integers(min_value=0, max_value=3))
+    built = atoms_of(build_stage(s).measure)
+    pairs = list(built)
+    window = stage_window(s)
+    edits = st.tuples(st.integers(min_value=0, max_value=len(pairs) - 1),
+                      st.sampled_from(["third", "half", "past", "mass"]),
+                      st.sampled_from([-1, 1]),
+                      st.fractions(min_value=0, max_value=1, max_denominator=12))
+    for i, kind, sign, amount in draw(st.lists(edits, min_size=1, max_size=4)):
+        p, m = built[i]  # each edit starts from the built atom, so none drifts out of the window
+        n = math.floor(p + F(1, 2))
+        if kind == "third":
+            pairs[i] = (n + sign * F(1, 3), m)
+        elif kind == "half":
+            pairs[i] = (n + sign * F(1, 2), m)
+        elif kind == "past":
+            pairs[i] = ((window.hi if sign > 0 else window.lo) + sign * amount, m)
+        else:
+            pairs[i] = (p, m + sign * amount)
+    return s, make_measure(pairs, window.closure().widen(2))
+
+
+@given(perturbed_stages())
+@settings(max_examples=150, deadline=None)
+def test_certificates_match_literal_scans(case):
+    s, mu = case
+    assert verify_cell_mass(s, mu) == literal_cell_mass(s, mu)
+    assert verify_stage_support(s, mu) == literal_stage_support(s, mu)
+
+
 class TestTailEstimate:
     def test_n1_below_third(self):
         est = verify_tail_estimate(1)
@@ -217,18 +254,20 @@ class TestMassDecay:
         with pytest.raises(ValueError):
             verify_mass_decay(1, stage_window(1))
 
+    # sources are (position, mass) pairs on the query's integer grid
     @pytest.mark.parametrize("alter", [
         # a source atom one radius right of the first: its group starts inside the first group
-        lambda source: [source[0], (source[0][0] + averaging_radius(2), F(1)), *source[1:]],
+        lambda source, grid: [source[0], (source[0][0] + grid.pos(averaging_radius(2)),
+                                          grid.mass(F(1))), *source[1:]],
         # a source atom that the shift -3 takes to the origin, inside the stage-1 window
-        lambda source: [*source, (F(3), F(1))],
+        lambda source, grid: [*source, (grid.pos(F(3)), grid.mass(F(1)))],
     ], ids=["overlapping-groups", "group-inside-stage-window"])
     def test_collisions_are_reported(self, monkeypatch, alter):
         side_sources = construction._side_sources
 
         def altered(s, J, budget):
             for sh, source in side_sources(s, J, budget):
-                yield sh, alter(source) if s == 2 and sh < 0 else source
+                yield sh, alter(source, budget) if s == 2 and sh < 0 else source
 
         monkeypatch.setattr(construction, "_side_sources", altered)
         with pytest.raises(AssertionError, match="collision"):
@@ -325,6 +364,22 @@ class TestLimitWindow:
         monkeypatch.setattr(construction, "_side_blocks", stray_stage_two_atom)
         with pytest.raises(StageStabilityError, match="stage 2 disagrees with stage 1"):
             limit_window(Interval.closed(-1, 1))
+
+
+class TestGrid:
+    @pytest.mark.parametrize("atom", [(F(1, 7), F(1)), (F(0), F(1, 7))], ids=["position", "mass"])
+    def test_cached_atom_off_the_grid_raises(self, atom):
+        # stage 2's side blocks read stage 1 from the cache and put it on the grid
+        fake = StageMeasure(1, make_measure([atom], stage_window(1).closure()))
+        with mock.patch.dict(construction._stage_cache, {1: fake}, clear=True):
+            with pytest.raises(AssertionError, match="not on the grid"):
+                limit_window(Interval.closed(-4, 4))
+
+    def test_window_end_off_the_grid_raises(self):
+        query = construction._Query(2, Interval.closed(F(1, 5), 1), 100)
+        assert query.window(Interval(F(1, 5), F(1), True, False)) == (query.D // 5 + 1, query.D)
+        with pytest.raises(AssertionError, match="not on the grid"):
+            query.window(Interval.closed(F(1, 7), 1))
 
 
 @st.composite

@@ -27,6 +27,8 @@ STAGE_FILES = {
         "fd308bffe46bc801d9833e0053fa962aafc16e98d11b7e7c9cd087c82212b932"),
     4: ("3f41cd4ba389a6003eda0c6d094f34c031a439f476bceea03a8ed6bf744f7c01",
         "e9c772e36b4d13c87f33ac4f0692c3ead0b3369e0b97711a56cdaacc1209ca4f"),
+    5: ("3f03f7114810c789c43581ed7e56175f2e9888f2f5e6681a99c2f76d9851408d",
+        "4ce0c44c84ac05178a06edf8938e6ea0d3adab40387fa39fdb3b2d8eb6a71633"),
 }
 
 STDOUT = {
@@ -36,6 +38,8 @@ STDOUT = {
         "74cc803bdb1dae15b456c819e09898bf3ecd9dbe9d8afc252672ceabd0a4e01a",
     ("verify", "4"):
         "d58056596fd3d8dc127d1aa2c5f5dedaa58bad2d7e5474401d7826161ef4a3cd",
+    ("verify", "5"):
+        "e6f12c3df1769db641f438b9917e5236f72e77e015e108c7f256e9dafa396621",
 }
 
 # `match --out-report` of the 960 stage-4 atoms on [63/2, 69/2] against the

@@ -1,7 +1,10 @@
 import json
 from fractions import Fraction as F
 
+import pytest
+
 from apmeasure import Interval, PiecewiseLinearFn, build_stage, make_measure, triangle_test_function
+from apmeasure import serialize
 from apmeasure.serialize import (
     load_measure,
     load_plf,
@@ -11,8 +14,8 @@ from apmeasure.serialize import (
     save_measure,
     save_plf,
     save_stage,
-    stage_to_dicts,
 )
+from helpers import stage_to_dicts
 
 
 def test_measure_round_trip(tmp_path):
@@ -34,12 +37,48 @@ def test_measure_file_is_decimal_free(tmp_path):
     assert load_measure(path) == mu
 
 
+def dumped(d):
+    return json.dumps(d, indent=1) + "\n"
+
+
+@pytest.mark.parametrize("s", range(5))
+def test_stage_files_are_json_dumps(s, tmp_path):
+    # stage 0's one atom has empty stages/shifts/offsets lists
+    stage = build_stage(s)
+    path = tmp_path / "stage.json"
+    side = save_stage(stage, path)
+    measure, sidecar = stage_to_dicts(stage)
+    assert path.read_text() == dumped(measure)
+    assert side.read_text() == dumped(sidecar)
+
+
 def test_streamed_file_is_json_dumps(tmp_path):
-    # the golden digests pin stages 0..4; this also covers an empty atom list
+    # empty and signed measures, with negative and integer positions and masses,
+    # under every window openness
     path = tmp_path / "m.json"
-    for mu in (make_measure([], Interval(F(-1), F(1), True, False)), build_stage(3).measure):
-        save_measure(mu, path)
-        assert path.read_text() == json.dumps(measure_to_dict(mu), indent=1) + "\n"
+    for flags in [(False, False), (True, False), (False, True), (True, True)]:
+        window = Interval(F(-7, 2), F(5), *flags)
+        signed = make_measure([(F(-3), F(-2)), (F(-5, 4), F(1, 3)), (0, 7),
+                               (F(1, 6), F(-5, 8)), (F(4), 1)], window)
+        for mu in (make_measure([], window), signed):
+            save_measure(mu, path)
+            assert path.read_text() == dumped(measure_to_dict(mu))
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_batch_boundary_is_json_dumps(extra, tmp_path, monkeypatch):
+    path = tmp_path / "m.json"
+    n = serialize._BATCH + extra
+    mu = make_measure([(F(i, 3), F(-1) ** i * F(1, i + 1)) for i in range(n)],
+                      Interval.closed(0, n))
+    save_measure(mu, path)
+    assert path.read_text() == dumped(measure_to_dict(mu))
+    # the 45 atoms of stage 2 at a batch boundary, measure file and sidecar
+    monkeypatch.setattr(serialize, "_BATCH", 45 + extra)
+    stage = build_stage(2)
+    side = save_stage(stage, path)
+    measure, sidecar = stage_to_dicts(stage)
+    assert (path.read_text(), side.read_text()) == (dumped(measure), dumped(sidecar))
 
 
 def test_window_openness_round_trip():
