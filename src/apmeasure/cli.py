@@ -11,6 +11,7 @@ environment variable or --cap.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import re
@@ -97,6 +98,8 @@ def _write_report(cfg: RunConfig, payload: dict) -> None:
 
 def cmd_build(args) -> int:
     cfg = _run_config(args)
+    if not Path(args.out).parent.is_dir():  # before a build that can take seconds
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
     stage = construction.build_stage(args.stage, cfg.atom_cap)
     serialize.save_stage(stage, args.out)
     print(f"atoms={len(stage.measure)} mass={stage.measure.total_mass}")

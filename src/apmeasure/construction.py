@@ -373,12 +373,7 @@ def limit_window(J: Interval, atom_cap: int | None = None) -> DiscreteMeasure:
     s = _covering_stage(J)
     query = _Query(s + 1, J, DEFAULT_ATOM_CAP if atom_cap is None else atom_cap)
     grid_J = query.window(J)
-    cached = _stage_cache.get(s)
-    if cached is not None:  # slice it: no round trip through the grid
-        out = restrict(cached.measure, J)
-        query.charge(len(out))
-    else:
-        out = DiscreteMeasure(query.atoms(_atoms_within(s, grid_J, query)), J)
+    out = DiscreteMeasure(query.atoms(_atoms_within(s, grid_J, query)), J)
     _check_frozen(s, grid_J, query)
     return out
 

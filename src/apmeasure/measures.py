@@ -252,8 +252,8 @@ def combine(c1: RationalLike, mu: DiscreteMeasure,
     window = mu.window.intersect(nu.window)
     if window is None:
         raise WindowError(f"windows {mu.window} and {nu.window} do not overlap")
-    pairs = [(a.position, c1 * a.mass) for a in mu.atoms if window.contains(a.position)]
-    pairs += [(a.position, c2 * a.mass) for a in nu.atoms if window.contains(a.position)]
+    pairs = [(a.position, c1 * a.mass) for a in restrict(mu, window).atoms]
+    pairs += [(a.position, c2 * a.mass) for a in restrict(nu, window).atoms]
     return make_measure(pairs, window)
 
 

@@ -13,9 +13,13 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Union
+from heapq import merge
+from itertools import groupby
+from operator import itemgetter
+from typing import Callable, Iterator, Union
 
 from .measures import (
+    Atom,
     DiscreteMeasure,
     Interval,
     RationalLike,
@@ -104,29 +108,6 @@ class PiecewiseLinearFn:
         return PiecewiseLinearFn(tuple(b + t for b in self.breakpoints),
                                  self.values, self.zero_outside)
 
-    def scale(self, c: RationalLike) -> "PiecewiseLinearFn":
-        c = rational(c)
-        if c == 0 and not self.zero_outside:
-            return PiecewiseLinearFn(self.breakpoints,
-                                     (Fraction(0),) * len(self.values), False)
-        return PiecewiseLinearFn(self.breakpoints,
-                                 tuple(c * v for v in self.values), self.zero_outside)
-
-    def canonical(self) -> "PiecewiseLinearFn":
-        """Drop interior breakpoints where the slope does not change."""
-        if len(self.breakpoints) <= 2:
-            return self
-        keep = [0]
-        for i in range(1, len(self.breakpoints) - 1):
-            left = (self.values[i] - self.values[keep[-1]]) / (self.breakpoints[i] - self.breakpoints[keep[-1]])
-            right = (self.values[i + 1] - self.values[i]) / (self.breakpoints[i + 1] - self.breakpoints[i])
-            if left != right:
-                keep.append(i)
-        keep.append(len(self.breakpoints) - 1)
-        return PiecewiseLinearFn(tuple(self.breakpoints[i] for i in keep),
-                                 tuple(self.values[i] for i in keep),
-                                 self.zero_outside)
-
 
 def triangle_test_function(half_width: RationalLike = Fraction(1, 6),
                            height: RationalLike = 1) -> PiecewiseLinearFn:
@@ -179,44 +160,52 @@ def _check_faithful(f: PiecewiseLinearFn, mu: DiscreteMeasure, J: Interval) -> I
 def convolution_value(f: PiecewiseLinearFn, mu: DiscreteMeasure,
                       x: RationalLike) -> Fraction:
     """Exact value of (f * mu)(x) = sum of f(x - position) * mass."""
-    x = rational(x)
-    point = Interval.closed(x, x)
-    _check_faithful(f, mu, point)
-    lo = x - f.breakpoints[-1]
-    hi = x - f.breakpoints[0]
-    total = Fraction(0)
-    for a in mu.atoms:
-        if lo <= a.position <= hi:
-            total += a.mass * f.eval(x - a.position)
-    return total
+    return convolve(f, mu, Interval.closed(x, x)).values[0]
+
+
+def _events(atoms: tuple[Atom, ...], b: Fraction, ds: Fraction
+            ) -> Iterator[tuple[Fraction, Fraction]]:
+    """(position + b, mass * ds) per atom: one event stream, sorted by position.
+
+    A function rather than an inline generator, so each stream binds its own b and ds.
+    """
+    return ((a.position + b, a.mass * ds) for a in atoms)
 
 
 def convolve(f: PiecewiseLinearFn, mu: DiscreteMeasure, J: Interval) -> PiecewiseLinearFn:
     """(f * mu) on the interval J as an exact window function.
 
     Faithfulness is enforced: the measure window must cover everything the
-    convolution can see from J.  The result's breakpoints are the atom
-    positions plus breakpoints of f, clipped to J.
-    """
-    needed = _check_faithful(f, mu, J)
-    atoms = restrict(mu, needed).atoms
-    changes = f.slope_changes()
-    events: dict[Fraction, Fraction] = {}
-    for a in atoms:
-        for b, ds in changes:
-            pos = a.position + b
-            events[pos] = events.get(pos, Fraction(0)) + a.mass * ds
+    convolution can see from J.  The result's breakpoints are J's ends and
+    every distinct event position inside J.
 
-    inner = sorted(x for x in events if J.lo < x < J.hi)
-    bps = [J.lo] + inner + ([J.hi] if J.hi > J.lo else [])
-    value = sum((a.mass * f.eval(J.lo - a.position) for a in atoms), Fraction(0))
-    slope = sum((ds for x, ds in events.items() if x <= J.lo), Fraction(0))
-    values = [value]
-    for i in range(1, len(bps)):
-        if i >= 2:
-            slope += events[bps[i - 1]]
-        value += slope * (bps[i] - bps[i - 1])
-        values.append(value)
+    One left-to-right sweep.  A compactly supported f is the sum of
+    ds * (y - b)_+ over its slope changes (b, ds), so (f * mu)(y) is the sum
+    of jump * (y - x)_+ over the events x = position + b, jump = mass * ds.
+    Each b gives an event stream sorted by x; the streams are merged and
+    equal x coalesced.  Events at or left of J.lo fold into the value and
+    the slope at J.lo; each later x inside J is a breakpoint, even when its
+    net jump is 0.
+    """
+    atoms = restrict(mu, _check_faithful(f, mu, J)).atoms
+    streams = [_events(atoms, b, ds) for b, ds in f.slope_changes()]
+    value = slope = Fraction(0)
+    bps, values = [J.lo], [value]
+    for x, group in groupby(merge(*streams, key=itemgetter(0)), key=itemgetter(0)):
+        jump = sum(ds for _, ds in group)
+        if x <= J.lo:
+            value += jump * (J.lo - x)
+            values[0] = value
+        elif x < J.hi:
+            value += slope * (x - bps[-1])
+            bps.append(x)
+            values.append(value)
+        else:
+            break
+        slope += jump
+    if J.hi > J.lo:
+        values.append(value + slope * (J.hi - bps[-1]))
+        bps.append(J.hi)
     return PiecewiseLinearFn(tuple(bps), tuple(values), zero_outside=False)
 
 

@@ -39,11 +39,6 @@ def interval_from_dict(d: dict[str, Any]) -> Interval:
                     bool(d.get("lo_open", False)), bool(d.get("hi_open", False)))
 
 
-def measure_to_dict(mu: DiscreteMeasure) -> dict[str, Any]:
-    return {"window": interval_to_dict(mu.window),
-            "atoms": [{"pos": frac(a.position), "mass": frac(a.mass)} for a in mu.atoms]}
-
-
 def measure_from_dict(d: dict[str, Any]) -> DiscreteMeasure:
     window = interval_from_dict(d["window"])
     pairs = [(parse_frac(a["pos"]), parse_frac(a["mass"])) for a in d["atoms"]]

@@ -14,7 +14,6 @@ from typing import Sequence
 from apmeasure import Atom, DiscreteMeasure, Interval, StageMeasure, make_measure
 from apmeasure.construction import (CellMassCheck, SupportCheck, cell_center_bound,
                                     stage_window)
-from apmeasure.serialize import measure_to_dict
 
 
 def brute_count_sup(mu: DiscreteMeasure, u: Fraction) -> int:
@@ -157,6 +156,18 @@ def literal_stage(s: int):
 
         entries = averaged(Fraction(-3 ** (k - 1))) + entries + averaged(Fraction(3 ** (k - 1)))
     return entries
+
+
+def measure_to_dict(mu: DiscreteMeasure) -> dict:
+    """The measure file of `mu` as a dict.
+
+    `json.dumps(d, indent=1) + "\\n"` is the byte oracle for what
+    `serialize.save_measure` writes.
+    """
+    J = mu.window
+    return {"window": {"lo": str(J.lo), "hi": str(J.hi),
+                       "lo_open": J.lo_open, "hi_open": J.hi_open},
+            "atoms": [{"pos": str(a.position), "mass": str(a.mass)} for a in mu.atoms]}
 
 
 def stage_to_dicts(stage: StageMeasure) -> tuple[dict, dict]:

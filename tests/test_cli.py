@@ -68,6 +68,15 @@ class TestBuild:
         code, _, err = run(capsys, "build", "2", "--out", str(tmp_path / "s2.json"))
         assert code == 1 and "cap" in err
 
+    def test_missing_out_dir_fails_before_building(self, tmp_path, capsys, monkeypatch):
+        def no_build(*args, **kwargs):
+            raise AssertionError("build_stage called")
+        monkeypatch.setattr(construction, "build_stage", no_build)
+        out_path = tmp_path / "missing_dir" / "stage5.json"
+        code, _, err = run(capsys, "build", "5", "--out", str(out_path))
+        assert code == 2
+        assert "No such file or directory" in err and str(out_path) in err
+
 
 class TestVerify:
     def test_stage2_passes(self, capsys):

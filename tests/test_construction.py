@@ -354,6 +354,23 @@ class TestLimitWindow:
         with pytest.raises(AtomBudgetError, match="cap is 10000"):
             limit_window(Interval.closed(-3 ** 8, 3 ** 8), atom_cap=10_000)
 
+    def test_cached_stage_gives_the_same_window(self):
+        # the kernel reads a cached covering stage and expands an uncached one;
+        # the window (3/2, 13] cuts stage-3 clusters at both ends
+        J = Interval(F(3, 2), F(13), True, False)
+        s = construction._covering_stage(J)
+        with mock.patch.dict(construction._stage_cache, clear=True):
+            build_stage(s)
+            cached = limit_window(J)
+            cap = len(cached) - 1
+            with pytest.raises(AtomBudgetError, match=f"cap is {cap}$"):
+                limit_window(J, atom_cap=cap)
+            construction._stage_cache.clear()
+            assert limit_window(J) == cached
+            with pytest.raises(AtomBudgetError, match=f"cap is {cap}$"):
+                limit_window(J, atom_cap=cap)
+            assert construction._stage_cache == {}
+
     def test_unstable_stage_is_reported(self, monkeypatch):
         # a new block of stage s+1 that lands in J means stage s was not frozen there
         side_blocks = construction._side_blocks

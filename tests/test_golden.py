@@ -1,8 +1,8 @@
 """Golden SHA-256 digests of the CLI outputs that certify the construction.
 
-Any rewrite of the builder, the windowed expansion, the matching or the
-serializer must leave these bytes unchanged; a mismatch names the stage and
-the file.
+Any rewrite of the builder, the windowed expansion, the convolution, the
+matching or the serializer must leave these bytes unchanged; a mismatch
+names the stage and the file.
 """
 
 import contextlib
@@ -41,6 +41,9 @@ STDOUT = {
     ("verify", "5"):
         "e6f12c3df1769db641f438b9917e5236f72e77e015e108c7f256e9dafa396621",
 }
+
+# `conv` of the built-in triangle against the stage-4 measure file on [-40, 40]
+CONV_STAGE4 = "f25ee6d23d6cb22910ce24febd8eabcb2fb977830785413a61ff981ad882777c"
 
 # `match --out-report` of the 960 stage-4 atoms on [63/2, 69/2] against the
 # same atoms with atom 479 dropped, in both orders (the partial matching DP)
@@ -88,3 +91,13 @@ def test_partial_match_report(files, tmp_path, capsys):
     capsys.readouterr()
     got = sha256(report.read_bytes())
     assert got == MATCH_REPORTS[files], f"match {' '.join(files)}: report digest {got}"
+
+
+def test_conv_stdout(tmp_path):
+    path = tmp_path / "stage4.json"
+    save_measure(build_stage(4).measure, path)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(["conv", "--measure", str(path), "--window", "-40:40"]) == 0
+    got = sha256(buf.getvalue().encode())
+    assert got == CONV_STAGE4, f"`apmeasure conv` on stage 4, -40:40: stdout digest {got}"

@@ -149,6 +149,23 @@ class TestCombine:
         empty = make_measure([], W)
         assert combine(1, mu, 1, empty) == mu
 
+    @pytest.mark.parametrize("flags", [(a, b, c, d) for a in (False, True) for b in (False, True)
+                                       for c in (False, True) for d in (False, True)])
+    def test_matches_literal_filter(self, flags):
+        # partly overlapping windows [-2, 1] and [0, 3] under every openness: the
+        # intersection ends at 0 and 1, where both measures may have atoms
+        mu_window = Interval(F(-2), F(1), flags[0], flags[1])
+        nu_window = Interval(F(0), F(3), flags[2], flags[3])
+        mu = make_measure([(p, 1) for p in (-2, -1, 0, F(1, 2), 1) if mu_window.contains(p)],
+                          mu_window)
+        nu = make_measure([(p, 2) for p in (0, F(1, 2), 1, 2, 3) if nu_window.contains(p)],
+                          nu_window)
+        window = mu_window.intersect(nu_window)
+        literal = make_measure(
+            [(a.position, 2 * a.mass) for a in mu.atoms if window.contains(a.position)]
+            + [(a.position, -a.mass) for a in nu.atoms if window.contains(a.position)], window)
+        assert combine(2, mu, -1, nu) == literal
+
 
 class TestRestrict:
     def test_basic(self):

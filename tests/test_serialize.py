@@ -9,13 +9,12 @@ from apmeasure.serialize import (
     load_measure,
     load_plf,
     measure_from_dict,
-    measure_to_dict,
     provenance_sidecar_path,
     save_measure,
     save_plf,
     save_stage,
 )
-from helpers import stage_to_dicts
+from helpers import measure_to_dict, stage_to_dicts
 
 
 def test_measure_round_trip(tmp_path):
