@@ -238,15 +238,18 @@ def _run_harness(args, cfg: RunConfig, mu, nu,
     hc = _harness_config(args, mu, nu)
     print(f"harness: n={hc.n} v={hc.v} u={hc.u} epsilon={hc.epsilon} compact={hc.compact}")
     ok = True
+    # mu - nu, built once for both checks
+    diff = measures.combine(1, mu, -1, nu) if args.zero_identity or args.samples else None
     if args.zero_identity:
-        ident = matching.origin_product_identity(mu, nu, hc)
+        ident = matching.origin_product_identity(mu, nu, hc, diff)
         flag = " (degenerate)" if ident.degenerate else ""
         ok &= _check("origin_identity",
                      ident.holds, f"value={fmt(ident.value, cfg)} "
                                   f"expected={fmt(ident.expected, cfg)}{flag}")
     if args.samples:
         samples = [rational(b.strip()) for b in args.samples.split(",") if b.strip()]
-        report = matching.far_field_check(mu, nu, hc, samples, match_report, cfg.atom_cap)
+        report = matching.far_field_check(mu, nu, hc, samples, match_report, cfg.atom_cap,
+                                          diff)
         print(f"examined={report.examined} C={fmt(report.c_bound, cfg)}")
         _check("matching_hypothesis", report.hypothesis_ok, report.hypothesis_note)
         for row in report.samples:

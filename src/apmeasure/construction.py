@@ -255,20 +255,26 @@ class _Query:
         return tuple(pairs)
 
 
-def _side_sources(s: int, J: tuple[int, int], query: _Query
-                  ) -> Iterator[tuple[int, list[tuple[int, int]]]]:
-    """(shift, source) for the two blocks stage s adds around its copy of stage s-1, left first.
+def _source_windows(s: int, J: tuple[int, int], query: _Query
+                    ) -> tuple[tuple[int, tuple[int, int]], ...]:
+    """(shift, source range) for the two blocks stage s adds around its copy of stage s-1, left first.
 
     J is a closed range of grid points.  Each block is stage s-1 shifted by
-    -+3^(s-1) and averaged; its source holds the stage-(s-1) atoms within
-    one averaging radius of the shifted J, the only ones whose averaged
-    copies can land in J.
+    -+3^(s-1) and averaged; its source is the stage-(s-1) atoms within one
+    averaging radius of the shifted J, the only ones whose averaged copies
+    can land in J.
     """
     lo, hi = J
     radius = query.offsets(s)[-1]
     shift_mag = 3 ** (s - 1) * query.D
-    for sh in (-shift_mag, shift_mag):
-        yield sh, _atoms_within(s - 1, (lo - sh - radius, hi - sh + radius), query)
+    return tuple((sh, (lo - sh - radius, hi - sh + radius)) for sh in (-shift_mag, shift_mag))
+
+
+def _side_sources(s: int, J: tuple[int, int], query: _Query
+                  ) -> Iterator[tuple[int, list[tuple[int, int]]]]:
+    """(shift, source atoms) for the two side blocks of stage s, left first (see `_source_windows`)."""
+    for sh, window in _source_windows(s, J, query):
+        yield sh, _atoms_within(s - 1, window, query)
 
 
 def _groups(s: int, sh: int, source: list[tuple[int, int]], J: tuple[int, int],
@@ -314,24 +320,60 @@ def _side_blocks(s: int, J: tuple[int, int], query: _Query
     return left, right
 
 
+def _misses(s: int, J: tuple[int, int], query: _Query) -> bool:
+    """Whether the grid range J misses the open stage-s window."""
+    lo, hi = J
+    half = query.half_width(s)
+    return max(lo, 1 - half) > min(hi, half - 1)
+
+
+def _cached_span(s: int, J: tuple[int, int], query: _Query) -> tuple[int, int]:
+    """(i, j): the cached stage-s atoms in the grid range J are atoms[i:j]."""
+    lo, hi = J
+    return span_within(_stage_cache[s].measure.atoms,
+                       Interval.closed(Fraction(lo, query.D), Fraction(hi, query.D)))
+
+
+def _uncached_charge(s: int, J: tuple[int, int], query: _Query) -> int:
+    """What `_atoms_within(s, J)` charges to the budget when no stage is cached.
+
+    The expansion charges every atom it returns but the origin (stage 0
+    charges nothing), plus, at each stage k it descends through, what the
+    two side-block sources of stage k charge.  Counted by bisection in the
+    cached stages 1..s: `build_stage` caches a stage only after the lower
+    ones.  Charging this for a cached read makes a query's budget outcome
+    independent of what is cached.
+    """
+    if s == 0 or _misses(s, J, query):
+        return 0
+    lo, hi = J
+    i, j = _cached_span(s, J, query)
+    total = j - i - (lo <= 0 <= hi)
+    for k in range(s, 0, -1):
+        if _misses(k, J, query):
+            break
+        total += sum(_uncached_charge(k - 1, window, query)
+                     for _, window in _source_windows(k, J, query))
+    return total
+
+
 def _atoms_within(s: int, J: tuple[int, int], query: _Query) -> list[tuple[int, int]]:
     """(position, mass) grid pairs of the stage-s measure in the closed grid
     range J, without materializing the stage: branches that cannot land in J
     are pruned.
 
     A stage already in the cache is read from it and put on the grid;
-    nothing is added to it.
+    nothing is added to it.  The read is charged what the expansion would
+    have charged (`_uncached_charge`).
     """
-    lo, hi = J
-    half = query.half_width(s)
-    if max(lo, 1 - half) > min(hi, half - 1):
+    if _misses(s, J, query):
         return []
-    cached = _stage_cache.get(s)
-    if cached is not None:
-        atoms = cached.measure.atoms
-        i, j = span_within(atoms, Interval.closed(Fraction(lo, query.D), Fraction(hi, query.D)))
-        query.charge(j - i)
-        return [(query.pos(a.position), query.mass(a.mass)) for a in atoms[i:j]]
+    if s in _stage_cache:
+        query.charge(_uncached_charge(s, J, query))
+        i, j = _cached_span(s, J, query)
+        return [(query.pos(a.position), query.mass(a.mass))
+                for a in _stage_cache[s].measure.atoms[i:j]]
+    lo, hi = J
     if s == 0:
         return [(0, query.M)] if lo <= 0 <= hi else []
     left, right = _side_blocks(s, J, query)

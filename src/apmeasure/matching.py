@@ -325,10 +325,15 @@ class HarnessConfig:
 
 
 def disagreement_product(mu: DiscreteMeasure, nu: DiscreteMeasure,
-                         cfg: HarnessConfig, x: RationalLike) -> Fraction:
-    """Product over j = 1..n of the smoothed difference ((mu-nu) * bump_j)(x)."""
+                         cfg: HarnessConfig, x: RationalLike,
+                         diff: DiscreteMeasure | None = None) -> Fraction:
+    """Product over j = 1..n of the smoothed difference ((mu-nu) * bump_j)(x).
+
+    `diff` is mu - nu (`combine(1, mu, -1, nu)`) when the caller has built it already.
+    """
     x = rational(x)
-    diff = combine(1, mu, -1, nu)
+    if diff is None:
+        diff = combine(1, mu, -1, nu)
     value = Fraction(1)
     for phi in cfg.bumps():
         value *= convolution_value(phi, diff, x)
@@ -347,13 +352,14 @@ class OriginIdentityCheck:
 
 
 def origin_product_identity(mu: DiscreteMeasure, nu: DiscreteMeasure,
-                            cfg: HarnessConfig) -> OriginIdentityCheck:
+                            cfg: HarnessConfig,
+                            diff: DiscreteMeasure | None = None) -> OriginIdentityCheck:
     """Check that the product at 0 equals (mu(0) - nu(0))**n exactly.
 
     Requires the origin to be the only support point of either measure in
     the open separation neighborhood of radius (3n+2)v; an intruding atom is
     an error.  A zero mass difference makes the identity trivially true and
-    is flagged degenerate.
+    is flagged degenerate.  `diff` is mu - nu, as in `disagreement_product`.
     """
     sep = (3 * cfg.n + 2) * cfg.v
     hood = Interval.open(-sep, sep)
@@ -364,7 +370,7 @@ def origin_product_identity(mu: DiscreteMeasure, nu: DiscreteMeasure,
                     f"atom at {a.position} intrudes into the separation neighborhood {hood}")
     difference = mu.mass_at(0) - nu.mass_at(0)
     expected = difference ** cfg.n
-    value = disagreement_product(mu, nu, cfg, 0)
+    value = disagreement_product(mu, nu, cfg, 0, diff)
     return OriginIdentityCheck(value, expected, value == expected, difference == 0)
 
 
@@ -401,14 +407,15 @@ class FarFieldReport:
 def far_field_check(mu: DiscreteMeasure, nu: DiscreteMeasure, cfg: HarnessConfig,
                     sample_points: Sequence[RationalLike],
                     match_report: MatchReport | None = None,
-                    atom_cap: int = DEFAULT_ATOM_CAP) -> FarFieldReport:
+                    atom_cap: int = DEFAULT_ATOM_CAP,
+                    diff: DiscreteMeasure | None = None) -> FarFieldReport:
     """Validate the far-field smallness of the product at the given samples.
 
     Each sample must lie outside the compact enlarged by the separation
     radius.  The matching hypothesis (position gaps within v, mass gaps
     below epsilon for every pair escaping the compact) is verified on the
     supplied or freshly computed match report (under `atom_cap`) before the
-    inequality is asserted.
+    inequality is asserted.  `diff` is mu - nu, as in `disagreement_product`.
     """
     samples = [rational(b) for b in sample_points]
     if not samples:
@@ -442,7 +449,8 @@ def far_field_check(mu: DiscreteMeasure, nu: DiscreteMeasure, cfg: HarnessConfig
                 note = f"unmatched atom at {at.position} outside the compact"
                 break
 
-    diff = combine(1, mu, -1, nu)
+    if diff is None:
+        diff = combine(1, mu, -1, nu)
     factors = [convolve(phi, diff, examined) for phi in cfg.bumps()]
     c_bound = max(sup_abs(g, examined)[0] for g in factors)
     rhs = cfg.n * cfg.epsilon * c_bound ** (cfg.n - 1)

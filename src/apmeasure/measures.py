@@ -16,6 +16,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from heapq import merge
+from itertools import groupby
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence, TypeVar, Union
 
 RationalLike = Union[Fraction, int, str]
@@ -182,10 +185,17 @@ class DiscreteMeasure:
         return Fraction(0)
 
     def min_gap(self) -> Fraction | None:
-        """Smallest distance between consecutive atoms; None below 2 atoms."""
+        """Smallest distance between consecutive atoms; None below 2 atoms.
+
+        The gaps are differences of integer numerators over the lcm of the
+        position denominators; only the minimum becomes a `Fraction`.
+        """
         if len(self.atoms) < 2:
             return None
-        return min(b.position - a.position for a, b in zip(self.atoms, self.atoms[1:]))
+        positions = self.positions()
+        unit = common_denominator(positions)
+        nums = [p.numerator * (unit // p.denominator) for p in positions]
+        return Fraction(min(b - a for a, b in zip(nums, nums[1:])), unit)
 
     def __str__(self) -> str:
         return f"DiscreteMeasure({len(self.atoms)} atoms on {self.window})"
@@ -247,14 +257,22 @@ def combine(c1: RationalLike, mu: DiscreteMeasure,
     The result window is the intersection of the operand windows; atoms
     outside it are no longer certified and are dropped.  Disjoint windows
     raise `WindowError`.
+
+    Both operands' atoms in the window are already sorted and inside it, so
+    they are merged in one pass; equal positions add, zero masses drop.
     """
     c1, c2 = rational(c1), rational(c2)
     window = mu.window.intersect(nu.window)
     if window is None:
         raise WindowError(f"windows {mu.window} and {nu.window} do not overlap")
-    pairs = [(a.position, c1 * a.mass) for a in restrict(mu, window).atoms]
-    pairs += [(a.position, c2 * a.mass) for a in restrict(nu, window).atoms]
-    return make_measure(pairs, window)
+    scaled = ([(a.position, c * a.mass) for a in restrict(m, window).atoms]
+              for c, m in ((c1, mu), (c2, nu)))
+    atoms = []
+    for p, group in groupby(merge(*scaled, key=itemgetter(0)), key=itemgetter(0)):
+        mass = sum(m for _, m in group)
+        if mass:
+            atoms.append(Atom(p, mass))
+    return DiscreteMeasure(tuple(atoms), window)
 
 
 def restrict(mu: DiscreteMeasure, J: Interval) -> DiscreteMeasure:

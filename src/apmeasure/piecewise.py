@@ -10,13 +10,13 @@ breakpoints and every certificate below is an exact rational statement.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import merge
 from itertools import groupby
 from operator import itemgetter
-from typing import Callable, Iterator, Union
+from typing import Callable, Iterable, Iterator, Union
 
 from .measures import (
     Atom,
@@ -70,15 +70,24 @@ class PiecewiseLinearFn:
     def eval(self, x: RationalLike) -> Fraction:
         x = rational(x)
         bps = self.breakpoints
-        if x < bps[0] or x > bps[-1]:
-            if self.zero_outside:
-                return Fraction(0)
+        if not self.zero_outside and not bps[0] <= x <= bps[-1]:
             raise FaithfulnessError(f"{x} is outside the definition range {self.span}")
-        i = bisect_right(bps, x) - 1
+        return self._at(bisect_right(bps, x) - 1, x)
+
+    def _at(self, i: int, x: Fraction) -> Fraction:
+        """The value at x, where breakpoint i is the last one at or left of x (-1: none).
+
+        Off the span the value is 0; only a compactly supported function is read there.
+        """
+        if i < 0:
+            return Fraction(0)
+        bps, vals = self.breakpoints, self.values
+        x0, v0 = bps[i], vals[i]
+        if x == x0:
+            return v0
         if i == len(bps) - 1:
-            return self.values[-1]
-        x0, x1 = bps[i], bps[i + 1]
-        v0, v1 = self.values[i], self.values[i + 1]
+            return Fraction(0)
+        x1, v1 = bps[i + 1], vals[i + 1]
         return v0 + (v1 - v0) * (x - x0) / (x1 - x0)
 
     def slopes(self) -> list[Fraction]:
@@ -102,11 +111,6 @@ class PiecewiseLinearFn:
             for b, before, after in zip(self.breakpoints, slopes, slopes[1:])
             if after != before
         ]
-
-    def translate(self, t: RationalLike) -> "PiecewiseLinearFn":
-        t = rational(t)
-        return PiecewiseLinearFn(tuple(b + t for b in self.breakpoints),
-                                 self.values, self.zero_outside)
 
 
 def triangle_test_function(half_width: RationalLike = Fraction(1, 6),
@@ -146,7 +150,8 @@ def _needed_region(f: PiecewiseLinearFn, J: Interval) -> Interval:
     return Interval.open(J.lo - f.breakpoints[-1], J.hi - f.breakpoints[0])
 
 
-def _check_faithful(f: PiecewiseLinearFn, mu: DiscreteMeasure, J: Interval) -> Interval:
+def _faithful_atoms(f: PiecewiseLinearFn, mu: DiscreteMeasure, J: Interval) -> tuple[Atom, ...]:
+    """The atoms of mu that (f * mu) on J can see; `FaithfulnessError` unless mu's window covers them."""
     if not f.zero_outside:
         raise ValueError("convolution needs a compactly supported test function")
     needed = _needed_region(f, J)
@@ -154,7 +159,7 @@ def _check_faithful(f: PiecewiseLinearFn, mu: DiscreteMeasure, J: Interval) -> I
         raise FaithfulnessError(
             f"convolution on {J} needs the measure on {needed}, "
             f"but its window is {mu.window}")
-    return needed
+    return restrict(mu, needed).atoms
 
 
 def convolution_value(f: PiecewiseLinearFn, mu: DiscreteMeasure,
@@ -172,40 +177,53 @@ def _events(atoms: tuple[Atom, ...], b: Fraction, ds: Fraction
     return ((a.position + b, a.mass * ds) for a in atoms)
 
 
+def _sweep(f: PiecewiseLinearFn, parts: Iterable[tuple[tuple[Atom, ...], Fraction, int]],
+           J: Interval) -> Iterator[tuple[Fraction, Fraction]]:
+    """(x, h(x)) at J.lo, at each distinct event x inside J, and at J.hi when
+    J.hi > J.lo, left to right, for h(x) = the sum over the parts
+    (atoms, shift, sign) of sign * (f * atoms)(x + shift).
+
+    One left-to-right sweep.  A compactly supported f is the sum of
+    ds * (y - b)_+ over its slope changes (b, ds), so h(y) is the sum of
+    jump * (y - x)_+ over the events x = position - shift + b,
+    jump = sign * mass * ds.  Each part and b give an event stream sorted
+    by x; the streams are merged and equal x coalesced.  Events at or left
+    of J.lo fold into h(J.lo) and the slope there; each later x inside J is
+    reported, even when its net jump is 0.  A point is reported when the
+    sweep moves past it, so J.lo's value has every event at or left of
+    J.lo folded in.
+    """
+    streams = [_events(atoms, b - shift, sign * ds)
+               for atoms, shift, sign in parts for b, ds in f.slope_changes()]
+    value = slope = Fraction(0)
+    at = J.lo
+    for x, group in groupby(merge(*streams, key=itemgetter(0)), key=itemgetter(0)):
+        jump = sum(ds for _, ds in group)
+        if x <= J.lo:
+            value += jump * (J.lo - x)
+        elif x < J.hi:
+            yield at, value
+            value += slope * (x - at)
+            at = x
+        else:
+            break
+        slope += jump
+    yield at, value
+    if J.hi > at:
+        yield J.hi, value + slope * (J.hi - at)
+
+
 def convolve(f: PiecewiseLinearFn, mu: DiscreteMeasure, J: Interval) -> PiecewiseLinearFn:
     """(f * mu) on the interval J as an exact window function.
 
     Faithfulness is enforced: the measure window must cover everything the
     convolution can see from J.  The result's breakpoints are J's ends and
-    every distinct event position inside J.
-
-    One left-to-right sweep.  A compactly supported f is the sum of
-    ds * (y - b)_+ over its slope changes (b, ds), so (f * mu)(y) is the sum
-    of jump * (y - x)_+ over the events x = position + b, jump = mass * ds.
-    Each b gives an event stream sorted by x; the streams are merged and
-    equal x coalesced.  Events at or left of J.lo fold into the value and
-    the slope at J.lo; each later x inside J is a breakpoint, even when its
-    net jump is 0.
+    every distinct event position inside J (see `_sweep`).
     """
-    atoms = restrict(mu, _check_faithful(f, mu, J)).atoms
-    streams = [_events(atoms, b, ds) for b, ds in f.slope_changes()]
-    value = slope = Fraction(0)
-    bps, values = [J.lo], [value]
-    for x, group in groupby(merge(*streams, key=itemgetter(0)), key=itemgetter(0)):
-        jump = sum(ds for _, ds in group)
-        if x <= J.lo:
-            value += jump * (J.lo - x)
-            values[0] = value
-        elif x < J.hi:
-            value += slope * (x - bps[-1])
-            bps.append(x)
-            values.append(value)
-        else:
-            break
-        slope += jump
-    if J.hi > J.lo:
-        values.append(value + slope * (J.hi - bps[-1]))
-        bps.append(J.hi)
+    bps, values = [], []
+    for x, value in _sweep(f, ((_faithful_atoms(f, mu, J), Fraction(0), 1),), J):
+        bps.append(x)
+        values.append(value)
     return PiecewiseLinearFn(tuple(bps), tuple(values), zero_outside=False)
 
 
@@ -213,23 +231,40 @@ def convolve(f: PiecewiseLinearFn, mu: DiscreteMeasure, J: Interval) -> Piecewis
 # Exact suprema and almost-period defects
 # ---------------------------------------------------------------------------
 
+def _inner_breakpoints(k: int, g: PiecewiseLinearFn, J: Interval
+                       ) -> Iterator[tuple[Fraction, int, int]]:
+    """(breakpoint, k, its index) for g's breakpoints strictly inside J, increasing."""
+    bps = g.breakpoints
+    return ((bps[i], k, i) for i in range(bisect_right(bps, J.lo), bisect_left(bps, J.hi)))
+
+
 def _sup_at_breakpoints(fns: tuple[PiecewiseLinearFn, ...], J: Interval,
-                        value: Callable[[Fraction], Fraction]) -> tuple[Fraction, Fraction]:
-    """Max of `value` (and its leftmost witness) over J's endpoints and the fns'
-    breakpoints inside J: the exact sup when `value` is |h|, h linear between them."""
+                        value: Callable[[list[Fraction]], Fraction]
+                        ) -> tuple[Fraction, Fraction]:
+    """Max of `value` of the fns' values (and its leftmost witness) over J's
+    endpoints and the fns' breakpoints inside J: the exact sup when `value` is
+    |h|, h linear between them.
+
+    One walk over the merged, already sorted breakpoints: each function is
+    read at its own breakpoints and interpolated on its current segment at
+    the others'; only J's ends are located by bisection.
+    """
     for g in fns:
         if not g.defined_on(J):
             raise FaithfulnessError(f"function with span {g.span} is not defined on {J}")
-    candidates = {J.lo, J.hi}
-    for g in fns:
-        candidates.update(b for b in g.breakpoints if J.lo < b < J.hi)
-    best = Fraction(-1)
-    witness = J.lo
-    for x in sorted(candidates):
-        d = value(x)
+    best, witness = value([g.eval(J.lo) for g in fns]), J.lo
+    last = [bisect_right(g.breakpoints, J.lo) - 1 for g in fns]
+    streams = [_inner_breakpoints(k, g, J) for k, g in enumerate(fns)]
+    for x, group in groupby(merge(*streams), key=itemgetter(0)):
+        for _, k, i in group:
+            last[k] = i
+        d = value([g._at(i, x) for g, i in zip(fns, last)])
         if d > best:
-            best = d
-            witness = x
+            best, witness = d, x
+    if J.hi > J.lo:
+        d = value([g.eval(J.hi) for g in fns])
+        if d > best:
+            best, witness = d, J.hi
     return best, witness
 
 
@@ -240,12 +275,12 @@ def sup_abs_diff(g1: PiecewiseLinearFn, g2: PiecewiseLinearFn,
     The difference is piecewise linear, so the supremum is attained at a
     breakpoint of the merged breakpoint set or at an endpoint of J.
     """
-    return _sup_at_breakpoints((g1, g2), J, lambda x: abs(g1.eval(x) - g2.eval(x)))
+    return _sup_at_breakpoints((g1, g2), J, lambda v: abs(v[0] - v[1]))
 
 
 def sup_abs(g: PiecewiseLinearFn, J: Interval) -> tuple[Fraction, Fraction]:
     """Exact sup of |g| over J with its leftmost witness."""
-    return _sup_at_breakpoints((g,), J, lambda x: abs(g.eval(x)))
+    return _sup_at_breakpoints((g,), J, lambda v: abs(v[0]))
 
 
 MeasureSource = Union[DiscreteMeasure, Callable[[Interval], DiscreteMeasure]]
@@ -263,15 +298,25 @@ def almost_period_defect(f: PiecewiseLinearFn, source: MeasureSource,
 
     `source` is either a measure whose window already covers both J and
     J + tau (padded by the support of f), or a callable that produces the
-    measure on a requested interval.  Returns (defect, witness x).
+    measure on a requested interval.  Returns (defect, witness x), the
+    witness the leftmost point of the maximum.
+
+    One sweep (`_sweep`) over the far window's atoms shifted by -tau and the
+    base window's atoms with their masses negated: the difference is linear
+    between J's ends and the distinct events inside J, so its sup is the
+    max of |value| there.  No intermediate function is built.
     """
     tau = rational(tau)
     pad_lo, pad_hi = f.breakpoints[0], f.breakpoints[-1]
     base_region = Interval.closed(J.lo - pad_hi, J.hi - pad_lo)
-    far_region = base_region.translate(tau)
-    g_base = convolve(f, _measure_on(source, base_region), J)
-    g_far = convolve(f, _measure_on(source, far_region), J.translate(tau))
-    return sup_abs_diff(g_far.translate(-tau), g_base, J)
+    base = _faithful_atoms(f, _measure_on(source, base_region), J)
+    far = _faithful_atoms(f, _measure_on(source, base_region.translate(tau)), J.translate(tau))
+    best, witness = Fraction(-1), J.lo
+    for x, value in _sweep(f, ((far, tau, 1), (base, Fraction(0), -1)), J):
+        d = abs(value)
+        if d > best:
+            best, witness = d, x
+    return best, witness
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,8 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Sequence
 
-from apmeasure import Atom, DiscreteMeasure, Interval, StageMeasure, make_measure
+from apmeasure import (Atom, DiscreteMeasure, FaithfulnessError, Interval,
+                       PiecewiseLinearFn, StageMeasure, convolve, make_measure)
 from apmeasure.construction import (CellMassCheck, SupportCheck, cell_center_bound,
                                     stage_window)
 
@@ -82,6 +83,45 @@ def full_table_align_partial(short: Sequence[Atom], long: Sequence[Atom]) -> tup
 def pointwise_convolution(f, mu: DiscreteMeasure, x: Fraction) -> Fraction:
     """Literal sum of f(x - position) * mass over every atom."""
     return sum((a.mass * f.eval(x - a.position) for a in mu.atoms), Fraction(0))
+
+
+def literal_sup_abs_diff(g1, g2, J: Interval) -> tuple[Fraction, Fraction]:
+    """Max of |g1 - g2| (and its leftmost witness) over J's ends and both
+    functions' breakpoints inside J, by a set, a sort and `eval` at every
+    candidate: the reference for the library's breakpoint walk."""
+    for g in (g1, g2):
+        if not g.defined_on(J):
+            raise FaithfulnessError(f"function with span {g.span} is not defined on {J}")
+    candidates = {J.lo, J.hi}
+    for g in (g1, g2):
+        candidates.update(b for b in g.breakpoints if J.lo < b < J.hi)
+    best = Fraction(-1)
+    witness = J.lo
+    for x in sorted(candidates):
+        d = abs(g1.eval(x) - g2.eval(x))
+        if d > best:
+            best = d
+            witness = x
+    return best, witness
+
+
+def translated(g, t):
+    """g(x - t): the piecewise-linear function g moved right by t."""
+    return PiecewiseLinearFn(tuple(b + t for b in g.breakpoints), g.values, g.zero_outside)
+
+
+def two_convolution_defect(f, source, tau, J: Interval) -> tuple[Fraction, Fraction]:
+    """The almost-period defect through two whole convolutions: (f * mu) on J
+    and on J + tau, the far one translated back by -tau, and the literal
+    breakpoint sup of their difference.  The reference for the library's
+    one-sweep defect."""
+    tau = Fraction(tau)
+    pad_lo, pad_hi = f.breakpoints[0], f.breakpoints[-1]
+    base_region = Interval.closed(J.lo - pad_hi, J.hi - pad_lo)
+    measure_on = (lambda region: source) if isinstance(source, DiscreteMeasure) else source
+    g_base = convolve(f, measure_on(base_region), J)
+    g_far = convolve(f, measure_on(base_region.translate(tau)), J.translate(tau))
+    return literal_sup_abs_diff(translated(g_far, -tau), g_base, J)
 
 
 def grid_max_abs_diff(g1, g2, J: Interval, steps: int = 200) -> Fraction:

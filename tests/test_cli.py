@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from apmeasure import Interval, build_stage, combine, construction, make_measure
+from apmeasure import Interval, build_stage, combine, construction, make_measure, matching, measures
 from apmeasure.cli import main, parse_window, parse_windows
 from apmeasure.serialize import load_measure, provenance_sidecar_path, save_measure
 from helpers import integer_comb, perturbed_comb
@@ -281,6 +281,28 @@ class TestPsi:
         assert code == 0
         assert "origin_identity: PASS" in out
         assert "value=1" in out
+
+    def test_builds_the_difference_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def counting_combine(*args):
+            calls.append(args)
+            return combine(*args)
+
+        monkeypatch.setattr(measures, "combine", counting_combine)
+        monkeypatch.setattr(matching, "combine", counting_combine)
+        mu = integer_comb(-30, 30)
+        extra = make_measure([(a.position, a.mass) for a in mu.atoms] + [(0, 1)], mu.window)
+        mpath, npath = tmp_path / "mu.json", tmp_path / "nu.json"
+        save_measure(extra, mpath)
+        save_measure(mu, npath)
+        code, out, _ = run(capsys, "psi", "--mu", str(mpath), "--nu", str(npath),
+                           "--v", "1/16", "--u", "1/2", "--epsilon", "1/8",
+                           "--compact", "-1:1", "--n", "2", "--samples", "3,20",
+                           "--zero-identity")
+        assert code == 0
+        assert "origin_identity: PASS" in out and "far_field b=20: PASS" in out
+        assert len(calls) == 1
 
     def test_invalid_config_is_usage_error(self, tmp_path, capsys):
         mpath, npath = self._write_combs(tmp_path)

@@ -371,6 +371,18 @@ class TestLimitWindow:
                 limit_window(J, atom_cap=cap)
             assert construction._stage_cache == {}
 
+    @pytest.mark.parametrize("cached", [True, False], ids=["cached", "uncached"])
+    def test_budget_outcome_ignores_the_cache(self, cached):
+        # (3/2, 13] returns 266 atoms and charges 317: a cached stage is
+        # charged what its expansion would have charged
+        J = Interval(F(3, 2), F(13), True, False)
+        with mock.patch.dict(construction._stage_cache, clear=True):
+            if cached:
+                build_stage(construction._covering_stage(J))
+            with pytest.raises(AtomBudgetError, match="cap is 316$"):
+                limit_window(J, atom_cap=316)
+            assert len(limit_window(J, atom_cap=317)) == 266
+
     def test_unstable_stage_is_reported(self, monkeypatch):
         # a new block of stage s+1 that lands in J means stage s was not frozen there
         side_blocks = construction._side_blocks
@@ -421,6 +433,39 @@ def test_window_expansion_agrees_with_builder(case):
         windowed = limit_window(J)
         assert construction._stage_cache == {}
     assert windowed == restrict(stage.measure, J)
+
+
+def charged(call) -> int:
+    """The atoms `call()` charges to the budgets of the queries it makes."""
+    queries = []
+
+    class Recording(construction._Query):
+        def __init__(self, *args):
+            super().__init__(*args)
+            queries.append(self)
+
+    with mock.patch.object(construction, "_Query", Recording):
+        call()
+    return sum(q.used for q in queries)
+
+
+@given(stage_subwindows())
+@settings(max_examples=40, deadline=None)
+def test_window_charge_ignores_the_cache(case):
+    s, J = case
+    build_stage(s)
+    cached = charged(lambda: limit_window(J))
+    with mock.patch.dict(construction._stage_cache, clear=True):
+        assert charged(lambda: limit_window(J)) == cached
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_decay_charge_ignores_the_cache(s):
+    J = stage_window(s + 1).closure()
+    build_stage(s + 1)
+    cached = charged(lambda: verify_mass_decay(s, J))
+    with mock.patch.dict(construction._stage_cache, clear=True):
+        assert charged(lambda: verify_mass_decay(s, J)) == cached
 
 
 class TestStability:

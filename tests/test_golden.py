@@ -42,6 +42,9 @@ STDOUT = {
         "e6f12c3df1769db641f438b9917e5236f72e77e015e108c7f256e9dafa396621",
 }
 
+# `ap 2 --epsilon 1/10 --range 81 --out-report`: every shift's exact defect and witness
+AP2_REPORT = "62c11e4cdd6e6b80ff221e5bbe6d9fb72adad87eefa1eb4cb03ee324a95a146e"
+
 # `conv` of the built-in triangle against the stage-4 measure file on [-40, 40]
 CONV_STAGE4 = "f25ee6d23d6cb22910ce24febd8eabcb2fb977830785413a61ff981ad882777c"
 
@@ -76,6 +79,14 @@ def test_stdout(argv):
         assert main(list(argv)) == 0
     got = sha256(buf.getvalue().encode())
     assert got == STDOUT[argv], f"`apmeasure {' '.join(argv)}` stdout digest {got}, expected {STDOUT[argv]}"
+
+
+def test_ap_report(tmp_path, capsys):
+    report = tmp_path / "ap2.json"
+    assert main(["ap", "2", "--epsilon", "1/10", "--range", "81", "--out-report", str(report)]) == 0
+    capsys.readouterr()
+    got = sha256(report.read_bytes())
+    assert got == AP2_REPORT, f"`apmeasure ap 2 --out-report`: report digest {got}"
 
 
 @pytest.mark.parametrize("files", sorted(MATCH_REPORTS), ids=lambda files: files[0])

@@ -381,6 +381,17 @@ class TestFarField:
         for row in report.samples:
             assert row.product == disagreement_product(mu, nu, cfg, row.point)
 
+    def test_given_difference_gives_the_same_reports(self):
+        nu = integer_comb(-30, 30)
+        mu = make_measure([(a.position, a.mass) for a in nu.atoms] + [(0, 1)], nu.window)
+        cfg = harness(2, v=F(1, 16))
+        diff = combine(1, mu, -1, nu)
+        assert far_field_check(mu, nu, cfg, [3, 20], diff=diff) == \
+            far_field_check(mu, nu, cfg, [3, 20])
+        assert origin_product_identity(mu, nu, cfg, diff) == origin_product_identity(mu, nu, cfg)
+        assert disagreement_product(mu, nu, cfg, F(1, 40), diff) == \
+            disagreement_product(mu, nu, cfg, F(1, 40))
+
     def test_hypothesis_violation_reported(self):
         mu = integer_comb(-30, 30)
         # a mass jump far outside the compact violates the closeness hypothesis

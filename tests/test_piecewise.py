@@ -18,11 +18,20 @@ from apmeasure import (
     limit_window,
     make_measure,
     radius_series_tail_bound,
+    restrict,
     sup_abs,
     sup_abs_diff,
     triangle_test_function,
 )
-from helpers import grid_max_abs_diff, indicator_overlap_bump, integer_comb, pointwise_convolution
+from helpers import (
+    grid_max_abs_diff,
+    indicator_overlap_bump,
+    integer_comb,
+    literal_sup_abs_diff,
+    pointwise_convolution,
+    translated,
+    two_convolution_defect,
+)
 
 TRIANGLE = triangle_test_function()
 J_UNIT = Interval.closed(F(-1, 2), F(1, 2))
@@ -46,11 +55,6 @@ class TestPiecewiseLinearFn:
         assert window_fn.eval(F(1, 2)) == 3
         with pytest.raises(FaithfulnessError):
             window_fn.eval(2)
-
-    def test_translate(self):
-        g = TRIANGLE.translate(F(1, 12))
-        assert g.eval(F(1, 12)) == 1
-        assert g.eval(F(1, 12) + F(1, 6)) == 0
 
     def test_max_abs_slope(self):
         assert TRIANGLE.max_abs_slope() == 6
@@ -202,12 +206,41 @@ def test_convolve_matches_pointwise_sums(f, mu, J):
     assert convolution_value(f, mu, J.hi) == pointwise_convolution(f, mu, J.hi)
 
 
+@st.composite
+def open_or_closed_windows(draw):
+    """A window inside [-1, 1] on (1/8)Z, either end open or closed, a point one time in four."""
+    lo = draw(st.integers(-8, 8))
+    hi = lo if draw(st.integers(0, 3)) == 0 else draw(st.integers(lo, 8))
+    return Interval(F(lo, 8), F(hi, 8), draw(st.booleans()), draw(st.booleans()))
+
+
+@st.composite
+def functions_on_unit_window(draw):
+    """A compactly supported function, or a window function on (1/8)Z whose span covers [-1, 1]."""
+    if draw(st.booleans()):
+        return draw(compact_functions())
+    bps = draw(st.lists(st.integers(-16, 16), max_size=6, unique=True))
+    bps = sorted({*bps, -8, 8})
+    values = draw(st.lists(st.integers(-3, 3), min_size=len(bps), max_size=len(bps)))
+    return PiecewiseLinearFn(tuple(F(b, 8) for b in bps), tuple(values), zero_outside=False)
+
+
+ZERO = PiecewiseLinearFn((-1, 1), (0, 0))
+
+
+@given(functions_on_unit_window(), functions_on_unit_window(), open_or_closed_windows())
+@settings(max_examples=200, deadline=None)
+def test_sups_match_literal_candidate_scan(g1, g2, J):
+    assert sup_abs_diff(g1, g2, J) == literal_sup_abs_diff(g1, g2, J)
+    assert sup_abs(g1, J) == literal_sup_abs_diff(g1, ZERO, J)
+
+
 class TestSup:
     def test_equal_functions(self):
         assert sup_abs_diff(TRIANGLE, TRIANGLE, J_UNIT)[0] == 0
 
     def test_shifted_triangle(self):
-        shifted = TRIANGLE.translate(F(1, 12))
+        shifted = translated(TRIANGLE, F(1, 12))
         value, witness = sup_abs_diff(TRIANGLE, shifted, Interval.closed(-1, 1))
         assert value == F(1, 2)
         assert abs(TRIANGLE.eval(witness) - shifted.eval(witness)) == value
@@ -261,6 +294,43 @@ class TestAlmostPeriodDefect:
         comb = integer_comb(-2, 2)
         with pytest.raises(FaithfulnessError):
             almost_period_defect(TRIANGLE, comb, 10, J_UNIT)
+
+    def test_short_far_window_is_named(self):
+        # the base window is checked first, then the far one, each by its own message
+        comb = integer_comb(-10, 10)
+
+        def cut_short(region):
+            return restrict(comb, Interval.closed(region.lo, region.hi - F(1, 4)))
+
+        def far_cut_short(region):
+            return cut_short(region) if region.lo > 0 else restrict(comb, region)
+
+        with pytest.raises(FaithfulnessError, match=r"^convolution on \[5/2, 7/2\] needs"):
+            almost_period_defect(TRIANGLE, far_cut_short, 3, J_UNIT)
+        with pytest.raises(FaithfulnessError, match=r"^convolution on \[-1/2, 1/2\] needs"):
+            almost_period_defect(TRIANGLE, cut_short, 3, J_UNIT)
+
+    @pytest.mark.parametrize("tau", [F(5, 2), F(-7, 3), F(10, 7), 0, 9])
+    def test_limit_matches_two_convolutions(self, tau):
+        # shifts that are not multiples of 3^s put the far window across cluster boundaries
+        J = Interval(F(-1, 2), F(1, 3), True, False)
+        assert almost_period_defect(TRIANGLE, limit_window, tau, J) == \
+            two_convolution_defect(TRIANGLE, limit_window, tau, J)
+
+
+# Shifts in [-3, 3]: 0, points of (1/8)Z (where far and base events coincide),
+# and rationals of other small denominators.  With f inside [-2, 2] and J
+# inside [-1, 1], both windows lie inside the measures' window [-6, 6].
+shifts = (st.just(F(0)) | st.integers(-24, 24).map(lambda n: F(n, 8))
+          | st.fractions(min_value=-3, max_value=3, max_denominator=24))
+
+
+@given(compact_functions(), grid_measures(), shifts, open_or_closed_windows())
+@example(triangle_test_function(F(1, 4)),  # far and base events meet and cancel at 1/4
+         make_measure([(0, 1), (F(1, 2), 1)], GRID_MEASURE), F(1, 2), Interval.open(F(-1, 2), 1))
+@settings(max_examples=300, deadline=None)
+def test_defect_matches_two_convolutions(f, mu, tau, J):
+    assert almost_period_defect(f, mu, tau, J) == two_convolution_defect(f, mu, tau, J)
 
 
 class TestAlmostPeriodCertificate:

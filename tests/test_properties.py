@@ -107,6 +107,12 @@ def test_count_sup_witness_attains(mu, u):
 
 
 @given(measures())
+def test_min_gap_is_the_least_difference(mu):
+    gaps = [b.position - a.position for a, b in zip(mu.atoms, mu.atoms[1:])]
+    assert mu.min_gap() == (min(gaps) if gaps else None)
+
+
+@given(measures())
 def test_restriction_tower(mu):
     mid = restrict(mu, Interval.closed(-2, 2))
     inner = restrict(mid, Interval.closed(-1, 1))
