@@ -52,7 +52,6 @@ from .measures import (
     shift,
     sliding_count_sup,
     sliding_variation_sup,
-    variation_on,
 )
 from .piecewise import (
     AlmostPeriodCertificate,
@@ -64,7 +63,6 @@ from .piecewise import (
     convolution_value,
     convolve,
     sup_abs,
-    sup_abs_diff,
     triangle_test_function,
 )
 

@@ -290,8 +290,19 @@ def cmd_lump(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+def _digit_count(text: str) -> int:
+    """The argument type of --decimal: an int >= 0."""
+    try:
+        k = int(text)
+    except ValueError:
+        k = -1
+    if k < 0:
+        raise argparse.ArgumentTypeError(f"digit count must be an int >= 0, got {text!r}")
+    return k
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--decimal", type=int, default=None, metavar="K",
+    p.add_argument("--decimal", type=_digit_count, default=None, metavar="K",
                    help="append K-digit decimal approximations (marked approximate)")
     p.add_argument("--cap", type=int, default=None,
                    help="atom cap override (also APMEASURE_ATOM_CAP)")

@@ -95,12 +95,8 @@ class StageMeasure:
     stage: int
     measure: DiscreteMeasure
 
-    @property
-    def provenance(self) -> Iterator[tuple[ProvenanceStep, ...]]:
-        """Index-aligned provenance of the atoms, decoded on the fly."""
-        return (provenance(self.stage, i) for i in range(len(self.measure)))
 
-
+# build_stage's memo of its own results; the expansion never reads it
 _stage_cache: dict[int, StageMeasure] = {}
 
 
@@ -120,18 +116,15 @@ def build_stage(s: int, atom_cap: int | None = None) -> StageMeasure:
 
     Raises `AtomBudgetError` before doing any work if the closed-form count
     n_s = prod(1+4k) exceeds the cap (default 10**7).  The atoms come from
-    the windowed expansion over the whole stage window, which emits each
-    stage's three blocks in increasing position order and asserts strict
-    increase, so any accidental atom collision (a merge event) fails loudly.
-    Stage s-1 is built (and cached) first, so the expansion reads each
-    lower stage from the cache instead of expanding it three times.
+    the windowed expansion over the whole stage window, from the origin up,
+    which emits each stage's three blocks in increasing position order and
+    asserts strict increase, so any accidental atom collision (a merge
+    event) fails loudly.  No lower stage is built or cached.
     """
     if s < 0:
         raise ValueError(f"stage must be >= 0, got {s}")
-    cap = _check_stage_cap(s, atom_cap)
+    _check_stage_cap(s, atom_cap)
     if s not in _stage_cache:
-        if s > 0:
-            build_stage(s - 1, cap)
         window = stage_window(s)
         # the closed-form count bounds this expansion; it was checked above
         query = _Query(s, window, math.inf)
@@ -193,8 +186,8 @@ class _Query:
     k <= s, the denominators of J's ends) and M = prod_{k<=s} 2k: every
     stage-k position (a sum of integer shifts and stage-k offsets), every
     stage window end and every stage-k mass 1/prod(2j) lies on that grid.
-    `pos` and `mass` raise rather than round a value that is not on it.
-    `atoms` is the way back to `Fraction`.
+    `pos` raises rather than rounds a position that is not on it.  `atoms`
+    is the way back to `Fraction`.
     """
 
     def __init__(self, s: int, J: Interval, cap: int | float):
@@ -218,12 +211,6 @@ class _Query:
         if rem:
             raise AssertionError(f"position {x} is not on the grid (1/{self.D})Z")
         return x.numerator * scale
-
-    def mass(self, m: Fraction) -> int:
-        scale, rem = divmod(self.M, m.denominator)
-        if rem:
-            raise AssertionError(f"mass {m} is not on the grid (1/{self.M})Z")
-        return m.numerator * scale
 
     def window(self, J: Interval) -> tuple[int, int]:
         """The grid points of J as a closed range (lo, hi), empty when lo > hi."""
@@ -255,9 +242,9 @@ class _Query:
         return tuple(pairs)
 
 
-def _source_windows(s: int, J: tuple[int, int], query: _Query
-                    ) -> tuple[tuple[int, tuple[int, int]], ...]:
-    """(shift, source range) for the two blocks stage s adds around its copy of stage s-1, left first.
+def _side_sources(s: int, J: tuple[int, int], query: _Query
+                  ) -> Iterator[tuple[int, list[tuple[int, int]]]]:
+    """(shift, source atoms) for the two blocks stage s adds around its copy of stage s-1, left first.
 
     J is a closed range of grid points.  Each block is stage s-1 shifted by
     -+3^(s-1) and averaged; its source is the stage-(s-1) atoms within one
@@ -267,14 +254,8 @@ def _source_windows(s: int, J: tuple[int, int], query: _Query
     lo, hi = J
     radius = query.offsets(s)[-1]
     shift_mag = 3 ** (s - 1) * query.D
-    return tuple((sh, (lo - sh - radius, hi - sh + radius)) for sh in (-shift_mag, shift_mag))
-
-
-def _side_sources(s: int, J: tuple[int, int], query: _Query
-                  ) -> Iterator[tuple[int, list[tuple[int, int]]]]:
-    """(shift, source atoms) for the two side blocks of stage s, left first (see `_source_windows`)."""
-    for sh, window in _source_windows(s, J, query):
-        yield sh, _atoms_within(s - 1, window, query)
+    for sh in (-shift_mag, shift_mag):
+        yield sh, _atoms_within(s - 1, (lo - sh - radius, hi - sh + radius), query)
 
 
 def _groups(s: int, sh: int, source: list[tuple[int, int]], J: tuple[int, int],
@@ -327,52 +308,16 @@ def _misses(s: int, J: tuple[int, int], query: _Query) -> bool:
     return max(lo, 1 - half) > min(hi, half - 1)
 
 
-def _cached_span(s: int, J: tuple[int, int], query: _Query) -> tuple[int, int]:
-    """(i, j): the cached stage-s atoms in the grid range J are atoms[i:j]."""
-    lo, hi = J
-    return span_within(_stage_cache[s].measure.atoms,
-                       Interval.closed(Fraction(lo, query.D), Fraction(hi, query.D)))
-
-
-def _uncached_charge(s: int, J: tuple[int, int], query: _Query) -> int:
-    """What `_atoms_within(s, J)` charges to the budget when no stage is cached.
-
-    The expansion charges every atom it returns but the origin (stage 0
-    charges nothing), plus, at each stage k it descends through, what the
-    two side-block sources of stage k charge.  Counted by bisection in the
-    cached stages 1..s: `build_stage` caches a stage only after the lower
-    ones.  Charging this for a cached read makes a query's budget outcome
-    independent of what is cached.
-    """
-    if s == 0 or _misses(s, J, query):
-        return 0
-    lo, hi = J
-    i, j = _cached_span(s, J, query)
-    total = j - i - (lo <= 0 <= hi)
-    for k in range(s, 0, -1):
-        if _misses(k, J, query):
-            break
-        total += sum(_uncached_charge(k - 1, window, query)
-                     for _, window in _source_windows(k, J, query))
-    return total
-
-
 def _atoms_within(s: int, J: tuple[int, int], query: _Query) -> list[tuple[int, int]]:
     """(position, mass) grid pairs of the stage-s measure in the closed grid
     range J, without materializing the stage: branches that cannot land in J
     are pruned.
 
-    A stage already in the cache is read from it and put on the grid;
-    nothing is added to it.  The read is charged what the expansion would
-    have charged (`_uncached_charge`).
+    It always expands from the origin and never reads the stage cache, so
+    what it returns and charges depends on s, J and the grid alone.
     """
     if _misses(s, J, query):
         return []
-    if s in _stage_cache:
-        query.charge(_uncached_charge(s, J, query))
-        i, j = _cached_span(s, J, query)
-        return [(query.pos(a.position), query.mass(a.mass))
-                for a in _stage_cache[s].measure.atoms[i:j]]
     lo, hi = J
     if s == 0:
         return [(0, query.M)] if lo <= 0 <= hi else []

@@ -302,11 +302,6 @@ def span_within(items: Sequence[T], J: Interval,
     return lo, max(lo, hi)
 
 
-def variation_on(mu: DiscreteMeasure, J: Interval) -> Fraction:
-    """Sum of |mass| over atoms in J; J must be inside the window."""
-    return restrict(mu, J).total_variation
-
-
 def sliding_variation_sup(mu: DiscreteMeasure, L: RationalLike) -> tuple[Fraction, Fraction]:
     """Exact sup over t of the variation on the closed window [t, t+L].
 

@@ -70,24 +70,15 @@ class PiecewiseLinearFn:
     def eval(self, x: RationalLike) -> Fraction:
         x = rational(x)
         bps = self.breakpoints
-        if not self.zero_outside and not bps[0] <= x <= bps[-1]:
+        if x < bps[0] or x > bps[-1]:
+            if self.zero_outside:
+                return Fraction(0)
             raise FaithfulnessError(f"{x} is outside the definition range {self.span}")
-        return self._at(bisect_right(bps, x) - 1, x)
-
-    def _at(self, i: int, x: Fraction) -> Fraction:
-        """The value at x, where breakpoint i is the last one at or left of x (-1: none).
-
-        Off the span the value is 0; only a compactly supported function is read there.
-        """
-        if i < 0:
-            return Fraction(0)
-        bps, vals = self.breakpoints, self.values
-        x0, v0 = bps[i], vals[i]
-        if x == x0:
-            return v0
+        i = bisect_right(bps, x) - 1
         if i == len(bps) - 1:
-            return Fraction(0)
-        x1, v1 = bps[i + 1], vals[i + 1]
+            return self.values[-1]
+        x0, x1 = bps[i], bps[i + 1]
+        v0, v1 = self.values[i], self.values[i + 1]
         return v0 + (v1 - v0) * (x - x0) / (x1 - x0)
 
     def slopes(self) -> list[Fraction]:
@@ -231,56 +222,26 @@ def convolve(f: PiecewiseLinearFn, mu: DiscreteMeasure, J: Interval) -> Piecewis
 # Exact suprema and almost-period defects
 # ---------------------------------------------------------------------------
 
-def _inner_breakpoints(k: int, g: PiecewiseLinearFn, J: Interval
-                       ) -> Iterator[tuple[Fraction, int, int]]:
-    """(breakpoint, k, its index) for g's breakpoints strictly inside J, increasing."""
-    bps = g.breakpoints
-    return ((bps[i], k, i) for i in range(bisect_right(bps, J.lo), bisect_left(bps, J.hi)))
+def sup_abs(g: PiecewiseLinearFn, J: Interval) -> tuple[Fraction, Fraction]:
+    """Exact sup of |g| over J with its leftmost witness.
 
-
-def _sup_at_breakpoints(fns: tuple[PiecewiseLinearFn, ...], J: Interval,
-                        value: Callable[[list[Fraction]], Fraction]
-                        ) -> tuple[Fraction, Fraction]:
-    """Max of `value` of the fns' values (and its leftmost witness) over J's
-    endpoints and the fns' breakpoints inside J: the exact sup when `value` is
-    |h|, h linear between them.
-
-    One walk over the merged, already sorted breakpoints: each function is
-    read at its own breakpoints and interpolated on its current segment at
-    the others'; only J's ends are located by bisection.
+    |g| is linear between J's ends and g's breakpoints inside J, so the sup
+    is the max over those points.  One walk over g's breakpoints, read from
+    its values; only J's ends are located by bisection.
     """
-    for g in fns:
-        if not g.defined_on(J):
-            raise FaithfulnessError(f"function with span {g.span} is not defined on {J}")
-    best, witness = value([g.eval(J.lo) for g in fns]), J.lo
-    last = [bisect_right(g.breakpoints, J.lo) - 1 for g in fns]
-    streams = [_inner_breakpoints(k, g, J) for k, g in enumerate(fns)]
-    for x, group in groupby(merge(*streams), key=itemgetter(0)):
-        for _, k, i in group:
-            last[k] = i
-        d = value([g._at(i, x) for g, i in zip(fns, last)])
+    if not g.defined_on(J):
+        raise FaithfulnessError(f"function with span {g.span} is not defined on {J}")
+    bps, vals = g.breakpoints, g.values
+    best, witness = abs(g.eval(J.lo)), J.lo
+    for i in range(bisect_right(bps, J.lo), bisect_left(bps, J.hi)):
+        d = abs(vals[i])
         if d > best:
-            best, witness = d, x
+            best, witness = d, bps[i]
     if J.hi > J.lo:
-        d = value([g.eval(J.hi) for g in fns])
+        d = abs(g.eval(J.hi))
         if d > best:
             best, witness = d, J.hi
     return best, witness
-
-
-def sup_abs_diff(g1: PiecewiseLinearFn, g2: PiecewiseLinearFn,
-                 J: Interval) -> tuple[Fraction, Fraction]:
-    """Exact sup of |g1 - g2| over J with its (leftmost) witness point.
-
-    The difference is piecewise linear, so the supremum is attained at a
-    breakpoint of the merged breakpoint set or at an endpoint of J.
-    """
-    return _sup_at_breakpoints((g1, g2), J, lambda v: abs(v[0] - v[1]))
-
-
-def sup_abs(g: PiecewiseLinearFn, J: Interval) -> tuple[Fraction, Fraction]:
-    """Exact sup of |g| over J with its leftmost witness."""
-    return _sup_at_breakpoints((g,), J, lambda v: abs(v[0]))
 
 
 MeasureSource = Union[DiscreteMeasure, Callable[[Interval], DiscreteMeasure]]
@@ -362,6 +323,8 @@ def almost_period_certificate(f: PiecewiseLinearFn, epsilon: RationalLike,
         raise ValueError(f"scale exponent must be >= 1, got {s}")
     epsilon = rational(epsilon)
     tau_range = rational(tau_range)
+    if tau_range < 0:
+        raise ValueError(f"shift range must be >= 0, got {tau_range}")
     step = Fraction(3 ** s)
     p_max = int(tau_range / step)
     rows = []

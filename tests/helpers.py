@@ -14,7 +14,7 @@ from typing import Sequence
 from apmeasure import (Atom, DiscreteMeasure, FaithfulnessError, Interval,
                        PiecewiseLinearFn, StageMeasure, convolve, make_measure)
 from apmeasure.construction import (CellMassCheck, SupportCheck, cell_center_bound,
-                                    stage_window)
+                                    provenance, stage_window)
 
 
 def brute_count_sup(mu: DiscreteMeasure, u: Fraction) -> int:
@@ -216,12 +216,14 @@ def stage_to_dicts(stage: StageMeasure) -> tuple[dict, dict]:
     `json.dumps(d, indent=1) + "\\n"` of each is the byte oracle for what
     `serialize.save_stage` writes.
     """
-    sidecar = {"stage": stage.stage, "atoms": [
-        {"pos": str(atom.position),
-         "stages": [step.stage for step in prov],
-         "shifts": [str(step.shift) for step in prov],
-         "offsets": [str(step.offset) for step in prov]}
-        for atom, prov in zip(stage.measure.atoms, stage.provenance)]}
+    entries = []
+    for i, atom in enumerate(stage.measure.atoms):
+        prov = provenance(stage.stage, i)
+        entries.append({"pos": str(atom.position),
+                        "stages": [step.stage for step in prov],
+                        "shifts": [str(step.shift) for step in prov],
+                        "offsets": [str(step.offset) for step in prov]})
+    sidecar = {"stage": stage.stage, "atoms": entries}
     return measure_to_dict(stage.measure), sidecar
 
 

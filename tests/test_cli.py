@@ -119,12 +119,18 @@ class TestVerify:
         monkeypatch.setattr(construction, "_stage_cache", {})
         code, out, _ = run(capsys, "verify", "4")
         assert code == 0 and "overall: PASS" in out
-        assert sorted(construction._stage_cache) == [0, 1, 2, 3, 4]
+        assert sorted(construction._stage_cache) == [4]
 
     def test_decimal_flag(self, capsys):
         code, out, _ = run(capsys, "verify", "1", "--tail-max", "2", "--decimal", "4")
         assert code == 0
         assert "approx" in out
+
+    @pytest.mark.parametrize("digits", ["-1", "x"])
+    def test_bad_decimal_is_a_usage_error(self, capsys, digits):
+        code, out, err = run(capsys, "verify", "1", "--tail-max", "2", "--decimal", digits)
+        assert code == 2 and out == ""
+        assert "error: argument --decimal: digit count must be an int >= 0" in err
 
 
 class TestAp:
@@ -133,6 +139,11 @@ class TestAp:
         assert code == 0
         assert "tau=0 defect=0" in out
         assert "ap_certificate: PASS" in out
+
+    def test_negative_range_is_rejected(self, capsys):
+        code, out, err = run(capsys, "ap", "1", "--epsilon", "1/10", "--range", "-3")
+        assert code == 2 and out == ""
+        assert err == "error: shift range must be >= 0, got -3\n"
 
     def test_zero_epsilon_fails(self, capsys):
         code, out, _ = run(capsys, "ap", "1", "--epsilon", "0", "--range", "3")

@@ -72,22 +72,19 @@ class TestBuildStage:
             assert len(build_stage(s).measure) == len(build_stage(s - 1).measure) * (1 + 4 * s)
 
     def test_mass_provenance_consistency(self):
-        stage = build_stage(3)
-        for atom, prov in zip(stage.measure.atoms, stage.provenance):
+        for i, atom in enumerate(build_stage(3).measure.atoms):
             q = 1
-            for step in prov:
+            for step in provenance(3, i):
                 q *= 2 * step.stage
             assert atom.mass == F(1, q)
 
     def test_provenance_reconstructs_position(self):
-        stage = build_stage(3)
-        for atom, prov in zip(stage.measure.atoms, stage.provenance):
-            assert atom.position == sum((step.shift + step.offset for step in prov), F(0))
+        for i, atom in enumerate(build_stage(3).measure.atoms):
+            assert atom.position == sum((step.shift + step.offset for step in provenance(3, i)), F(0))
 
     def test_provenance_stages_increase(self):
-        stage = build_stage(3)
-        for prov in stage.provenance:
-            stages = [step.stage for step in prov]
+        for i in range(projected_atom_count(3)):
+            stages = [step.stage for step in provenance(3, i)]
             assert stages == sorted(stages) and len(set(stages)) == len(stages)
 
     def test_atom_cap(self):
@@ -254,13 +251,13 @@ class TestMassDecay:
         with pytest.raises(ValueError):
             verify_mass_decay(1, stage_window(1))
 
-    # sources are (position, mass) pairs on the query's integer grid
+    # sources are (position, mass) pairs on the query's integer grid; grid.M is mass 1
     @pytest.mark.parametrize("alter", [
         # a source atom one radius right of the first: its group starts inside the first group
-        lambda source, grid: [source[0], (source[0][0] + grid.pos(averaging_radius(2)),
-                                          grid.mass(F(1))), *source[1:]],
+        lambda source, grid: [source[0], (source[0][0] + grid.pos(averaging_radius(2)), grid.M),
+                              *source[1:]],
         # a source atom that the shift -3 takes to the origin, inside the stage-1 window
-        lambda source, grid: [*source, (grid.pos(F(3)), grid.mass(F(1)))],
+        lambda source, grid: [*source, (grid.pos(F(3)), grid.M)],
     ], ids=["overlapping-groups", "group-inside-stage-window"])
     def test_collisions_are_reported(self, monkeypatch, alter):
         side_sources = construction._side_sources
@@ -355,8 +352,8 @@ class TestLimitWindow:
             limit_window(Interval.closed(-3 ** 8, 3 ** 8), atom_cap=10_000)
 
     def test_cached_stage_gives_the_same_window(self):
-        # the kernel reads a cached covering stage and expands an uncached one;
-        # the window (3/2, 13] cuts stage-3 clusters at both ends
+        # the kernel expands from the origin whether or not the covering stage
+        # is cached; the window (3/2, 13] cuts stage-3 clusters at both ends
         J = Interval(F(3, 2), F(13), True, False)
         s = construction._covering_stage(J)
         with mock.patch.dict(construction._stage_cache, clear=True):
@@ -373,8 +370,8 @@ class TestLimitWindow:
 
     @pytest.mark.parametrize("cached", [True, False], ids=["cached", "uncached"])
     def test_budget_outcome_ignores_the_cache(self, cached):
-        # (3/2, 13] returns 266 atoms and charges 317: a cached stage is
-        # charged what its expansion would have charged
+        # (3/2, 13] returns 266 atoms and charges 317 in both cache states:
+        # the kernel never reads a cached stage
         J = Interval(F(3, 2), F(13), True, False)
         with mock.patch.dict(construction._stage_cache, clear=True):
             if cached:
@@ -396,14 +393,6 @@ class TestLimitWindow:
 
 
 class TestGrid:
-    @pytest.mark.parametrize("atom", [(F(1, 7), F(1)), (F(0), F(1, 7))], ids=["position", "mass"])
-    def test_cached_atom_off_the_grid_raises(self, atom):
-        # stage 2's side blocks read stage 1 from the cache and put it on the grid
-        fake = StageMeasure(1, make_measure([atom], stage_window(1).closure()))
-        with mock.patch.dict(construction._stage_cache, {1: fake}, clear=True):
-            with pytest.raises(AssertionError, match="not on the grid"):
-                limit_window(Interval.closed(-4, 4))
-
     def test_window_end_off_the_grid_raises(self):
         query = construction._Query(2, Interval.closed(F(1, 5), 1), 100)
         assert query.window(Interval(F(1, 5), F(1), True, False)) == (query.D // 5 + 1, query.D)
@@ -466,6 +455,26 @@ def test_decay_charge_ignores_the_cache(s):
     cached = charged(lambda: verify_mass_decay(s, J))
     with mock.patch.dict(construction._stage_cache, clear=True):
         assert charged(lambda: verify_mass_decay(s, J)) == cached
+
+
+def test_wrong_cached_stage_is_never_read(literal_four):
+    # stage 1 with the origin's mass halved: on the grid, so a kernel that
+    # read the cache would return it, but not stage 1
+    atoms = [(p, F(1, 2)) for p, _, _ in literal_stage(1)]
+    wrong = StageMeasure(1, make_measure(atoms, stage_window(1).closure()))
+    J = Interval.closed(-4, 4)
+    decay_J = stage_window(2).closure()
+    with mock.patch.dict(construction._stage_cache, {1: wrong}, clear=True):
+        assert atoms_of(limit_window(J)) == [(p, m) for p, m in literal_four if J.contains(p)]
+        report = verify_mass_decay(1, decay_J)
+        assert (report.max_mass_outside, report.witness, report.holds) == \
+            literal_decay(1, decay_J, literal_four)
+        for s in (1, 2):
+            window = stage_window(s).closure()
+            literal_stable = [(p, m) for p, m, _ in literal_stage(s + 1) if window.contains(p)] \
+                == [(p, m) for p, m, _ in literal_stage(s)]
+            assert verify_stage_stability(s) == literal_stable
+        assert atoms_of(build_stage(2).measure) == [(p, m) for p, m, _ in literal_stage(2)]
 
 
 class TestStability:

@@ -13,7 +13,6 @@ from apmeasure import (
     shift,
     sliding_count_sup,
     sliding_variation_sup,
-    variation_on,
 )
 from helpers import averaging_operator, brute_count_sup, brute_variation_sup
 
@@ -190,19 +189,6 @@ class TestRestrict:
         mu = make_measure([(0, 1), (1, 1)], Interval.closed(0, 1))
         out = restrict(mu, Interval(F(0), F(1), lo_open=False, hi_open=True))
         assert atoms_of(out) == [(0, 1)]
-
-
-class TestVariation:
-    def test_signed_masses(self):
-        mu = make_measure([(0, -1), (1, 1)], W)
-        assert variation_on(mu, Interval.closed(0, 1)) == 2
-
-    def test_stage1_center_cell(self):
-        mu1 = build_stage(1).measure
-        assert variation_on(mu1, Interval.closed(F(-1, 3), F(1, 3))) == 1
-
-    def test_empty(self):
-        assert variation_on(make_measure([], W), W) == 0
 
 
 class TestSlidingVariationSup:
