@@ -290,19 +290,21 @@ def cmd_lump(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _digit_count(text: str) -> int:
-    """The argument type of --decimal: an int >= 0."""
-    try:
-        k = int(text)
-    except ValueError:
-        k = -1
-    if k < 0:
-        raise argparse.ArgumentTypeError(f"digit count must be an int >= 0, got {text!r}")
-    return k
+def _int_at_least(k: int, what: str):
+    """An argparse type: an int >= k, or a usage error naming `what`."""
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            n = k - 1
+        if n < k:
+            raise argparse.ArgumentTypeError(f"{what} must be an int >= {k}, got {text!r}")
+        return n
+    return parse
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--decimal", type=_digit_count, default=None, metavar="K",
+    p.add_argument("--decimal", type=_int_at_least(0, "digit count"), default=None, metavar="K",
                    help="append K-digit decimal approximations (marked approximate)")
     p.add_argument("--cap", type=int, default=None,
                    help="atom cap override (also APMEASURE_ATOM_CAP)")
@@ -340,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("stage", type=int)
     p.add_argument("--measure", default=None,
                    help="verify this measure file instead of a fresh build")
-    p.add_argument("--tail-max", type=int, default=12,
+    p.add_argument("--tail-max", type=_int_at_least(2, "tail index"), default=12,
                    help="largest tail-estimate index to check (default 12)")
     _add_common(p)
     p.set_defaults(func=cmd_verify)
@@ -359,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", required=True, metavar="LO:HI")
     p.add_argument("--fn", default=None, help="test function JSON (default: built-in triangle)")
     p.add_argument("--csv", default=None, help="write (x, value) rows to this CSV file")
-    p.add_argument("--samples", type=int, default=0,
+    p.add_argument("--samples", type=_int_at_least(0, "sample count"), default=0,
                    help="add this many uniform sample points to the output")
     _add_common(p)
     p.set_defaults(func=cmd_conv)

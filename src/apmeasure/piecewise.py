@@ -16,13 +16,14 @@ from fractions import Fraction
 from heapq import merge
 from itertools import groupby
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Union
+from typing import Callable, Iterator, Sequence, Union
 
 from .measures import (
     Atom,
     DiscreteMeasure,
     Interval,
     RationalLike,
+    common_denominator,
     rational,
     restrict,
 )
@@ -159,20 +160,49 @@ def convolution_value(f: PiecewiseLinearFn, mu: DiscreteMeasure,
     return convolve(f, mu, Interval.closed(x, x)).values[0]
 
 
-def _events(atoms: tuple[Atom, ...], b: Fraction, ds: Fraction
-            ) -> Iterator[tuple[Fraction, Fraction]]:
-    """(position + b, mass * ds) per atom: one event stream, sorted by position.
+def _on_grid(x: Fraction, unit: int) -> int:
+    """x * unit as an int; unit is a multiple of x's denominator."""
+    return x.numerator * (unit // x.denominator)
 
-    A function rather than an inline generator, so each stream binds its own b and ds.
+
+def _events(points: list[tuple[int, int]], offset: int, factor: int
+            ) -> Iterator[tuple[int, int]]:
+    """(x + offset, m * factor) per point (x, m): one event stream, sorted by x.
+
+    A function rather than an inline generator, so each stream binds its own
+    offset and factor.
     """
-    return ((a.position + b, a.mass * ds) for a in atoms)
+    return ((x + offset, m * factor) for x, m in points)
 
 
-def _sweep(f: PiecewiseLinearFn, parts: Iterable[tuple[tuple[Atom, ...], Fraction, int]],
-           J: Interval) -> Iterator[tuple[Fraction, Fraction]]:
-    """(x, h(x)) at J.lo, at each distinct event x inside J, and at J.hi when
-    J.hi > J.lo, left to right, for h(x) = the sum over the parts
-    (atoms, shift, sign) of sign * (f * atoms)(x + shift).
+def _walk(streams: list[Iterator[tuple[int, int]]], lo: int, hi: int
+          ) -> Iterator[tuple[int, int]]:
+    """`_sweep`'s left-to-right walk: (x, value) per reported point, on the
+    integer events of `streams` and the integer window ends lo <= hi."""
+    value = slope = 0
+    at = lo
+    for x, group in groupby(merge(*streams), key=itemgetter(0)):
+        jump = sum(j for _, j in group)
+        if x <= lo:
+            value += jump * (lo - x)
+        elif x < hi:
+            yield at, value
+            value += slope * (x - at)
+            at = x
+        else:
+            break
+        slope += jump
+    yield at, value
+    if hi > at:
+        yield hi, value + slope * (hi - at)
+
+
+def _sweep(f: PiecewiseLinearFn, parts: Sequence[tuple[tuple[Atom, ...], Fraction, int]],
+           J: Interval) -> tuple[int, int, Iterator[tuple[int, int]]]:
+    """(D, V, points): the points (x*D, h(x)*V) at J.lo, at each distinct
+    event x inside J, and at J.hi when J.hi > J.lo, left to right, for
+    h(x) = the sum over the parts (atoms, shift, sign) of
+    sign * (f * atoms)(x + shift).
 
     One left-to-right sweep.  A compactly supported f is the sum of
     ds * (y - b)_+ over its slope changes (b, ds), so h(y) is the sum of
@@ -183,25 +213,27 @@ def _sweep(f: PiecewiseLinearFn, parts: Iterable[tuple[tuple[Atom, ...], Fractio
     reported, even when its net jump is 0.  A point is reported when the
     sweep moves past it, so J.lo's value has every event at or left of
     J.lo folded in.
+
+    The sweep runs on one integer grid per call.  D is the lcm of the
+    denominators of J's ends, the b, the shifts and the atom positions, so
+    every event is an int over D.  M and S are the lcms of the mass and the
+    slope-jump denominators, so every jump, a mass over M times a slope
+    jump over S, is an int over W = M*S (the lcm of M and S would not do:
+    1/2 * 1/2 = 1/4).  Each slope is an int over W and each value an int
+    over V = D*W.  The caller makes `Fraction`s of what it keeps.
     """
-    streams = [_events(atoms, b - shift, sign * ds)
-               for atoms, shift, sign in parts for b, ds in f.slope_changes()]
-    value = slope = Fraction(0)
-    at = J.lo
-    for x, group in groupby(merge(*streams, key=itemgetter(0)), key=itemgetter(0)):
-        jump = sum(ds for _, ds in group)
-        if x <= J.lo:
-            value += jump * (J.lo - x)
-        elif x < J.hi:
-            yield at, value
-            value += slope * (x - at)
-            at = x
-        else:
-            break
-        slope += jump
-    yield at, value
-    if J.hi > at:
-        yield J.hi, value + slope * (J.hi - at)
+    changes = f.slope_changes()
+    atoms = [a for part, _, _ in parts for a in part]
+    D = common_denominator([J.lo, J.hi, *(b for b, _ in changes),
+                            *(shift for _, shift, _ in parts), *(a.position for a in atoms)])
+    M = common_denominator(a.mass for a in atoms)
+    S = common_denominator(ds for _, ds in changes)
+    streams = []
+    for part, shift, sign in parts:
+        points = [(_on_grid(a.position, D), _on_grid(a.mass, M)) for a in part]
+        streams += [_events(points, _on_grid(b - shift, D), sign * _on_grid(ds, S))
+                    for b, ds in changes]
+    return D, D * M * S, _walk(streams, _on_grid(J.lo, D), _on_grid(J.hi, D))
 
 
 def convolve(f: PiecewiseLinearFn, mu: DiscreteMeasure, J: Interval) -> PiecewiseLinearFn:
@@ -211,10 +243,11 @@ def convolve(f: PiecewiseLinearFn, mu: DiscreteMeasure, J: Interval) -> Piecewis
     convolution can see from J.  The result's breakpoints are J's ends and
     every distinct event position inside J (see `_sweep`).
     """
+    D, V, points = _sweep(f, ((_faithful_atoms(f, mu, J), Fraction(0), 1),), J)
     bps, values = [], []
-    for x, value in _sweep(f, ((_faithful_atoms(f, mu, J), Fraction(0), 1),), J):
-        bps.append(x)
-        values.append(value)
+    for x, value in points:
+        bps.append(Fraction(x, D))
+        values.append(Fraction(value, V))
     return PiecewiseLinearFn(tuple(bps), tuple(values), zero_outside=False)
 
 
@@ -272,12 +305,13 @@ def almost_period_defect(f: PiecewiseLinearFn, source: MeasureSource,
     base_region = Interval.closed(J.lo - pad_hi, J.hi - pad_lo)
     base = _faithful_atoms(f, _measure_on(source, base_region), J)
     far = _faithful_atoms(f, _measure_on(source, base_region.translate(tau)), J.translate(tau))
-    best, witness = Fraction(-1), J.lo
-    for x, value in _sweep(f, ((far, tau, 1), (base, Fraction(0), -1)), J):
+    D, V, points = _sweep(f, ((far, tau, 1), (base, Fraction(0), -1)), J)
+    best, witness = -1, None
+    for x, value in points:
         d = abs(value)
         if d > best:
             best, witness = d, x
-    return best, witness
+    return Fraction(best, V), Fraction(witness, D)
 
 
 @dataclass(frozen=True)

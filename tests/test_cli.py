@@ -132,6 +132,19 @@ class TestVerify:
         assert code == 2 and out == ""
         assert "error: argument --decimal: digit count must be an int >= 0" in err
 
+    @pytest.mark.parametrize("n", ["1", "0", "-5", "x"])
+    def test_tail_max_below_two_is_a_usage_error(self, capsys, n):
+        # tail estimates start at n = 2, so a smaller --tail-max would check none
+        code, out, err = run(capsys, "verify", "1", "--tail-max", n)
+        assert code == 2 and out == ""
+        assert "error: argument --tail-max: tail index must be an int >= 2" in err
+
+    def test_tail_max_two_checks_one_estimate(self, capsys):
+        code, out, _ = run(capsys, "verify", "1", "--tail-max", "2")
+        tails = [l for l in out.splitlines() if l.startswith("tail_estimate")]
+        assert code == 0 and len(tails) == 1
+        assert tails[0].startswith("tail_estimate n=2: PASS")
+
 
 class TestAp:
     def test_scale_one_pass(self, capsys):
@@ -208,6 +221,23 @@ class TestConv:
         save_measure(build_stage(1).measure, mpath)
         code, _, err = run(capsys, "conv", "--measure", str(mpath), "--window", "-10:10")
         assert code == 2 and "window" in err
+
+    @pytest.mark.parametrize("count", ["-3", "-1", "x"])
+    def test_bad_sample_count_is_a_usage_error(self, tmp_path, capsys, count):
+        mpath = tmp_path / "m.json"
+        save_measure(build_stage(1).measure, mpath)
+        code, out, err = run(capsys, "conv", "--measure", str(mpath), "--window", "-1:1",
+                             "--samples", count)
+        assert code == 2 and out == ""
+        assert "error: argument --samples: sample count must be an int >= 0" in err
+
+    def test_zero_samples_adds_no_rows(self, tmp_path, capsys):
+        mpath = tmp_path / "m.json"
+        save_measure(build_stage(1).measure, mpath)
+        _, plain, _ = run(capsys, "conv", "--measure", str(mpath), "--window", "-1:1")
+        code, out, _ = run(capsys, "conv", "--measure", str(mpath), "--window", "-1:1",
+                           "--samples", "0")
+        assert code == 0 and out == plain
 
 
 class TestMatch:

@@ -12,7 +12,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from apmeasure import DiscreteMeasure, Interval, build_stage, restrict
+from apmeasure import DiscreteMeasure, Interval, build_stage, make_measure, restrict
 from apmeasure.cli import main
 from apmeasure.serialize import save_measure
 
@@ -47,6 +47,13 @@ AP2_REPORT = "62c11e4cdd6e6b80ff221e5bbe6d9fb72adad87eefa1eb4cb03ee324a95a146e"
 
 # `conv` of the built-in triangle against the stage-4 measure file on [-40, 40]
 CONV_STAGE4 = "f25ee6d23d6cb22910ce24febd8eabcb2fb977830785413a61ff981ad882777c"
+
+# `psi` of the stage-4 atoms on [-40, 40] against the same atoms with their
+# masses doubled: the origin identity and three far-field samples, each a
+# sweep over the signed difference mu - nu
+PSI_STAGE4 = "d973b9d3cbf662f53234996b2979cedd09376de260a71ab22975fa8d79fdd99b"
+PSI_ARGS = ("--v", "1/33554432", "--u", "1/1048576", "--epsilon", "1/5",
+            "--compact", "-13/3:13/3", "--samples", "9,-9,11", "--zero-identity")
 
 # `match --out-report` of the 960 stage-4 atoms on [63/2, 69/2] against the
 # same atoms with atom 479 dropped, in both orders (the partial matching DP)
@@ -112,3 +119,16 @@ def test_conv_stdout(tmp_path):
         assert main(["conv", "--measure", str(path), "--window", "-40:40"]) == 0
     got = sha256(buf.getvalue().encode())
     assert got == CONV_STAGE4, f"`apmeasure conv` on stage 4, -40:40: stdout digest {got}"
+
+
+def test_psi_stdout(tmp_path):
+    mu = restrict(build_stage(4).measure, Interval.closed(-40, 40))
+    save_measure(mu, tmp_path / "mu.json")
+    save_measure(make_measure([(a.position, 2 * a.mass) for a in mu.atoms], mu.window),
+                 tmp_path / "double.json")
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(["psi", "--mu", str(tmp_path / "mu.json"),
+                     "--nu", str(tmp_path / "double.json"), *PSI_ARGS]) == 0
+    got = sha256(buf.getvalue().encode())
+    assert got == PSI_STAGE4, f"`apmeasure psi` on stage 4, -40:40: stdout digest {got}"

@@ -190,11 +190,7 @@ def grid_windows(draw):
     return Interval.closed(F(lo, 8), F(hi, 8))
 
 
-@given(compact_functions(), grid_measures(), grid_windows())
-@example(triangle_test_function(F(1, 4)),  # the events at 1/4 cancel; J.lo is an event
-         make_measure([(0, 1), (F(1, 2), -1)], GRID_MEASURE), Interval.closed(F(-1, 4), 1))
-@settings(max_examples=300, deadline=None)
-def test_convolve_matches_pointwise_sums(f, mu, J):
+def check_convolve(f, mu, J):
     g = convolve(f, mu, J)
     events = {a.position + b for a in mu.atoms for b, _ in f.slope_changes()}
     inner = sorted(x for x in events if J.lo < x < J.hi)
@@ -202,6 +198,75 @@ def test_convolve_matches_pointwise_sums(f, mu, J):
     for x in g.breakpoints:
         assert g.eval(x) == pointwise_convolution(f, mu, x)
     assert convolution_value(f, mu, J.hi) == pointwise_convolution(f, mu, J.hi)
+
+
+@given(compact_functions(), grid_measures(), grid_windows())
+@example(triangle_test_function(F(1, 4)),  # the events at 1/4 cancel; J.lo is an event
+         make_measure([(0, 1), (F(1, 2), -1)], GRID_MEASURE), Interval.closed(F(-1, 4), 1))
+@settings(max_examples=300, deadline=None)
+def test_convolve_matches_pointwise_sums(f, mu, J):
+    check_convolve(f, mu, J)
+
+
+# Off the (1/8)Z grid: atom positions and function breakpoints each on their
+# own (1/q)Z, masses and function values with distinct denominators (so the
+# slope jumps are fractions), window ends on (1/q)Z and shifts over primes
+# that divide none of the other denominators.  The sweep's grid is then an
+# lcm that no single one of them gives, and a jump mass * ds has a
+# denominator that can exceed the lcm of the mass and slope-jump ones.
+MIXED_DENOMINATORS = (3, 5, 7, 9, 16)
+
+
+def mixed_points(bound):
+    """Rationals in [-bound, bound] on (1/q)Z for q drawn from MIXED_DENOMINATORS."""
+    return st.sampled_from(MIXED_DENOMINATORS).flatmap(
+        lambda q: st.integers(-bound * q, bound * q).map(lambda n: F(n, q)))
+
+
+fractions_with_distinct_denominators = st.builds(
+    F, st.sampled_from([-3, -2, -1, 1, 2, 3]), st.sampled_from([1, 2, 3, 4, 5, 7, 8]))
+
+
+@st.composite
+def fractional_functions(draw):
+    """A tent of fractional height, or a random compactly supported function
+    with mixed-denominator breakpoints and fractional values, inside [-2, 2]."""
+    if draw(st.booleans()):
+        return triangle_test_function(draw(mixed_points(2).filter(lambda h: h > 0)),
+                                      draw(fractions_with_distinct_denominators))
+    bps = draw(st.lists(mixed_points(2), min_size=2, max_size=5, unique=True))
+    inner = draw(st.lists(fractions_with_distinct_denominators,
+                          min_size=len(bps) - 2, max_size=len(bps) - 2))
+    return PiecewiseLinearFn(tuple(sorted(bps)), (0, *inner, 0))
+
+
+@st.composite
+def mixed_measures(draw):
+    pairs = draw(st.lists(st.tuples(mixed_points(3), fractions_with_distinct_denominators),
+                          max_size=10))
+    return make_measure(pairs, GRID_MEASURE)
+
+
+@st.composite
+def mixed_windows(draw):
+    """A window inside [-1, 1] with mixed-denominator ends, either end open or closed."""
+    lo, hi = sorted(draw(st.lists(mixed_points(1), min_size=2, max_size=2)))
+    return Interval(lo, hi, draw(st.booleans()), draw(st.booleans()))
+
+
+coprime_shifts = st.sampled_from([11, 13, 17]).flatmap(
+    lambda d: st.integers(-3 * d, 3 * d).map(lambda n: F(n, d)))
+
+# mass 1/2 times slope jump 1/2: a jump over 4, where the lcm of the mass and
+# slope-jump denominators is 2
+HALVES = (triangle_test_function(2, 1), make_measure([(F(1, 3), F(1, 2))], GRID_MEASURE))
+
+
+@given(fractional_functions(), mixed_measures(), mixed_windows())
+@example(*HALVES, Interval.closed(F(-1, 5), F(1, 7)))
+@settings(max_examples=150, deadline=None)
+def test_convolve_matches_pointwise_sums_off_grid(f, mu, J):
+    check_convolve(f, mu, J)
 
 
 @st.composite
@@ -306,6 +371,13 @@ shifts = (st.just(F(0)) | st.integers(-24, 24).map(lambda n: F(n, 8))
          make_measure([(0, 1), (F(1, 2), 1)], GRID_MEASURE), F(1, 2), Interval.open(F(-1, 2), 1))
 @settings(max_examples=300, deadline=None)
 def test_defect_matches_two_convolutions(f, mu, tau, J):
+    assert almost_period_defect(f, mu, tau, J) == two_convolution_defect(f, mu, tau, J)
+
+
+@given(fractional_functions(), mixed_measures(), coprime_shifts, mixed_windows())
+@example(*HALVES, F(1, 11), Interval(F(-1, 5), F(1, 7), True, False))
+@settings(max_examples=150, deadline=None)
+def test_defect_matches_two_convolutions_off_grid(f, mu, tau, J):
     assert almost_period_defect(f, mu, tau, J) == two_convolution_defect(f, mu, tau, J)
 
 
