@@ -19,8 +19,8 @@ from apmeasure import (
     limit_window,
     sliding_count_sup,
     stage_window,
-    verify_cell_mass,
     verify_mass_decay,
+    verify_stage_scan,
     verify_stage_stability,
 )
 
@@ -40,7 +40,8 @@ for s in range(5):
 
 print("\nevery full lattice cell carries exactly unit mass:")
 for s in range(1, 4):
-    print(f"  stage {s}: cell-mass check -> {'ok' if verify_cell_mass(s) else 'BROKEN'}")
+    scan = verify_stage_scan(s)
+    print(f"  stage {s}: cell-mass check -> {'ok' if not scan.bad_cells and not scan.strays else 'BROKEN'}")
 
 print("\nonce a stage covers a window, later stages never change it:")
 for s in range(1, 4):

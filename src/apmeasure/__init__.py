@@ -11,6 +11,7 @@ from .construction import (
     AtomBudgetError,
     ClusterCertificate,
     StageMeasure,
+    StageScan,
     StageStabilityError,
     build_stage,
     cluster_certificate,
@@ -19,10 +20,9 @@ from .construction import (
     provenance,
     radius_series_tail_bound,
     stage_window,
-    verify_cell_mass,
     verify_mass_decay,
+    verify_stage_scan,
     verify_stage_stability,
-    verify_stage_support,
     verify_tail_estimate,
 )
 from .matching import (

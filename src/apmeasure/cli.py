@@ -115,32 +115,31 @@ def _check(name: str, ok: bool, detail: str = "") -> bool:
 def cmd_verify(args) -> int:
     cfg = _run_config(args)
     s = args.stage
+    mu = None
     if args.measure:
         mu = serialize.load_measure(args.measure)
         print(f"verifying {args.measure} as stage {s}")
-    else:
-        mu = construction.build_stage(s, cfg.atom_cap).measure
+    scan = construction.verify_stage_scan(s, mu, cfg.atom_cap)
 
     ok = True
     expected_n = construction.projected_atom_count(s)
-    ok &= _check(f"counting_law s={s}", len(mu) == expected_n,
-                 f"atoms={len(mu)} expected={expected_n}")
+    ok &= _check(f"counting_law s={s}", scan.atoms == expected_n,
+                 f"atoms={scan.atoms} expected={expected_n}")
     expected_mass = Fraction(3 ** s)
-    ok &= _check(f"total_mass s={s}", mu.total_mass == expected_mass,
-                 f"mass={fmt(mu.total_mass, cfg)} expected={expected_mass}")
-    support = construction.verify_stage_support(s, mu)
-    ok &= _check(f"stage_support s={s}", support.holds,
-                 "" if support.holds else f"offender={support.offender}")
-    cells = construction.verify_cell_mass(s, mu)
+    ok &= _check(f"total_mass s={s}", scan.total_mass == expected_mass,
+                 f"mass={fmt(scan.total_mass, cfg)} expected={expected_mass}")
+    ok &= _check(f"stage_support s={s}", scan.offender is None,
+                 "" if scan.offender is None else f"offender={scan.offender}")
+    cells_ok = not scan.bad_cells and not scan.strays
     detail = f"cells={2 * construction.cell_center_bound(s) + 1}"
-    if not cells.holds:
-        bits = [f"cell n={n} mass={fmt(m, cfg)}" for n, m in cells.bad_cells[:3]]
-        bits += [f"stray atom at {p}" for p in cells.stray_positions[:3]]
+    if not cells_ok:
+        bits = [f"cell n={n} mass={fmt(m, cfg)}" for n, m in scan.bad_cells[:3]]
+        bits += [f"stray atom at {p}" for p in scan.strays[:3]]
         detail = "; ".join(bits)
-    ok &= _check(f"cell_mass s={s}", cells.holds, detail)
+    ok &= _check(f"cell_mass s={s}", cells_ok, detail)
 
     if s >= 1:
-        gap = mu.min_gap()
+        gap = scan.min_gap
         floor = (measures.averaging_radius(s) / s
                  - 2 * construction.radius_series_tail_bound(s + 1))
         gap_ok = gap is not None and gap > 0 and gap >= floor

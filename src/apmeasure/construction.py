@@ -35,7 +35,6 @@ from .measures import (
     common_denominator,
     rational,
     restrict,
-    span_within,
 )
 
 DEFAULT_ATOM_CAP = 10_000_000
@@ -96,41 +95,43 @@ class StageMeasure:
     measure: DiscreteMeasure
 
 
-# build_stage's memo of its own results; the expansion never reads it
-_stage_cache: dict[int, StageMeasure] = {}
-
-
 def _check_stage_cap(s: int, atom_cap: int | None) -> int:
-    """The cap in force; raises `AtomBudgetError` if n_s exceeds it."""
+    """The cap in force; raises `AtomBudgetError` if n_s = prod(1+4k) exceeds it.
+
+    The product stops at the first k whose running product passes the cap.
+    """
     cap = DEFAULT_ATOM_CAP if atom_cap is None else atom_cap
     if cap < 1:
         raise ValueError("atom cap must be >= 1")
-    projected = projected_atom_count(s)
-    if projected > cap:
-        raise AtomBudgetError(f"stage {s} needs {projected} atoms, cap is {cap}")
+    count = 1
+    for k in range(1, s + 1):
+        count *= 1 + 4 * k
+        if count > cap:
+            raise AtomBudgetError(f"stage {s} needs {'' if k == s else 'at least '}{count} "
+                                  f"atoms, cap is {cap}")
     return cap
 
 
-def build_stage(s: int, atom_cap: int | None = None) -> StageMeasure:
-    """Build (and cache) the stage-s measure.
+def _stage_pairs(s: int, atom_cap: int | None) -> tuple[_Query, list[tuple[int, int]]]:
+    """The (position, mass) grid pairs of stage s, and the query whose grid they are on.
 
-    Raises `AtomBudgetError` before doing any work if the closed-form count
-    n_s = prod(1+4k) exceeds the cap (default 10**7).  The atoms come from
-    the windowed expansion over the whole stage window, from the origin up,
-    which emits each stage's three blocks in increasing position order and
-    asserts strict increase, so any accidental atom collision (a merge
-    event) fails loudly.  No lower stage is built or cached.
+    Raises `AtomBudgetError` before any work if n_s exceeds the cap (default
+    10**7).  The expansion runs from the origin over the whole stage window
+    and asserts strict increase, so an atom collision fails loudly.
     """
     if s < 0:
         raise ValueError(f"stage must be >= 0, got {s}")
     _check_stage_cap(s, atom_cap)
-    if s not in _stage_cache:
-        window = stage_window(s)
-        # the closed-form count bounds this expansion; it was checked above
-        query = _Query(s, window, math.inf)
-        atoms = query.atoms(_atoms_within(s, query.window(window), query))
-        _stage_cache[s] = StageMeasure(s, DiscreteMeasure(atoms, window.closure()))
-    return _stage_cache[s]
+    window = stage_window(s)
+    # the closed-form count bounds this expansion; it was checked above
+    query = _Query(s, window, math.inf)
+    return query, _atoms_within(s, query.window(window), query)
+
+
+def build_stage(s: int, atom_cap: int | None = None) -> StageMeasure:
+    """Build the stage-s measure as `Atom`s, afresh on every call (see `_stage_pairs`)."""
+    query, pairs = _stage_pairs(s, atom_cap)
+    return StageMeasure(s, DiscreteMeasure(query.atoms(pairs), stage_window(s).closure()))
 
 
 @cache
@@ -409,67 +410,66 @@ def verify_tail_estimate(n: int, terms: int = 8) -> TailEstimate:
 
 
 @dataclass(frozen=True)
-class SupportCheck:
+class StageScan:
+    """What one pass over a stage-s measure finds: the first atom outside the
+    open stage window, the cells (n-1/3, n+1/3), |n| <= `cell_center_bound(s)`,
+    whose mass is not 1 (with that mass), the atoms strictly inside no such
+    cell, and the least gap between neighbours (None below two atoms)."""
+
     stage: int
-    holds: bool
+    atoms: int
+    total_mass: Fraction
     offender: Fraction | None
-
-    def __bool__(self) -> bool:
-        return self.holds
-
-
-def verify_stage_support(s: int, measure: DiscreteMeasure | None = None) -> SupportCheck:
-    """Check that every atom lies strictly inside the open stage window.
-
-    The atoms strictly increase, so the window holds them all exactly when
-    it holds both end atoms; the offender, the first atom outside, is found
-    by bisection.
-    """
-    mu = measure if measure is not None else build_stage(s).measure
-    lo, hi = span_within(mu.atoms, stage_window(s))
-    if lo > 0:
-        return SupportCheck(s, False, mu.atoms[0].position)
-    if hi < len(mu.atoms):
-        return SupportCheck(s, False, mu.atoms[hi].position)
-    return SupportCheck(s, True, None)
-
-
-@dataclass(frozen=True)
-class CellMassCheck:
-    stage: int
-    holds: bool
     bad_cells: tuple[tuple[int, Fraction], ...]
-    stray_positions: tuple[Fraction, ...]
-
-    def __bool__(self) -> bool:
-        return self.holds
+    strays: tuple[Fraction, ...]
+    min_gap: Fraction | None
 
 
-def verify_cell_mass(s: int, measure: DiscreteMeasure | None = None) -> CellMassCheck:
-    """Check unit mass on every full lattice cell (n-1/3, n+1/3) of stage s.
+def verify_stage_scan(s: int, measure: DiscreteMeasure | None = None,
+                      atom_cap: int | None = None) -> StageScan:
+    """Count, total mass, support, unit mass per cell and least gap of stage s, in one pass.
 
-    Also checks the support side: each atom must lie strictly within 1/3 of
-    an admissible integer cell center.  Returns the offending cells and
-    stray atom positions, so a corrupted measure is pinpointed exactly.
+    With no `measure` the pass reads the expansion's grid pairs of stage s
+    (`_stage_pairs`) and makes no `Atom`; a measure's atoms go onto one grid
+    first, positions over D = lcm(6, their denominators) and masses over the
+    lcm of theirs.  The 3^s cells are charged to the cap before the pass.
+    The atoms must strictly increase; an atom p/D lies in cell
+    n = floor(p/D + 1/2), strictly inside it when 3|p - n*D| < D.
     """
-    mu = measure if measure is not None else build_stage(s).measure
+    if measure is None:
+        query, pairs = _stage_pairs(s, atom_cap)
+        D, M = query.D, query.M
+    else:
+        D = math.lcm(6, common_denominator(a.position for a in measure.atoms))
+        M = common_denominator(a.mass for a in measure.atoms)
+        pairs = [(a.position.numerator * (D // a.position.denominator),
+                  a.mass.numerator * (M // a.mass.denominator)) for a in measure.atoms]
+    half = int(stage_window(s).hi * D)  # the open window is (-half, half); 6 | D, so exact
     bound = cell_center_bound(s)
-    # an atom p = num/den lies in cell n = floor(p + 1/2), strictly inside it
-    # when 3|num - n*den| < den; cell masses are numerators over `unit`
-    unit = common_denominator(a.mass for a in mu.atoms)
+    cap = DEFAULT_ATOM_CAP if atom_cap is None else atom_cap
+    if 2 * bound + 1 > cap:
+        raise AtomBudgetError(f"stage {s} has 3^{s} lattice cells, cap is {cap}")
+    total = 0
+    offender = gap = last = None
     totals: dict[int, int] = {}
-    strays: list[Fraction] = []
-    for a in mu.atoms:
-        num, den = a.position.numerator, a.position.denominator
-        n = (2 * num + den) // (2 * den)
-        if 3 * abs(num - n * den) >= den or abs(n) > bound:
-            strays.append(a.position)
-            continue
-        totals[n] = totals.get(n, 0) + a.mass.numerator * (unit // a.mass.denominator)
-    bad = [(n, Fraction(totals.get(n, 0), unit))
-           for n in range(-bound, bound + 1)
-           if totals.get(n, 0) != unit]
-    return CellMassCheck(s, not bad and not strays, tuple(bad), tuple(strays))
+    strays = []
+    for p, m in pairs:
+        total += m
+        if offender is None and not -half < p < half:
+            offender = p
+        if last is not None and (gap is None or p - last < gap):
+            gap = p - last
+        last = p
+        n = (2 * p + D) // (2 * D)
+        if 3 * abs(p - n * D) >= D or abs(n) > bound:
+            strays.append(Fraction(p, D))
+        else:
+            totals[n] = totals.get(n, 0) + m
+    bad = tuple((n, Fraction(totals.get(n, 0), M)) for n in range(-bound, bound + 1)
+                if totals.get(n, 0) != M)
+    return StageScan(s, len(pairs), Fraction(total, M),
+                     None if offender is None else Fraction(offender, D), bad, tuple(strays),
+                     None if gap is None else Fraction(gap, D))
 
 
 @dataclass(frozen=True)

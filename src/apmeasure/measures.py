@@ -184,19 +184,6 @@ class DiscreteMeasure:
             return self.atoms[i].mass
         return Fraction(0)
 
-    def min_gap(self) -> Fraction | None:
-        """Smallest distance between consecutive atoms; None below 2 atoms.
-
-        The gaps are differences of integer numerators over the lcm of the
-        position denominators; only the minimum becomes a `Fraction`.
-        """
-        if len(self.atoms) < 2:
-            return None
-        positions = self.positions()
-        unit = common_denominator(positions)
-        nums = [p.numerator * (unit // p.denominator) for p in positions]
-        return Fraction(min(b - a for a, b in zip(nums, nums[1:])), unit)
-
     def __str__(self) -> str:
         return f"DiscreteMeasure({len(self.atoms)} atoms on {self.window})"
 

@@ -13,8 +13,7 @@ from typing import Sequence
 
 from apmeasure import (Atom, DiscreteMeasure, FaithfulnessError, Interval,
                        PiecewiseLinearFn, StageMeasure, convolve, make_measure)
-from apmeasure.construction import (CellMassCheck, SupportCheck, cell_center_bound,
-                                    provenance, stage_window)
+from apmeasure.construction import StageScan, cell_center_bound, provenance, stage_window
 
 
 def brute_count_sup(mu: DiscreteMeasure, u: Fraction) -> int:
@@ -227,18 +226,22 @@ def stage_to_dicts(stage: StageMeasure) -> tuple[dict, dict]:
     return measure_to_dict(stage.measure), sidecar
 
 
-def literal_stage_support(s: int, mu: DiscreteMeasure) -> SupportCheck:
-    """Stage support by a `Fraction` scan of every atom: the first one outside the window."""
+def literal_total_mass(mu: DiscreteMeasure) -> Fraction:
+    """The atom masses added one `Fraction` at a time."""
+    return sum((a.mass for a in mu.atoms), Fraction(0))
+
+
+def literal_stage_support(s: int, mu: DiscreteMeasure) -> Fraction | None:
+    """The first atom outside the open stage-s window, by a `Fraction` scan of every atom."""
     window = stage_window(s)
-    for a in mu.atoms:
-        if not window.contains(a.position):
-            return SupportCheck(s, False, a.position)
-    return SupportCheck(s, True, None)
+    return next((a.position for a in mu.atoms if not window.contains(a.position)), None)
 
 
-def literal_cell_mass(s: int, mu: DiscreteMeasure) -> CellMassCheck:
-    """Cell masses by `Fraction` arithmetic: each atom's cell is floor(p + 1/2),
-    and an atom at distance >= 1/3 from it, or in a cell past the stage, is a stray."""
+def literal_cell_mass(s: int, mu: DiscreteMeasure
+                      ) -> tuple[tuple[tuple[int, Fraction], ...], tuple[Fraction, ...]]:
+    """(bad cells, strays) by `Fraction` arithmetic: each atom's cell is floor(p + 1/2),
+    an atom at distance >= 1/3 from it, or in a cell past the stage, is a stray,
+    and a bad cell is (n, its mass) for every cell |n| <= the bound whose mass is not 1."""
     bound = cell_center_bound(s)
     third = Fraction(1, 3)
     totals: dict[int, Fraction] = {}
@@ -252,4 +255,17 @@ def literal_cell_mass(s: int, mu: DiscreteMeasure) -> CellMassCheck:
     bad = [(n, totals.get(n, Fraction(0)))
            for n in range(-bound, bound + 1)
            if totals.get(n, Fraction(0)) != 1]
-    return CellMassCheck(s, not bad and not strays, tuple(bad), tuple(strays))
+    return tuple(bad), tuple(strays)
+
+
+def literal_min_gap(mu: DiscreteMeasure) -> Fraction | None:
+    """The least `Fraction` difference of neighbouring positions, sorted afresh; None below two atoms."""
+    positions = sorted(mu.positions())
+    return min((b - a for a, b in zip(positions, positions[1:])), default=None)
+
+
+def literal_scan(s: int, mu: DiscreteMeasure) -> StageScan:
+    """The stage scan of mu assembled from the literal scans above."""
+    bad, strays = literal_cell_mass(s, mu)
+    return StageScan(s, len(mu.atoms), literal_total_mass(mu), literal_stage_support(s, mu),
+                     bad, strays, literal_min_gap(mu))

@@ -28,22 +28,19 @@ from apmeasure import (
     sparsity_bound,
     stage_window,
     triangle_test_function,
-    verify_cell_mass,
     verify_mass_decay,
+    verify_stage_scan,
     verify_stage_stability,
-    verify_stage_support,
     verify_tail_estimate,
     almost_period_certificate,
     almost_period_defect,
 )
-from apmeasure.construction import _stage_cache
 from helpers import brute_count_sup, integer_comb, perturbed_comb
 
 TRIANGLE = triangle_test_function()
 
 
 def test_criterion_01_stage_reproduction():
-    _stage_cache.clear()
     start = time.perf_counter()
     mu1 = build_stage(1).measure
     elapsed = time.perf_counter() - start
@@ -61,7 +58,6 @@ def test_criterion_01_stage_reproduction():
 
 
 def test_criterion_02_counting_and_mass_laws():
-    _stage_cache.clear()
     start = time.perf_counter()
     expected_counts = [1, 5, 45, 585, 9945, 208845]
     for s in range(6):
@@ -81,10 +77,10 @@ def test_criterion_02_counting_and_mass_laws():
 
 def test_criterion_03_cell_mass():
     for s in range(1, 5):
-        report = verify_cell_mass(s)
-        assert report.holds, (s, report.bad_cells, report.stray_positions)
-        assert not report.stray_positions  # support inside the union of cells
-        assert verify_stage_support(s).holds
+        scan = verify_stage_scan(s)
+        assert not scan.bad_cells, (s, scan.bad_cells)
+        assert not scan.strays  # support inside the union of cells
+        assert scan.offender is None
     print("ACCEPTANCE 3 PASS: unit mass on every full cell and confined support, s=1..4")
 
 
@@ -211,9 +207,8 @@ def test_criterion_11_negative_controls():
     idx = next(i for i, (p, _) in enumerate(pairs) if p == 3 - F(1, 512))
     pairs[idx] = (pairs[idx][0], pairs[idx][1] + F(1, 8))
     corrupted = make_measure(pairs, mu2.window)
-    report = verify_cell_mass(2, corrupted)
-    assert not report.holds
-    assert report.bad_cells and report.bad_cells[0][0] == 3  # named witness cell
+    scan = verify_stage_scan(2, corrupted)
+    assert scan.bad_cells and scan.bad_cells[0][0] == 3  # named witness cell
 
     with pytest.raises(HarnessConfigError):
         HarnessConfig(v=F(1, 16), n=3, epsilon=F(1, 8),

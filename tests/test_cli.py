@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -107,19 +108,46 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "4", "--cap", "10000")
         assert code == 1 and "cap" in err
 
-    def test_builds_no_next_stage(self, capsys, monkeypatch):
-        build_stage = construction.build_stage
+    def test_builds_no_stage(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "s2.json"
+        save_measure(build_stage(2).measure, path)
 
-        def up_to_four(s, *args, **kwargs):
-            if s > 4:
-                raise AssertionError(f"verify 4 must not build stage {s}")
-            return build_stage(s, *args, **kwargs)
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify must not build a stage or make its atoms")
 
-        monkeypatch.setattr(construction, "build_stage", up_to_four)
-        monkeypatch.setattr(construction, "_stage_cache", {})
-        code, out, _ = run(capsys, "verify", "4")
-        assert code == 0 and "overall: PASS" in out
-        assert sorted(construction._stage_cache) == [4]
+        # the kernel's grid pairs become `Atom`s only through `_Query.atoms`
+        monkeypatch.setattr(construction, "build_stage", refuse)
+        monkeypatch.setattr(construction._Query, "atoms", refuse)
+        for argv in (("verify", "4"), ("verify", "2", "--measure", str(path))):
+            code, out, _ = run(capsys, *argv)
+            assert code == 0 and "overall: PASS" in out
+
+    def test_cell_budget_covers_a_file(self, tmp_path, capsys):
+        # a stage-1 file checked as stage 5 has 243 cells to scan
+        path = tmp_path / "s1.json"
+        save_measure(build_stage(1).measure, path)
+        code, _, err = run(capsys, "verify", "5", "--measure", str(path), "--cap", "100")
+        assert code == 1 and "cap" in err
+        start = time.perf_counter()
+        code, _, err = run(capsys, "verify", "30", "--measure", str(path))
+        assert code == 1 and "cap" in err
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("argv", [("build", "1500", "--out", "unused.json"),
+                                      ("verify", "100000")], ids=["build", "verify"])
+    def test_huge_stage_trips_the_cap_quickly(self, capsys, argv):
+        # the closed-form count stops at the first stage past the cap
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == f"error: stage {argv[1]} needs at least 151412625 atoms, cap is 10000000\n"
+        assert time.perf_counter() - start < 1.0
+
+    def test_next_stage_cap_message(self, capsys):
+        # a count that passes the cap only at the stage asked for is printed whole
+        code, _, err = run(capsys, "verify", "3", "--cap", "9944")
+        assert code == 1
+        assert err == "error: stage 4 needs 9945 atoms, cap is 9944\n"
 
     def test_decimal_flag(self, capsys):
         code, out, _ = run(capsys, "verify", "1", "--tail-max", "2", "--decimal", "4")
@@ -179,7 +207,6 @@ class TestAp:
             raise AssertionError("ap must not build a stage")
 
         monkeypatch.setattr(construction, "build_stage", refuse)
-        monkeypatch.setattr(construction, "_stage_cache", {})
         code, out, _ = run(capsys, *AP3_FAR)
         assert code == 0 and out == ap3_table
 

@@ -1,15 +1,13 @@
 import math
 from fractions import Fraction as F
-from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apmeasure import (
     AtomBudgetError,
     Interval,
-    StageMeasure,
     StageStabilityError,
     averaging_radius,
     build_stage,
@@ -20,16 +18,15 @@ from apmeasure import (
     radius_series_tail_bound,
     restrict,
     stage_window,
-    verify_cell_mass,
     verify_mass_decay,
+    verify_stage_scan,
     verify_stage_stability,
-    verify_stage_support,
     verify_tail_estimate,
 )
 from apmeasure import construction
 from apmeasure.construction import cell_center_bound
 from apmeasure.measures import make_measure
-from helpers import literal_cell_mass, literal_stage, literal_stage_support
+from helpers import literal_scan, literal_stage
 
 
 def atoms_of(mu):
@@ -101,8 +98,7 @@ class TestLiteralOracle:
 
     @pytest.mark.parametrize("s", range(5))
     def test_builder_matches(self, s):
-        with mock.patch.dict(construction._stage_cache, clear=True):
-            built = atoms_of(build_stage(s).measure)
+        built = atoms_of(build_stage(s).measure)
         assert built == [(p, m) for p, m, _ in literal_stage(s)]
 
     @pytest.mark.parametrize("lo_open", [False, True])
@@ -111,8 +107,7 @@ class TestLiteralOracle:
         # both ends inside the outermost stage-3 clusters, so the side blocks are clipped
         literal = literal_stage(3)
         J = Interval(literal[1][0], literal[-2][0], lo_open, hi_open)
-        with mock.patch.dict(construction._stage_cache, clear=True):
-            windowed = atoms_of(limit_window(J))
+        windowed = atoms_of(limit_window(J))
         assert windowed == [(p, m) for p, m, _ in literal if J.contains(p)]
 
     @pytest.mark.parametrize("s", range(4))
@@ -132,12 +127,28 @@ class TestLiteralOracle:
 class TestSupportAndCells:
     def test_support(self):
         for s in range(3):
-            assert verify_stage_support(s).holds
+            assert verify_stage_scan(s).offender is None
 
     def test_cell_mass_small_stages(self):
         for s in range(3):
-            report = verify_cell_mass(s)
-            assert report.holds and not report.bad_cells and not report.stray_positions
+            scan = verify_stage_scan(s)
+            assert not scan.bad_cells and not scan.strays
+
+    def test_count_and_mass(self):
+        for s in range(4):
+            scan = verify_stage_scan(s)
+            assert (scan.atoms, scan.total_mass) == (projected_atom_count(s), 3 ** s)
+
+    def test_stage_cap(self):
+        with pytest.raises(AtomBudgetError, match="stage 3 needs 585 atoms, cap is 100$"):
+            verify_stage_scan(3, atom_cap=100)
+
+    def test_cell_budget(self):
+        # stage 5 has 243 cells: a file is charged its cells, not its atoms
+        mu = build_stage(1).measure
+        assert verify_stage_scan(5, mu, atom_cap=243).bad_cells[0] == (-121, 0)
+        with pytest.raises(AtomBudgetError, match="stage 5 has 3\\^5 lattice cells, cap is 242$"):
+            verify_stage_scan(5, mu, atom_cap=242)
 
     def test_stage1_side_cell(self):
         mu1 = build_stage(1).measure
@@ -151,14 +162,13 @@ class TestSupportAndCells:
         idx = next(i for i, (p, _) in enumerate(pairs) if p == 3 - F(1, 512))
         pairs[idx] = (pairs[idx][0], F(5, 4))
         bad = make_measure(pairs, mu2.window)
-        report = verify_cell_mass(2, bad)
-        assert not report.holds
-        assert report.bad_cells == ((3, F(2)),)
+        scan = verify_stage_scan(2, bad)
+        assert scan.bad_cells == ((3, F(2)),) and not scan.strays
 
     def test_stray_atom_detected(self):
         mu = make_measure([(0, 1), (F(1, 2), 1)], stage_window(0).closure().widen(1))
-        report = verify_cell_mass(0, mu)
-        assert not report.holds and F(1, 2) in report.stray_positions
+        scan = verify_stage_scan(0, mu)
+        assert scan.strays == (F(1, 2),) and not scan.bad_cells and scan.offender == F(1, 2)
 
 
 @st.composite
@@ -188,12 +198,27 @@ def perturbed_stages(draw):
     return s, make_measure(pairs, window.closure().widen(2))
 
 
-@given(perturbed_stages())
-@settings(max_examples=150, deadline=None)
+@st.composite
+def off_grid_measures(draw):
+    """A stage s <= 3 and up to 8 atoms anywhere near its window, each
+    position over 7, 11 or 16 (7 and 11 divide no stage grid) and each mass
+    a signed fraction."""
+    s = draw(st.integers(min_value=0, max_value=3))
+    window = stage_window(s).closure().widen(2)
+    position = st.builds(lambda den, x: F(math.floor(x * den), den), st.sampled_from([7, 11, 16]),
+                         st.fractions(min_value=window.lo, max_value=window.hi))
+    mass = st.fractions(min_value=-2, max_value=2, max_denominator=12).filter(bool)
+    pairs = draw(st.lists(st.tuples(position, mass), max_size=8))
+    return s, make_measure(pairs, window.widen(1))
+
+
+@given(perturbed_stages() | off_grid_measures())
+@example((0, make_measure([], Interval.closed(-1, 1))))
+@example((2, make_measure([(F(1, 7), F(1, 3))], Interval.closed(-1, 1))))
+@settings(max_examples=200, deadline=None)
 def test_certificates_match_literal_scans(case):
     s, mu = case
-    assert verify_cell_mass(s, mu) == literal_cell_mass(s, mu)
-    assert verify_stage_support(s, mu) == literal_stage_support(s, mu)
+    assert verify_stage_scan(s, mu) == literal_scan(s, mu)
 
 
 class TestTailEstimate:
@@ -287,6 +312,7 @@ def decay_windows(s, literal):
                Interval.open(literal[len(literal) // 3][0], literal[len(literal) // 2 + 290][0])]
     witness = literal_decay(s, windows[2], literal)[1]
     windows.append(Interval(witness, 14, lo_open=True))  # the closed window's witness left out
+    windows.append(stage_window(s + 1).closure())
     return [J for J in windows
             if J.contains_interval(inner) and (J.lo, J.hi) != (inner.lo, inner.hi)]
 
@@ -339,46 +365,23 @@ class TestLimitWindow:
             raise AssertionError("limit_window must not build a stage")
 
         monkeypatch.setattr(construction, "build_stage", refuse)
-        monkeypatch.setattr(construction, "_stage_cache", {})
         # the window needs stage 10: the whole cell at 3^9 and half of each neighbour
         out = limit_window(Interval.closed(3 ** 9 - 1, 3 ** 9 + 1))
         assert out.total_mass == 2
         assert restrict(out, Interval.open(3 ** 9 - F(1, 3), 3 ** 9 + F(1, 3))).total_mass == 1
-        assert construction._stage_cache == {}
 
     def test_cap_bounds_the_expansion(self):
         # the window needs stage 9; its expansion passes 10k atoms long before the end
         with pytest.raises(AtomBudgetError, match="cap is 10000"):
             limit_window(Interval.closed(-3 ** 8, 3 ** 8), atom_cap=10_000)
 
-    def test_cached_stage_gives_the_same_window(self):
-        # the kernel expands from the origin whether or not the covering stage
-        # is cached; the window (3/2, 13] cuts stage-3 clusters at both ends
+    def test_budget_outcome(self):
+        # (3/2, 13] cuts stage-3 clusters at both ends; its expansion returns
+        # 266 atoms and charges 317, counting the sources of the side blocks
         J = Interval(F(3, 2), F(13), True, False)
-        s = construction._covering_stage(J)
-        with mock.patch.dict(construction._stage_cache, clear=True):
-            build_stage(s)
-            cached = limit_window(J)
-            cap = len(cached) - 1
-            with pytest.raises(AtomBudgetError, match=f"cap is {cap}$"):
-                limit_window(J, atom_cap=cap)
-            construction._stage_cache.clear()
-            assert limit_window(J) == cached
-            with pytest.raises(AtomBudgetError, match=f"cap is {cap}$"):
-                limit_window(J, atom_cap=cap)
-            assert construction._stage_cache == {}
-
-    @pytest.mark.parametrize("cached", [True, False], ids=["cached", "uncached"])
-    def test_budget_outcome_ignores_the_cache(self, cached):
-        # (3/2, 13] returns 266 atoms and charges 317 in both cache states:
-        # the kernel never reads a cached stage
-        J = Interval(F(3, 2), F(13), True, False)
-        with mock.patch.dict(construction._stage_cache, clear=True):
-            if cached:
-                build_stage(construction._covering_stage(J))
-            with pytest.raises(AtomBudgetError, match="cap is 316$"):
-                limit_window(J, atom_cap=316)
-            assert len(limit_window(J, atom_cap=317)) == 266
+        with pytest.raises(AtomBudgetError, match="cap is 316$"):
+            limit_window(J, atom_cap=316)
+        assert len(limit_window(J, atom_cap=317)) == 266
 
     def test_unstable_stage_is_reported(self, monkeypatch):
         # a new block of stage s+1 that lands in J means stage s was not frozen there
@@ -417,64 +420,7 @@ def stage_subwindows(draw):
 @settings(max_examples=60, deadline=None)
 def test_window_expansion_agrees_with_builder(case):
     s, J = case
-    stage = build_stage(s)
-    with mock.patch.dict(construction._stage_cache, clear=True):
-        windowed = limit_window(J)
-        assert construction._stage_cache == {}
-    assert windowed == restrict(stage.measure, J)
-
-
-def charged(call) -> int:
-    """The atoms `call()` charges to the budgets of the queries it makes."""
-    queries = []
-
-    class Recording(construction._Query):
-        def __init__(self, *args):
-            super().__init__(*args)
-            queries.append(self)
-
-    with mock.patch.object(construction, "_Query", Recording):
-        call()
-    return sum(q.used for q in queries)
-
-
-@given(stage_subwindows())
-@settings(max_examples=40, deadline=None)
-def test_window_charge_ignores_the_cache(case):
-    s, J = case
-    build_stage(s)
-    cached = charged(lambda: limit_window(J))
-    with mock.patch.dict(construction._stage_cache, clear=True):
-        assert charged(lambda: limit_window(J)) == cached
-
-
-@pytest.mark.parametrize("s", [1, 2, 3])
-def test_decay_charge_ignores_the_cache(s):
-    J = stage_window(s + 1).closure()
-    build_stage(s + 1)
-    cached = charged(lambda: verify_mass_decay(s, J))
-    with mock.patch.dict(construction._stage_cache, clear=True):
-        assert charged(lambda: verify_mass_decay(s, J)) == cached
-
-
-def test_wrong_cached_stage_is_never_read(literal_four):
-    # stage 1 with the origin's mass halved: on the grid, so a kernel that
-    # read the cache would return it, but not stage 1
-    atoms = [(p, F(1, 2)) for p, _, _ in literal_stage(1)]
-    wrong = StageMeasure(1, make_measure(atoms, stage_window(1).closure()))
-    J = Interval.closed(-4, 4)
-    decay_J = stage_window(2).closure()
-    with mock.patch.dict(construction._stage_cache, {1: wrong}, clear=True):
-        assert atoms_of(limit_window(J)) == [(p, m) for p, m in literal_four if J.contains(p)]
-        report = verify_mass_decay(1, decay_J)
-        assert (report.max_mass_outside, report.witness, report.holds) == \
-            literal_decay(1, decay_J, literal_four)
-        for s in (1, 2):
-            window = stage_window(s).closure()
-            literal_stable = [(p, m) for p, m, _ in literal_stage(s + 1) if window.contains(p)] \
-                == [(p, m) for p, m, _ in literal_stage(s)]
-            assert verify_stage_stability(s) == literal_stable
-        assert atoms_of(build_stage(2).measure) == [(p, m) for p, m, _ in literal_stage(2)]
+    assert limit_window(J) == restrict(build_stage(s).measure, J)
 
 
 class TestStability:
@@ -552,7 +498,7 @@ class TestClusterCertificate:
 class TestSeparation:
     def test_min_gap_floor(self):
         for s in (1, 2, 3):
-            gap = build_stage(s).measure.min_gap()
+            gap = verify_stage_scan(s).min_gap
             floor = averaging_radius(s) / s - 2 * radius_series_tail_bound(s + 1)
             assert gap > 0
             assert gap >= floor

@@ -12,7 +12,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from apmeasure import DiscreteMeasure, Interval, build_stage, make_measure, restrict
+from apmeasure import DiscreteMeasure, Interval, build_stage, make_measure, restrict, stage_window
 from apmeasure.cli import main
 from apmeasure.serialize import save_measure
 
@@ -40,6 +40,15 @@ STDOUT = {
         "d58056596fd3d8dc127d1aa2c5f5dedaa58bad2d7e5474401d7826161ef4a3cd",
     ("verify", "5"):
         "e6f12c3df1769db641f438b9917e5236f72e77e015e108c7f256e9dafa396621",
+}
+
+# `verify --measure` on a stage file: the stage-4 file, all PASS, and a
+# stage-3 file with one mass doubled, one atom moved onto a half-integer and
+# one atom moved past the window end, which fails with an offender, bad
+# cells, strays and a `min_gap` line
+VERIFY_MEASURE = {
+    "stage4.json": "b2e0e86a114775033b94898a15c4c685d64449ffb3b27f373aa145594dd2f0d2",
+    "corrupt3.json": "41d5c47fdd80d7b0b98a796196af672f8b662687892dbcc870559166300e973f",
 }
 
 # `ap 2 --epsilon 1/10 --range 81 --out-report`: every shift's exact defect and witness
@@ -132,3 +141,26 @@ def test_psi_stdout(tmp_path):
                      "--nu", str(tmp_path / "double.json"), *PSI_ARGS]) == 0
     got = sha256(buf.getvalue().encode())
     assert got == PSI_STAGE4, f"`apmeasure psi` on stage 4, -40:40: stdout digest {got}"
+
+
+def corrupted_stage3() -> DiscreteMeasure:
+    atoms = build_stage(3).measure.atoms
+    pairs = [(a.position, a.mass) for a in atoms]
+    pairs[0] = (pairs[0][0], 2 * pairs[0][1])
+    moved = next(i for i, (p, _) in enumerate(pairs) if p == 3 - F(1, 512))
+    pairs[moved] = (F(7, 2), pairs[moved][1])
+    pairs[-1] = (F(14), pairs[-1][1])
+    return make_measure(pairs, stage_window(3).closure().widen(2))
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_MEASURE))
+def test_verify_measure_stdout(name, tmp_path, monkeypatch):
+    s, mu, code = (4, build_stage(4).measure, 0) if name == "stage4.json" \
+        else (3, corrupted_stage3(), 1)
+    save_measure(mu, tmp_path / name)
+    monkeypatch.chdir(tmp_path)  # stdout names the file
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(["verify", str(s), "--measure", name]) == code
+    got = sha256(buf.getvalue().encode())
+    assert got == VERIFY_MEASURE[name], f"`apmeasure verify {s} --measure {name}`: stdout digest {got}"
