@@ -133,8 +133,8 @@ def cmd_verify(args) -> int:
     cells_ok = not scan.bad_cells and not scan.strays
     detail = f"cells={2 * construction.cell_center_bound(s) + 1}"
     if not cells_ok:
-        bits = [f"cell n={n} mass={fmt(m, cfg)}" for n, m in scan.bad_cells[:3]]
-        bits += [f"stray atom at {p}" for p in scan.strays[:3]]
+        bits = [f"cell n={n} mass={fmt(m, cfg)}" for n, m in scan.bad_cells]
+        bits += [f"stray atom at {p}" for p in scan.strays]
         detail = "; ".join(bits)
     ok &= _check(f"cell_mass s={s}", cells_ok, detail)
 

@@ -23,7 +23,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Iterator, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 from .measures import (
     Atom,
@@ -112,8 +113,8 @@ def _check_stage_cap(s: int, atom_cap: int | None) -> int:
     return cap
 
 
-def _stage_pairs(s: int, atom_cap: int | None) -> tuple[_Query, list[tuple[int, int]]]:
-    """The (position, mass) grid pairs of stage s, and the query whose grid they are on.
+def _stage_pairs(s: int, atom_cap: int | None) -> tuple[_Query, Iterator[tuple[int, int]]]:
+    """The (position, mass) grid pairs of stage s as a stream, and the query whose grid they are on.
 
     Raises `AtomBudgetError` before any work if n_s exceeds the cap (default
     10**7).  The expansion runs from the origin over the whole stage window
@@ -222,30 +223,30 @@ class _Query:
         return (3 ** s - 1) * self.D // 2 + self.D // 3
 
     def offsets(self, k: int) -> tuple[int, ...]:
-        """The stage-k averaging offsets on the grid, increasing."""
+        """The stage-k averaging offsets on the grid; raises unless they increase."""
         if k not in self._offsets:
-            self._offsets[k] = tuple(self.pos(off) for off in averaging_offsets(k))
+            offsets = tuple(self.pos(off) for off in averaging_offsets(k))
+            if not all(a < b for a, b in zip(offsets, offsets[1:])):
+                raise AssertionError(f"stage {k} averaging offsets do not increase")
+            self._offsets[k] = offsets
         return self._offsets[k]
 
-    def atoms(self, pairs: list) -> tuple[Atom, ...]:
-        """(position, mass) grid pairs as `Atom`s; atoms of one mass share its `Fraction`.
-
-        Each pair is replaced in `pairs` by its atom, so the pairs are freed
-        as the atoms are made.
-        """
+    def atoms(self, pairs: Iterable[tuple[int, int]]) -> tuple[Atom, ...]:
+        """(position, mass) grid pairs as `Atom`s; atoms of one mass share its `Fraction`."""
         D, M = self.D, self.M
         masses: dict[int, Fraction] = {}
-        for i, (p, m) in enumerate(pairs):
+        out = []
+        for p, m in pairs:
             mass = masses.get(m)
             if mass is None:
                 mass = masses[m] = Fraction(m, M)
-            pairs[i] = Atom(Fraction(p, D), mass)
-        return tuple(pairs)
+            out.append(Atom(Fraction(p, D), mass))
+        return tuple(out)
 
 
 def _side_sources(s: int, J: tuple[int, int], query: _Query
-                  ) -> Iterator[tuple[int, list[tuple[int, int]]]]:
-    """(shift, source atoms) for the two blocks stage s adds around its copy of stage s-1, left first.
+                  ) -> Iterator[tuple[int, Iterator[tuple[int, int]]]]:
+    """(shift, source stream) for the two blocks stage s adds around its copy of stage s-1, left first.
 
     J is a closed range of grid points.  Each block is stage s-1 shifted by
     -+3^(s-1) and averaged; its source is the stage-(s-1) atoms within one
@@ -259,34 +260,29 @@ def _side_sources(s: int, J: tuple[int, int], query: _Query
         yield sh, _atoms_within(s - 1, (lo - sh - radius, hi - sh + radius), query)
 
 
-def _groups(s: int, sh: int, source: list[tuple[int, int]], J: tuple[int, int],
+def _groups(s: int, sh: int, source: Iterable[tuple[int, int]], J: tuple[int, int],
             query: _Query) -> Iterator[tuple[int, int, tuple[int, ...] | list[int]]]:
     """The averaged copies in J of one shifted source block, one group per source atom.
 
     A source atom at p stands for the 2s atoms base + offset (base = p + sh,
-    offsets from `averaging_offsets(s)`, increasing), all of mass
-    mass_p/(2s); the group is (base, mass, offsets kept in J).  Containment
-    is tested at the two ends of the block, then of each group, and only a
-    group that J cuts is tested atom by atom.  The atoms are charged to the
-    budget before a block inside J is expanded, else as each group is made.
+    offsets from `_Query.offsets`, increasing), all of mass mass_p/(2s); the
+    group is (base, mass, offsets kept in J).  Containment is tested at the
+    two ends of each group, and only a group that J cuts is tested atom by
+    atom.  Each group's kept atoms are charged to the budget as it is made,
+    so a budget trips at most one group past the cap.
     """
     lo, hi = J
     offsets = query.offsets(s)
     first, last = offsets[0], offsets[-1]
     weight = 2 * s
-    whole = bool(source) and lo <= source[0][0] + sh + first \
-        and source[-1][0] + sh + last <= hi
-    if whole:
-        query.charge(len(source) * len(offsets))
     for pos, mass in source:
         base = pos + sh
         kept = offsets
-        if not whole:
-            if not (lo <= base + first and base + last <= hi):
-                kept = [off for off in offsets if lo <= base + off <= hi]
-                if not kept:
-                    continue
-            query.charge(len(kept))
+        if not (lo <= base + first and base + last <= hi):
+            kept = [off for off in offsets if lo <= base + off <= hi]
+            if not kept:
+                continue
+        query.charge(len(kept))
         mass, rem = divmod(mass, weight)
         if rem:
             raise AssertionError(f"stage {s}: a source mass is not divisible by {weight}")
@@ -294,12 +290,10 @@ def _groups(s: int, sh: int, source: list[tuple[int, int]], J: tuple[int, int],
 
 
 def _side_blocks(s: int, J: tuple[int, int], query: _Query
-                 ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """The atoms in the grid range J of the two blocks stage s adds around its copy of stage s-1."""
-    left, right = ([(base + off, mass) for base, mass, kept in _groups(s, sh, source, J, query)
-                    for off in kept]
-                   for sh, source in _side_sources(s, J, query))
-    return left, right
+                 ) -> Iterator[tuple[int, int, tuple[int, ...] | list[int]]]:
+    """The groups in the grid range J of the two blocks stage s adds around its copy of stage s-1."""
+    for sh, source in _side_sources(s, J, query):
+        yield from _groups(s, sh, source, J, query)
 
 
 def _misses(s: int, J: tuple[int, int], query: _Query) -> bool:
@@ -309,26 +303,49 @@ def _misses(s: int, J: tuple[int, int], query: _Query) -> bool:
     return max(lo, 1 - half) > min(hi, half - 1)
 
 
-def _atoms_within(s: int, J: tuple[int, int], query: _Query) -> list[tuple[int, int]]:
-    """(position, mass) grid pairs of the stage-s measure in the closed grid
-    range J, without materializing the stage: branches that cannot land in J
-    are pruned.
+def _stage_groups(t: int, floor: int, J: tuple[int, int], query: _Query
+                  ) -> Iterator[tuple[int, int, tuple[int, ...] | list[int]]]:
+    """The averaging groups (base, mass, kept offsets) of stage t in the grid range J, left to right.
 
-    It always expands from the origin and never reads the stage cache, so
-    what it returns and charges depends on s, J and the grid alone.
+    Stage t is, in position order, the left blocks of stages t..floor+1,
+    stage `floor`, and the right blocks of stages floor+1..t (see `_groups`;
+    a block's source streams from `_atoms_within`).  Stage 0 is the
+    origin's one group; a stage floor > 0 is not expanded but stands in as
+    one massless group spanning its closed window.  Stages whose window
+    misses J are pruned.  Strict increase is proved here, each group's end
+    against the next group's start; inside a group the offsets increase.
     """
-    if _misses(s, J, query):
-        return []
     lo, hi = J
-    if s == 0:
-        return [(0, query.M)] if lo <= 0 <= hi else []
-    left, right = _side_blocks(s, J, query)
-    out = left + _atoms_within(s - 1, J, query) + right
-    for (p, _), (q, _) in zip(out, out[1:]):
-        if not p < q:
-            raise AssertionError(f"windowed stage {s}: atom collision at "
-                                 f"{Fraction(p, query.D)} / {Fraction(q, query.D)}")
-    return out
+    if floor:
+        half = query.half_width(floor)
+        middle = [(0, 0, (-half, half))]
+    else:
+        middle = [(0, query.M, (0,))] if lo <= 0 <= hi else []
+    # each stage's sources yield its left block, then its right one
+    sides = {k: _side_sources(k, J, query)
+             for k in range(floor + 1, t + 1) if not _misses(k, J, query)}
+    last = None
+    for k in (*reversed(sides), floor, *sides):
+        for group in middle if k == floor else _groups(k, *next(sides[k]), J, query):
+            base, _, kept = group
+            if last is not None and not last < base + kept[0]:
+                raise AssertionError(f"stage {t}: atom collision at {Fraction(last, query.D)}"
+                                     f" / {Fraction(base + kept[0], query.D)}")
+            last = base + kept[-1]
+            yield group
+
+
+def _atoms_within(s: int, J: tuple[int, int], query: _Query) -> Iterator[tuple[int, int]]:
+    """(position, mass) grid pairs of the stage-s measure in the closed grid
+    range J, streamed left to right, without materializing the stage:
+    branches that cannot land in J are pruned (see `_stage_groups`).
+
+    It always expands from the origin, so what it yields and charges
+    depends on s, J and the grid alone.
+    """
+    for base, mass, kept in _stage_groups(s, 0, J, query):
+        for off in kept:
+            yield base + off, mass
 
 
 def _covering_stage(J: Interval) -> int:
@@ -345,8 +362,7 @@ def _check_frozen(s: int, J: tuple[int, int], query: _Query) -> None:
     Stage s+1 is stage s flanked by two new blocks, so the two stages agree
     on J exactly when both new blocks miss J.
     """
-    left, right = _side_blocks(s + 1, J, query)
-    if left or right:
+    if any(_side_blocks(s + 1, J, query)):
         raise StageStabilityError(f"stage {s + 1} disagrees with stage {s} on {query.J}")
 
 
@@ -412,9 +428,10 @@ def verify_tail_estimate(n: int, terms: int = 8) -> TailEstimate:
 @dataclass(frozen=True)
 class StageScan:
     """What one pass over a stage-s measure finds: the first atom outside the
-    open stage window, the cells (n-1/3, n+1/3), |n| <= `cell_center_bound(s)`,
-    whose mass is not 1 (with that mass), the atoms strictly inside no such
-    cell, and the least gap between neighbours (None below two atoms)."""
+    open stage window, the leftmost three cells (n-1/3, n+1/3), |n| <=
+    `cell_center_bound(s)`, whose mass is not 1 (with that mass), the leftmost
+    three atoms strictly inside no such cell, and the least gap between
+    neighbours (None below two atoms)."""
 
     stage: int
     atoms: int
@@ -429,10 +446,10 @@ def verify_stage_scan(s: int, measure: DiscreteMeasure | None = None,
                       atom_cap: int | None = None) -> StageScan:
     """Count, total mass, support, unit mass per cell and least gap of stage s, in one pass.
 
-    With no `measure` the pass reads the expansion's grid pairs of stage s
-    (`_stage_pairs`) and makes no `Atom`; a measure's atoms go onto one grid
-    first, positions over D = lcm(6, their denominators) and masses over the
-    lcm of theirs.  The 3^s cells are charged to the cap before the pass.
+    With no `measure` the pass reads the expansion's stream of grid pairs
+    of stage s (`_stage_pairs`) and makes no `Atom`; a measure's atoms go
+    onto one grid first, positions over D = lcm(6, their denominators) and
+    masses over the lcm of theirs.  The 3^s cells are charged to the cap before the pass.
     The atoms must strictly increase; an atom p/D lies in cell
     n = floor(p/D + 1/2), strictly inside it when 3|p - n*D| < D.
     """
@@ -442,18 +459,19 @@ def verify_stage_scan(s: int, measure: DiscreteMeasure | None = None,
     else:
         D = math.lcm(6, common_denominator(a.position for a in measure.atoms))
         M = common_denominator(a.mass for a in measure.atoms)
-        pairs = [(a.position.numerator * (D // a.position.denominator),
-                  a.mass.numerator * (M // a.mass.denominator)) for a in measure.atoms]
+        pairs = ((a.position.numerator * (D // a.position.denominator),
+                  a.mass.numerator * (M // a.mass.denominator)) for a in measure.atoms)
     half = int(stage_window(s).hi * D)  # the open window is (-half, half); 6 | D, so exact
     bound = cell_center_bound(s)
     cap = DEFAULT_ATOM_CAP if atom_cap is None else atom_cap
     if 2 * bound + 1 > cap:
         raise AtomBudgetError(f"stage {s} has 3^{s} lattice cells, cap is {cap}")
-    total = 0
+    count = total = 0
     offender = gap = last = None
     totals: dict[int, int] = {}
     strays = []
     for p, m in pairs:
+        count += 1
         total += m
         if offender is None and not -half < p < half:
             offender = p
@@ -462,12 +480,13 @@ def verify_stage_scan(s: int, measure: DiscreteMeasure | None = None,
         last = p
         n = (2 * p + D) // (2 * D)
         if 3 * abs(p - n * D) >= D or abs(n) > bound:
-            strays.append(Fraction(p, D))
+            if len(strays) < 3:
+                strays.append(Fraction(p, D))
         else:
             totals[n] = totals.get(n, 0) + m
-    bad = tuple((n, Fraction(totals.get(n, 0), M)) for n in range(-bound, bound + 1)
-                if totals.get(n, 0) != M)
-    return StageScan(s, len(pairs), Fraction(total, M),
+    bad = tuple(islice(((n, Fraction(totals.get(n, 0), M)) for n in range(-bound, bound + 1)
+                        if totals.get(n, 0) != M), 3))
+    return StageScan(s, count, Fraction(total, M),
                      None if offender is None else Fraction(offender, D), bad, tuple(strays),
                      None if gap is None else Fraction(gap, D))
 
@@ -490,15 +509,11 @@ def verify_mass_decay(s: int, J: Interval, atom_cap: int | None = None) -> MassD
     J must strictly contain the stage window, so the check actually sees
     atoms created by later stages.  On J the limit is stage t, the smallest
     stage whose window contains J (that stage t+1 agrees with it there is
-    checked, as in `limit_window`).  Stage t is, in position order, the left
-    blocks of stages t..s+1, stage s, and the right blocks of stages s+1..t;
-    stage s lies inside its window and is never read.  The side blocks are
-    scanned one averaging group at a time (see `_groups`): one mass per
-    group, and the witness is the first atom of the first group reaching a
-    new maximum.  Strict increase is proved across the whole stream, group
-    ends against the next group's start, with stage s standing in as the
-    closure of its window.  `atom_cap` bounds the atoms the groups stand for
-    and their sources (`AtomBudgetError`).
+    checked, as in `limit_window`).  The scan reads stage t's averaging
+    groups with stage s standing in, unread, as the closure of its window
+    (`_stage_groups`): one mass per group, and the witness is the first atom
+    of the first group reaching a new maximum.  `atom_cap` bounds the atoms
+    the groups stand for and their sources (`AtomBudgetError`).
     """
     if s < 1:
         raise ValueError("mass decay bound is undefined for stage 0")
@@ -508,30 +523,11 @@ def verify_mass_decay(s: int, J: Interval, atom_cap: int | None = None) -> MassD
     t = _covering_stage(J)
     query = _Query(t + 1, J, DEFAULT_ATOM_CAP if atom_cap is None else atom_cap)
     grid_J = query.window(J)
-    sources = {}
-    for k in range(s + 1, t + 1):
-        offsets = query.offsets(k)
-        if not all(a < b for a, b in zip(offsets, offsets[1:])):
-            raise AssertionError(f"stage {k} averaging offsets do not increase")
-        sources[k] = _side_sources(k, grid_J, query)  # yields the left source, then the right one
     worst = 0
     witness: int | None = None
-    last: int | None = None
-
-    def group_spans(k):  # a block's source list is freed once its groups are scanned
-        sh, source = next(sources[k])
-        for base, mass, kept in _groups(k, sh, source, grid_J, query):
-            yield base + kept[0], base + kept[-1], mass
-
-    for k in (*range(t, s, -1), s, *range(s + 1, t + 1)):
-        spans = [(query.pos(inner.lo), query.pos(inner.hi), None)] if k == s else group_spans(k)
-        for first, end, mass in spans:
-            if last is not None and not last < first:
-                raise AssertionError(f"stage {t} on {J}: atom collision at "
-                                     f"{Fraction(last, query.D)} / {Fraction(first, query.D)}")
-            last = end
-            if mass is not None and abs(mass) > worst:
-                worst, witness = abs(mass), first
+    for base, mass, kept in _stage_groups(t, s, grid_J, query):
+        if abs(mass) > worst:
+            worst, witness = abs(mass), base + kept[0]
     _check_frozen(t, grid_J, query)
     worst_mass = Fraction(worst, query.M)
     bound = Fraction(1, 2 * s)
@@ -550,8 +546,7 @@ def verify_stage_stability(s: int, atom_cap: int | None = None) -> bool:
     cap = _check_stage_cap(s + 1, atom_cap)
     window = stage_window(s).closure()
     query = _Query(s + 1, window, cap)
-    left, right = _side_blocks(s + 1, query.window(window), query)
-    return not left and not right
+    return not any(_side_blocks(s + 1, query.window(window), query))
 
 
 @dataclass(frozen=True)

@@ -133,6 +133,18 @@ class TestVerify:
         assert code == 1 and "cap" in err
         assert time.perf_counter() - start < 1.0
 
+    def test_file_far_below_its_stage_fails_quickly(self, tmp_path, capsys):
+        # a stage-1 file checked as stage 14: 4.78M cells, all but the first three
+        # bad ones walked without a `Fraction`
+        path = tmp_path / "s1.json"
+        save_measure(build_stage(1).measure, path)
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "verify", "14", "--measure", str(path), "--tail-max", "2")
+        assert code == 1
+        assert "cell_mass s=14: FAIL cell n=-2391484 mass=0; cell n=-2391483 mass=0; " \
+            "cell n=-2391482 mass=0" in out
+        assert time.perf_counter() - start < 2.0
+
     @pytest.mark.parametrize("argv", [("build", "1500", "--out", "unused.json"),
                                       ("verify", "100000")], ids=["build", "verify"])
     def test_huge_stage_trips_the_cap_quickly(self, capsys, argv):

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -218,7 +220,24 @@ def off_grid_measures(draw):
 @settings(max_examples=200, deadline=None)
 def test_certificates_match_literal_scans(case):
     s, mu = case
-    assert verify_stage_scan(s, mu) == literal_scan(s, mu)
+    literal = literal_scan(s, mu)  # the scan keeps only the leftmost three bad cells and strays
+    assert verify_stage_scan(s, mu) == dataclasses.replace(
+        literal, bad_cells=literal.bad_cells[:3], strays=literal.strays[:3])
+
+
+@pytest.mark.parametrize("check", [lambda: verify_stage_scan(4),
+                                   lambda: verify_mass_decay(4, stage_window(5))],
+                         ids=["stage-scan", "mass-decay"])
+def test_expansion_streams(check):
+    # stage 4 has 9945 atoms and the decay scan reads stage 5's side blocks;
+    # neither is ever held as one list
+    tracemalloc.start()
+    try:
+        check()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
 
 
 class TestTailEstimate:
@@ -253,6 +272,27 @@ class TestTailEstimate:
             verify_tail_estimate(0)
 
 
+# sources are (position, mass) pairs on the query's integer grid; grid.M is mass 1
+COLLIDING_SOURCES = pytest.mark.parametrize("alter", [
+    # a source atom one radius right of the first: its group starts inside the first group
+    lambda source, grid: [source[0], (source[0][0] + grid.pos(averaging_radius(2)), grid.M),
+                          *source[1:]],
+    # a source atom that the shift -3 takes to the origin, inside the stage-1 window
+    lambda source, grid: [*source, (grid.pos(F(3)), grid.M)],
+], ids=["overlapping-groups", "group-inside-stage-window"])
+
+
+def alter_stage_two_source(monkeypatch, alter):
+    """Make `alter` rewrite the source of stage 2's left block."""
+    side_sources = construction._side_sources
+
+    def altered(s, J, budget):
+        for sh, source in side_sources(s, J, budget):
+            yield sh, alter(list(source), budget) if s == 2 and sh < 0 else source
+
+    monkeypatch.setattr(construction, "_side_sources", altered)
+
+
 class TestMassDecay:
     def test_stage1(self):
         report = verify_mass_decay(1, Interval.closed(-5, 5))
@@ -276,24 +316,18 @@ class TestMassDecay:
         with pytest.raises(ValueError):
             verify_mass_decay(1, stage_window(1))
 
-    # sources are (position, mass) pairs on the query's integer grid; grid.M is mass 1
-    @pytest.mark.parametrize("alter", [
-        # a source atom one radius right of the first: its group starts inside the first group
-        lambda source, grid: [source[0], (source[0][0] + grid.pos(averaging_radius(2)), grid.M),
-                              *source[1:]],
-        # a source atom that the shift -3 takes to the origin, inside the stage-1 window
-        lambda source, grid: [*source, (grid.pos(F(3)), grid.M)],
-    ], ids=["overlapping-groups", "group-inside-stage-window"])
+    @COLLIDING_SOURCES
     def test_collisions_are_reported(self, monkeypatch, alter):
-        side_sources = construction._side_sources
-
-        def altered(s, J, budget):
-            for sh, source in side_sources(s, J, budget):
-                yield sh, alter(source, budget) if s == 2 and sh < 0 else source
-
-        monkeypatch.setattr(construction, "_side_sources", altered)
+        alter_stage_two_source(monkeypatch, alter)
         with pytest.raises(AssertionError, match="collision"):
             verify_mass_decay(1, stage_window(2))
+
+
+@COLLIDING_SOURCES
+def test_expansion_collisions_are_reported(monkeypatch, alter):
+    alter_stage_two_source(monkeypatch, alter)
+    with pytest.raises(AssertionError, match="collision"):
+        verify_stage_scan(2)
 
 
 @pytest.fixture(scope="module")
