@@ -60,9 +60,9 @@ from .piecewise import (
     almost_period_certificate,
     almost_period_defect,
     bump,
+    convolution_sup,
     convolution_value,
     convolve,
-    sup_abs,
     triangle_test_function,
 )
 

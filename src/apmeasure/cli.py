@@ -119,6 +119,8 @@ def cmd_verify(args) -> int:
     if args.measure:
         mu = serialize.load_measure(args.measure)
         print(f"verifying {args.measure} as stage {s}")
+    else:  # first: its closed-form caps refuse a run before the scan's work
+        stable = construction.verify_stage_stability(s, cfg.atom_cap)
     scan = construction.verify_stage_scan(s, mu, cfg.atom_cap)
 
     ok = True
@@ -148,7 +150,7 @@ def cmd_verify(args) -> int:
     if args.measure:
         print("stage_stability / mass_decay: skipped for external measure files")
     else:
-        ok &= _check(f"stage_stability s={s}", construction.verify_stage_stability(s, cfg.atom_cap))
+        ok &= _check(f"stage_stability s={s}", stable)
         if s >= 1:
             decay = construction.verify_mass_decay(s, construction.stage_window(s + 1),
                                                    cfg.atom_cap)

@@ -101,6 +101,8 @@ def _check_stage_cap(s: int, atom_cap: int | None) -> int:
 
     The product stops at the first k whose running product passes the cap.
     """
+    if s < 0:
+        raise ValueError(f"stage must be >= 0, got {s}")
     cap = DEFAULT_ATOM_CAP if atom_cap is None else atom_cap
     if cap < 1:
         raise ValueError("atom cap must be >= 1")
@@ -120,8 +122,6 @@ def _stage_pairs(s: int, atom_cap: int | None) -> tuple[_Query, Iterator[tuple[i
     10**7).  The expansion runs from the origin over the whole stage window
     and asserts strict increase, so an atom collision fails loudly.
     """
-    if s < 0:
-        raise ValueError(f"stage must be >= 0, got {s}")
     _check_stage_cap(s, atom_cap)
     window = stage_window(s)
     # the closed-form count bounds this expansion; it was checked above
@@ -541,8 +541,9 @@ def verify_stage_stability(s: int, atom_cap: int | None = None) -> bool:
     Stage s+1 is a left block, stage s, then a right block, so the two agree
     there exactly when both side blocks miss the closed window; the pruned
     expansion shows that without building stage s+1.  `atom_cap` is still
-    checked against the closed-form count n_{s+1} (`AtomBudgetError`).
+    checked against the closed-form counts n_s, then n_{s+1} (`AtomBudgetError`).
     """
+    _check_stage_cap(s, atom_cap)
     cap = _check_stage_cap(s + 1, atom_cap)
     window = stage_window(s).closure()
     query = _Query(s + 1, window, cap)

@@ -27,7 +27,7 @@ from .measures import (
     sliding_count_sup,
     span_within,
 )
-from .piecewise import PiecewiseLinearFn, bump, convolution_value, convolve, sup_abs
+from .piecewise import PiecewiseLinearFn, bump, convolution_sup, convolution_value
 
 
 class HarnessConfigError(ValueError):
@@ -107,6 +107,24 @@ def _align_partial(short: Sequence[Atom], long: Sequence[Atom],
     return pairs[::-1], leftovers[::-1]
 
 
+def _escaping_pairs(pairs: Sequence[MatchedPair], K: Interval) -> Sequence[MatchedPair]:
+    """The pairs with an end outside K, in order.  The matching preserves
+    order, so the pairs with both ends in K are one index range."""
+    left_lo, left_hi = span_within(pairs, K, key=lambda p: p.left.position)
+    right_lo, right_hi = span_within(pairs, K, key=lambda p: p.right.position)
+    lo = max(left_lo, right_lo)
+    return pairs[:lo] + pairs[max(lo, min(left_hi, right_hi)):]
+
+
+def _stray_atoms(K: Interval, *unmatched: Sequence[Atom]) -> list[Atom]:
+    """The atoms of the sorted `unmatched` lists outside K, list by list, in order."""
+    stray: list[Atom] = []
+    for atoms in unmatched:
+        lo, hi = span_within(atoms, K)
+        stray += [*atoms[:lo], *atoms[hi:]]
+    return stray
+
+
 def match_close(mu: DiscreteMeasure, nu: DiscreteMeasure,
                 nested_windows: Sequence[Interval],
                 atom_cap: int = DEFAULT_ATOM_CAP) -> MatchReport:
@@ -144,21 +162,13 @@ def match_close(mu: DiscreteMeasure, nu: DiscreteMeasure,
 
     profiles = []
     for K in nested_windows:
-        # the matching preserves order, so the pairs with both ends in K are one index range
-        left_lo, left_hi = span_within(pairs, K, key=lambda p: p.left.position)
-        right_lo, right_hi = span_within(pairs, K, key=lambda p: p.right.position)
-        lo = max(left_lo, right_lo)
-        outside = pairs[:lo] + pairs[max(lo, min(left_hi, right_hi)):]
-        stray = 0
-        for atoms in (unmatched_left, unmatched_right):
-            inside_lo, inside_hi = span_within(atoms, K)
-            stray += len(atoms) - (inside_hi - inside_lo)
+        outside = _escaping_pairs(pairs, K)
         profiles.append(WindowProfile(
             window=K,
             pairs_outside=len(outside),
             max_abs_position_gap=max((abs(p.position_gap) for p in outside), default=Fraction(0)),
             max_abs_mass_gap=max((abs(p.mass_gap) for p in outside), default=Fraction(0)),
-            unmatched_outside=stray,
+            unmatched_outside=len(_stray_atoms(K, unmatched_left, unmatched_right)),
         ))
     decreasing = all(
         nxt.max_abs_position_gap <= cur.max_abs_position_gap
@@ -364,8 +374,9 @@ def origin_product_identity(mu: DiscreteMeasure, nu: DiscreteMeasure,
     sep = (3 * cfg.n + 2) * cfg.v
     hood = Interval.open(-sep, sep)
     for m in (mu, nu):
-        for a in m.atoms:
-            if a.position != 0 and hood.contains(a.position):
+        lo, hi = span_within(m.atoms, hood)
+        for a in m.atoms[lo:hi]:
+            if a.position != 0:
                 raise HarnessConfigError(
                     f"atom at {a.position} intrudes into the separation neighborhood {hood}")
     difference = mu.mass_at(0) - nu.mass_at(0)
@@ -432,34 +443,23 @@ def far_field_check(mu: DiscreteMeasure, nu: DiscreteMeasure, cfg: HarnessConfig
         raise ValueError("the compact must lie inside the common measure window")
     if match_report is None:
         match_report = match_close(mu, nu, [k, common], atom_cap)
+    far = next((p for p in _escaping_pairs(match_report.pairs, k)
+                if abs(p.position_gap) > cfg.v or abs(p.mass_gap) >= cfg.epsilon), None)
+    stray = _stray_atoms(k, match_report.unmatched_left, match_report.unmatched_right)
+    ok = far is None and not stray
     note = "position gaps within v and mass gaps below epsilon outside the compact"
-    ok = True
-    for p in match_report.pairs:
-        if k.contains(p.left.position) and k.contains(p.right.position):
-            continue
-        if abs(p.position_gap) > cfg.v or abs(p.mass_gap) >= cfg.epsilon:
-            ok = False
-            note = (f"pair ({p.left.position}, {p.right.position}) escapes the compact "
-                    f"with position gap {p.position_gap} and mass gap {p.mass_gap}")
-            break
-    if ok:
-        for at in (*match_report.unmatched_left, *match_report.unmatched_right):
-            if not k.contains(at.position):
-                ok = False
-                note = f"unmatched atom at {at.position} outside the compact"
-                break
+    if far is not None:
+        note = (f"pair ({far.left.position}, {far.right.position}) escapes the compact "
+                f"with position gap {far.position_gap} and mass gap {far.mass_gap}")
+    elif stray:
+        note = f"unmatched atom at {stray[0].position} outside the compact"
 
     if diff is None:
         diff = combine(1, mu, -1, nu)
-    factors = [convolve(phi, diff, examined) for phi in cfg.bumps()]
-    c_bound = max(sup_abs(g, examined)[0] for g in factors)
+    c_bound = max(convolution_sup(phi, diff, examined)[0] for phi in cfg.bumps())
     rhs = cfg.n * cfg.epsilon * c_bound ** (cfg.n - 1)
-    rows = []
-    for b in samples:
-        product = Fraction(1)
-        for g in factors:
-            product *= g.eval(b)
-        rows.append(FarFieldSample(b, product, rhs, abs(product) < rhs))
+    products = [(b, disagreement_product(mu, nu, cfg, b, diff)) for b in samples]
+    rows = [FarFieldSample(b, product, rhs, abs(product) < rhs) for b, product in products]
     return FarFieldReport(
         examined=examined,
         c_bound=c_bound,

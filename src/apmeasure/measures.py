@@ -194,13 +194,13 @@ def make_measure(pairs: Iterable[tuple[RationalLike, RationalLike]],
 
     Duplicate positions merge by summing masses, zero masses are dropped,
     atoms are sorted.  A position outside the window is a `WindowError`
-    naming the offending atom.
+    naming an end atom: once sorted, every position lies in the window
+    exactly when the two ends do.
     """
-    items = [(rational(p), rational(m)) for p, m in pairs]
-    for p, m in items:
+    items = sorted(((rational(p), rational(m)) for p, m in pairs), key=itemgetter(0))
+    for p, m in items[:1] + items[-1:]:
         if not window.contains(p):
             raise WindowError(f"atom at {p} (mass {m}) lies outside window {window}")
-    items.sort(key=lambda pm: pm[0])
     atoms: list[Atom] = []
     for p, m in items:
         if atoms and atoms[-1].position == p:

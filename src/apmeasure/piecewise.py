@@ -10,7 +10,7 @@ breakpoints and every certificate below is an exact rational statement.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import merge
@@ -255,26 +255,24 @@ def convolve(f: PiecewiseLinearFn, mu: DiscreteMeasure, J: Interval) -> Piecewis
 # Exact suprema and almost-period defects
 # ---------------------------------------------------------------------------
 
-def sup_abs(g: PiecewiseLinearFn, J: Interval) -> tuple[Fraction, Fraction]:
-    """Exact sup of |g| over J with its leftmost witness.
+def _sup_abs(f: PiecewiseLinearFn, parts: Sequence[tuple[tuple[Atom, ...], Fraction, int]],
+             J: Interval) -> tuple[Fraction, Fraction]:
+    """Exact sup over J of |h| for `_sweep`'s h, with its leftmost witness: h is
+    linear between the sweep's points, so the sup is the max of |value| there."""
+    D, V, points = _sweep(f, parts, J)
+    best, witness = -1, None
+    for x, value in points:
+        d = abs(value)
+        if d > best:
+            best, witness = d, x
+    return Fraction(best, V), Fraction(witness, D)
 
-    |g| is linear between J's ends and g's breakpoints inside J, so the sup
-    is the max over those points.  One walk over g's breakpoints, read from
-    its values; only J's ends are located by bisection.
-    """
-    if not g.defined_on(J):
-        raise FaithfulnessError(f"function with span {g.span} is not defined on {J}")
-    bps, vals = g.breakpoints, g.values
-    best, witness = abs(g.eval(J.lo)), J.lo
-    for i in range(bisect_right(bps, J.lo), bisect_left(bps, J.hi)):
-        d = abs(vals[i])
-        if d > best:
-            best, witness = d, bps[i]
-    if J.hi > J.lo:
-        d = abs(g.eval(J.hi))
-        if d > best:
-            best, witness = d, J.hi
-    return best, witness
+
+def convolution_sup(f: PiecewiseLinearFn, mu: DiscreteMeasure, J: Interval
+                    ) -> tuple[Fraction, Fraction]:
+    """Exact sup of |f * mu| over J with its leftmost witness: the max over
+    `convolve`'s breakpoints, faithfulness checked as there, no function built."""
+    return _sup_abs(f, ((_faithful_atoms(f, mu, J), Fraction(0), 1),), J)
 
 
 MeasureSource = Union[DiscreteMeasure, Callable[[Interval], DiscreteMeasure]]
@@ -295,23 +293,16 @@ def almost_period_defect(f: PiecewiseLinearFn, source: MeasureSource,
     measure on a requested interval.  Returns (defect, witness x), the
     witness the leftmost point of the maximum.
 
-    One sweep (`_sweep`) over the far window's atoms shifted by -tau and the
-    base window's atoms with their masses negated: the difference is linear
-    between J's ends and the distinct events inside J, so its sup is the
-    max of |value| there.  No intermediate function is built.
+    One sweep maximum (`_sup_abs`) over the far window's atoms shifted by
+    -tau and the base window's atoms with their masses negated.  No
+    intermediate function is built.
     """
     tau = rational(tau)
     pad_lo, pad_hi = f.breakpoints[0], f.breakpoints[-1]
     base_region = Interval.closed(J.lo - pad_hi, J.hi - pad_lo)
     base = _faithful_atoms(f, _measure_on(source, base_region), J)
     far = _faithful_atoms(f, _measure_on(source, base_region.translate(tau)), J.translate(tau))
-    D, V, points = _sweep(f, ((far, tau, 1), (base, Fraction(0), -1)), J)
-    best, witness = -1, None
-    for x, value in points:
-        d = abs(value)
-        if d > best:
-            best, witness = d, x
-    return Fraction(best, V), Fraction(witness, D)
+    return _sup_abs(f, ((far, tau, 1), (base, Fraction(0), -1)), J)
 
 
 @dataclass(frozen=True)

@@ -84,6 +84,23 @@ def pointwise_convolution(f, mu: DiscreteMeasure, x: Fraction) -> Fraction:
     return sum((a.mass * f.eval(x - a.position) for a in mu.atoms), Fraction(0))
 
 
+def literal_convolution_sup(f, mu: DiscreteMeasure, J: Interval) -> tuple[Fraction, Fraction]:
+    """Max of |f * mu| (and its leftmost witness) over J's ends and every
+    atom position + breakpoint of f inside J, each value a pointwise sum:
+    the reference for the library's sweep maximum."""
+    candidates = {J.lo, J.hi}
+    candidates.update(x for x in (a.position + b for a in mu.atoms for b in f.breakpoints)
+                      if J.lo < x < J.hi)
+    best = Fraction(-1)
+    witness = J.lo
+    for x in sorted(candidates):
+        d = abs(pointwise_convolution(f, mu, x))
+        if d > best:
+            best = d
+            witness = x
+    return best, witness
+
+
 def literal_sup_abs_diff(g1, g2, J: Interval) -> tuple[Fraction, Fraction]:
     """Max of |g1 - g2| (and its leftmost witness) over J's ends and both
     functions' breakpoints inside J, by a set, a sort and `eval` at every

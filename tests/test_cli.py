@@ -155,6 +155,14 @@ class TestVerify:
         assert err == f"error: stage {argv[1]} needs at least 151412625 atoms, cap is 10000000\n"
         assert time.perf_counter() - start < 1.0
 
+    def test_next_stage_cap_refuses_before_the_scan(self, capsys):
+        # n_6 passes the default cap and n_7 does not: no atom of stage 6 is scanned
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "6")
+        assert code == 1 and out == ""
+        assert err == "error: stage 7 needs 151412625 atoms, cap is 10000000\n"
+        assert time.perf_counter() - start < 1.0
+
     def test_next_stage_cap_message(self, capsys):
         # a count that passes the cap only at the stage asked for is printed whole
         code, _, err = run(capsys, "verify", "3", "--cap", "9944")

@@ -15,6 +15,7 @@ import pytest
 from apmeasure import DiscreteMeasure, Interval, build_stage, make_measure, restrict, stage_window
 from apmeasure.cli import main
 from apmeasure.serialize import save_measure
+from helpers import integer_comb, perturbed_comb
 
 STAGE_FILES = {
     0: ("e8f6512a6614b52dd5531333f44e47b2c609e131d83d8ae57fe881145ee76b25",
@@ -66,6 +67,28 @@ CONV_STAGE4 = "f25ee6d23d6cb22910ce24febd8eabcb2fb977830785413a61ff981ad882777c"
 PSI_STAGE4 = "d973b9d3cbf662f53234996b2979cedd09376de260a71ab22975fa8d79fdd99b"
 PSI_ARGS = ("--v", "1/33554432", "--u", "1/1048576", "--epsilon", "1/5",
             "--compact", "-13/3:13/3", "--samples", "9,-9,11", "--zero-identity")
+
+# `psi` and `match --psi` of the integer comb on [-30, 30] against the
+# perturbed comb with one atom changed, each failing its matching hypothesis:
+# with the atom near 28 given mass 5/4 on a named pair (and |product| = 1/64
+# at 28), with the atom near -20 removed on an unmatched atom.  Each pins
+# stdout and the far-field report; `match` hands the harness its own report.
+HARNESS_ARGS = ("--v", "1/32", "--u", "1/2", "--epsilon", "1/8", "--compact", "-10:10",
+                "--samples", "12,28,-25")
+HARNESS = {
+    ("psi", "heavy.json"):
+        ("e80ea4422d791c7221ca6042dc5befdcb4a35c3bf0eeb28229eb5124cead2409",
+         "e20d0dc43d3ea28e484b9c58fea7d12c1910a2fccaa4f69b4787877c1ba75f15"),
+    ("psi", "holed.json"):
+        ("8be9f0c23ce995e0b40a826525cbc325ce9e0e2b4f3cc197d67fba129e15204e",
+         "708fc02adb0bcbb811200e3e2280ee87f67e111bdba5aaf476e08a243f8aa5cc"),
+    ("match", "heavy.json"):
+        ("ed4da78e08463b487768041ce992ff5333440e8de9f0acd122d2f932886b781d",
+         "e20d0dc43d3ea28e484b9c58fea7d12c1910a2fccaa4f69b4787877c1ba75f15"),
+    ("match", "holed.json"):
+        ("d11478ccb8f686481672e4ad87909b2501d433c049a38b94b0e4c7cb48f77afa",
+         "708fc02adb0bcbb811200e3e2280ee87f67e111bdba5aaf476e08a243f8aa5cc"),
+}
 
 # `match --out-report` of the 960 stage-4 atoms on [63/2, 69/2] against the
 # same atoms with atom 479 dropped, in both orders (the partial matching DP)
@@ -167,3 +190,25 @@ def test_verify_measure_stdout(name, tmp_path, monkeypatch):
         assert main(["verify", str(s), "--measure", name]) == code
     got = sha256(buf.getvalue().encode())
     assert got == VERIFY_MEASURE[name], f"`apmeasure verify {s} --measure {name}`: stdout digest {got}"
+
+
+def harness_files(tmp_path) -> None:
+    comb, nu = integer_comb(-30, 30), perturbed_comb(-30, 30)
+    save_measure(comb, tmp_path / "comb.json")
+    heavy = [(a.position, F(5, 4) if round(a.position) == 28 else a.mass) for a in nu.atoms]
+    save_measure(make_measure(heavy, nu.window), tmp_path / "heavy.json")
+    holed = [(a.position, a.mass) for a in nu.atoms if round(a.position) != -20]
+    save_measure(make_measure(holed, nu.window), tmp_path / "holed.json")
+
+
+@pytest.mark.parametrize("command, nu", sorted(HARNESS), ids="-".join)
+def test_harness_failures(command, nu, tmp_path):
+    harness_files(tmp_path)
+    mu, nu_path, report = (str(tmp_path / name) for name in ("comb.json", nu, "report.json"))
+    files = ["--mu", mu, "--nu", nu_path] if command == "psi" else \
+        [mu, nu_path, "--windows", "-10:10;-61/2:61/2", "--psi"]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main([command, *files, *HARNESS_ARGS, "--out-report", report]) == 1
+    got = (sha256(buf.getvalue().encode()), sha256((tmp_path / "report.json").read_bytes()))
+    assert got == HARNESS[command, nu], f"`apmeasure {command}` against {nu}: digests {got}"

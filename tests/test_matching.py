@@ -342,6 +342,13 @@ class TestOriginIdentity:
         check = origin_product_identity(mu, nu, harness(3))
         assert check.holds and check.value == F(1, 8)
 
+    def test_hood_wider_than_the_window(self):
+        # the hood is (-1/2, 1/2); the widest bump sees (-7/16, 7/16), inside the window
+        window = Interval.closed(F(-7, 16), F(7, 16))
+        mu, nu = measure([(0, 3)], window), measure([(0, 1)], window)
+        check = origin_product_identity(mu, nu, harness(2, v=F(1, 16)))
+        assert check.holds and check.value == 4
+
     def test_intruder_rejected(self):
         mu = measure([(0, 1), (F(1, 64), 1)])
         nu = measure([])

@@ -62,6 +62,17 @@ class TestMakeMeasure:
         with pytest.raises(WindowError, match="7/2"):
             make_measure([(F(7, 2), 1)], W)
 
+    @pytest.mark.parametrize("pairs", [
+        [(0, 1), (2, 1), (-3, 1)],  # outside at both ends
+        [(2, 1), (0, 1), (3, 1)],  # several outside on one side
+        [(F(1, 2), 1), (2, 0), (-2, 0)],  # zero masses outside
+        [(2, 1), (0, 1), (2, -1)],  # masses that cancel outside
+        [(-2, F(1, 3)), (-2, F(-1, 3)), (2, 5), (2, -5)],  # nothing left, all outside
+    ])
+    def test_several_outside_window_rejected(self, pairs):
+        with pytest.raises(WindowError, match="outside window"):
+            make_measure(pairs, W)
+
     def test_canonical_idempotent(self):
         mu = make_measure([(1, 2), (0, 1), (1, 3)], Interval.closed(-2, 2))
         again = make_measure(atoms_of(mu), mu.window)

@@ -13,20 +13,20 @@ from apmeasure import (
     build_stage,
     bump,
     combine,
+    convolution_sup,
     convolution_value,
     convolve,
     limit_window,
     make_measure,
     radius_series_tail_bound,
     restrict,
-    sup_abs,
     triangle_test_function,
 )
 from helpers import (
     grid_max_abs_diff,
     indicator_overlap_bump,
     integer_comb,
-    literal_sup_abs_diff,
+    literal_convolution_sup,
     pointwise_convolution,
     two_convolution_defect,
 )
@@ -277,41 +277,40 @@ def open_or_closed_windows(draw):
     return Interval(F(lo, 8), F(hi, 8), draw(st.booleans()), draw(st.booleans()))
 
 
-@st.composite
-def functions_on_unit_window(draw):
-    """A compactly supported function, or a window function on (1/8)Z whose span covers [-1, 1]."""
-    if draw(st.booleans()):
-        return draw(compact_functions())
-    bps = draw(st.lists(st.integers(-16, 16), max_size=6, unique=True))
-    bps = sorted({*bps, -8, 8})
-    values = draw(st.lists(st.integers(-3, 3), min_size=len(bps), max_size=len(bps)))
-    return PiecewiseLinearFn(tuple(F(b, 8) for b in bps), tuple(values), zero_outside=False)
-
-
 ZERO = PiecewiseLinearFn((-1, 1), (0, 0))
 
 
-@given(functions_on_unit_window(), open_or_closed_windows())
+@given(compact_functions(), grid_measures(), grid_windows())
 @settings(max_examples=200, deadline=None)
-def test_sups_match_literal_candidate_scan(g, J):
-    assert sup_abs(g, J) == literal_sup_abs_diff(g, ZERO, J)
+def test_sups_match_literal_candidate_scan(f, mu, J):
+    assert convolution_sup(f, mu, J) == literal_convolution_sup(f, mu, J)
+
+
+@given(fractional_functions(), mixed_measures(), mixed_windows())
+@example(*HALVES, Interval.closed(F(-1, 5), F(1, 7)))
+@settings(max_examples=100, deadline=None)
+def test_sups_match_literal_candidate_scan_off_grid(f, mu, J):
+    assert convolution_sup(f, mu, J) == literal_convolution_sup(f, mu, J)
 
 
 class TestSup:
     def test_against_zero(self):
-        assert sup_abs(TRIANGLE, Interval.closed(-1, 1)) == (1, 0)
-        assert sup_abs(ZERO, J_UNIT) == (0, J_UNIT.lo)
+        mu = make_measure([(0, 1)], Interval.closed(-2, 2))
+        assert convolution_sup(TRIANGLE, mu, Interval.closed(-1, 1)) == (1, 0)
+        empty = make_measure([], Interval.closed(-2, 2))
+        assert convolution_sup(TRIANGLE, empty, J_UNIT) == (0, J_UNIT.lo)
 
     def test_grid_oracle_never_exceeds(self):
-        g = convolve(TRIANGLE, build_stage(1).measure, Interval.closed(-1, 1))
+        mu = build_stage(1).measure
         J = Interval.closed(-1, 1)
-        sup, _ = sup_abs(g, J)
-        assert grid_max_abs_diff(g, ZERO, J) <= sup
+        sup, _ = convolution_sup(TRIANGLE, mu, J)
+        assert grid_max_abs_diff(convolve(TRIANGLE, mu, J), ZERO, J) <= sup
 
     def test_outside_definition_range(self):
-        g = PiecewiseLinearFn((0, 1), (1, 2), zero_outside=False)
+        # on [-1, 1] the triangle sees atoms in (-7/6, 7/6)
+        mu = make_measure([(0, 1)], Interval.closed(-1, 1))
         with pytest.raises(FaithfulnessError):
-            sup_abs(g, Interval.closed(-1, 1))
+            convolution_sup(TRIANGLE, mu, Interval.closed(-1, 1))
 
 
 class TestAlmostPeriodDefect:

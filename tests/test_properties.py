@@ -2,11 +2,12 @@
 
 from fractions import Fraction as F
 
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from apmeasure import (
     Interval,
+    averaging_radius,
     combine,
     make_measure,
     restrict,
@@ -24,9 +25,13 @@ WINDOW = Interval.closed(-4, 4)
 
 @st.composite
 def measures(draw, min_atoms=0, max_atoms=6):
+    """A measure with at least `min_atoms` atoms once canonical.  The drawn
+    positions may repeat, so merged and cancelled masses are drawn too."""
     pairs = draw(st.lists(st.tuples(rationals, masses),
                           min_size=min_atoms, max_size=max_atoms))
-    return make_measure(pairs, WINDOW)
+    mu = make_measure(pairs, WINDOW)
+    assume(len(mu) >= min_atoms)
+    return mu
 
 
 @given(measures())
@@ -68,12 +73,27 @@ def test_combine_mass_is_linear(mu, nu):
     assert out.total_mass == 2 * mu.total_mass - 3 * nu.total_mass
 
 
+# with k = 1 (shifts of +-1/16) copies of 5/24 and of 1/3 both land on 13/48
+COLLIDING = make_measure([(F(5, 24), 1), (F(1, 3), 1)], WINDOW)
+
+
+def test_averaged_copies_merge():
+    assert len(averaging_operator(COLLIDING, 1)) == 3
+
+
 @given(measures(min_atoms=1), st.integers(min_value=1, max_value=4))
+@example(COLLIDING, 1)
 @settings(max_examples=40)
 def test_averaging_preserves_mass_and_variation(mu, k):
     out = averaging_operator(mu, k)
     assert out.total_mass == mu.total_mass
-    assert len(out) == 2 * k * len(mu)
+    # each atom's 2k copies lie within the radius of it, so they stay
+    # distinct when the atoms are more than twice the radius apart
+    if all(b.position - a.position > 2 * averaging_radius(k)
+           for a, b in zip(mu.atoms, mu.atoms[1:])):
+        assert len(out) == 2 * k * len(mu)
+    else:
+        assert len(out) <= 2 * k * len(mu)
     if all(a.mass > 0 for a in mu.atoms):
         assert out.total_variation == mu.total_variation
 
