@@ -5,7 +5,8 @@ numbers are exact fraction strings; --decimal K appends K-digit decimal
 approximations clearly marked as approximate.  Exit codes: 0 all checks
 pass, 1 a check failed (or a resource guard tripped), 2 usage or parse
 error.  The atom cap can be overridden with the APMEASURE_ATOM_CAP
-environment variable or --cap.
+environment variable or --cap; either is checked when the arguments are
+parsed.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,27 +27,6 @@ from .measures import Interval, WindowError, rational
 from .piecewise import FaithfulnessError
 
 
-@dataclass
-class RunConfig:
-    decimal: int | None
-    atom_cap: int
-    out: Path | None
-
-    def __post_init__(self):
-        if self.atom_cap < 1:
-            raise ValueError("atom cap must be >= 1")
-
-
-def _run_config(args) -> RunConfig:
-    cap = getattr(args, "cap", None)
-    if cap is None:
-        cap = int(os.environ.get("APMEASURE_ATOM_CAP", construction.DEFAULT_ATOM_CAP))
-    out = getattr(args, "out_report", None)
-    return RunConfig(decimal=getattr(args, "decimal", None),
-                     atom_cap=cap,
-                     out=Path(out) if out else None)
-
-
 def decimal_approx(x: Fraction, digits: int) -> str:
     sign = "-" if x < 0 else ""
     scaled = abs(x) * 10 ** digits
@@ -55,11 +34,9 @@ def decimal_approx(x: Fraction, digits: int) -> str:
     return f"{sign}{whole}.{str(part).zfill(digits)}"
 
 
-def fmt(x, cfg: RunConfig) -> str:
-    if isinstance(x, Fraction):
-        if cfg.decimal:
-            return f"{x} (~{decimal_approx(x, cfg.decimal)} approx)"
-        return str(x)
+def fmt(x, args) -> str:
+    if isinstance(x, Fraction) and args.decimal:
+        return f"{x} (~{decimal_approx(x, args.decimal)} approx)"
     return str(x)
 
 
@@ -87,9 +64,18 @@ def _load_test_function(path: str | None) -> piecewise.PiecewiseLinearFn:
     return f
 
 
-def _write_report(cfg: RunConfig, payload: dict) -> None:
-    if cfg.out is not None:
-        cfg.out.write_text(json.dumps(payload, indent=1) + "\n")
+def _check_out_dir(path: str | None) -> None:
+    """Raise `FileNotFoundError` unless the directory of the output path exists.
+
+    Commands call this first, so a bad path fails before the work.
+    """
+    if path and not Path(path).parent.is_dir():
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
+def _write_report(args, payload: dict) -> None:
+    if args.out_report:
+        Path(args.out_report).write_text(json.dumps(payload, indent=1) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -97,10 +83,8 @@ def _write_report(cfg: RunConfig, payload: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_build(args) -> int:
-    cfg = _run_config(args)
-    if not Path(args.out).parent.is_dir():  # before a build that can take seconds
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
-    stage = construction.build_stage(args.stage, cfg.atom_cap)
+    _check_out_dir(args.out)
+    stage = construction.build_stage(args.stage, args.cap)
     serialize.save_stage(stage, args.out)
     print(f"atoms={len(stage.measure)} mass={stage.measure.total_mass}")
     return 0
@@ -113,15 +97,14 @@ def _check(name: str, ok: bool, detail: str = "") -> bool:
 
 
 def cmd_verify(args) -> int:
-    cfg = _run_config(args)
     s = args.stage
     mu = None
     if args.measure:
         mu = serialize.load_measure(args.measure)
         print(f"verifying {args.measure} as stage {s}")
     else:  # first: its closed-form caps refuse a run before the scan's work
-        stable = construction.verify_stage_stability(s, cfg.atom_cap)
-    scan = construction.verify_stage_scan(s, mu, cfg.atom_cap)
+        stable = construction.verify_stage_stability(s, args.cap)
+    scan = construction.verify_stage_scan(s, mu, args.cap)
 
     ok = True
     expected_n = construction.projected_atom_count(s)
@@ -129,13 +112,13 @@ def cmd_verify(args) -> int:
                  f"atoms={scan.atoms} expected={expected_n}")
     expected_mass = Fraction(3 ** s)
     ok &= _check(f"total_mass s={s}", scan.total_mass == expected_mass,
-                 f"mass={fmt(scan.total_mass, cfg)} expected={expected_mass}")
+                 f"mass={fmt(scan.total_mass, args)} expected={expected_mass}")
     ok &= _check(f"stage_support s={s}", scan.offender is None,
                  "" if scan.offender is None else f"offender={scan.offender}")
     cells_ok = not scan.bad_cells and not scan.strays
     detail = f"cells={2 * construction.cell_center_bound(s) + 1}"
     if not cells_ok:
-        bits = [f"cell n={n} mass={fmt(m, cfg)}" for n, m in scan.bad_cells]
+        bits = [f"cell n={n} mass={fmt(m, args)}" for n, m in scan.bad_cells]
         bits += [f"stray atom at {p}" for p in scan.strays]
         detail = "; ".join(bits)
     ok &= _check(f"cell_mass s={s}", cells_ok, detail)
@@ -145,43 +128,43 @@ def cmd_verify(args) -> int:
         floor = (measures.averaging_radius(s) / s
                  - 2 * construction.radius_series_tail_bound(s + 1))
         gap_ok = gap is not None and gap > 0 and gap >= floor
-        ok &= _check(f"min_gap s={s}", gap_ok, f"gap={fmt(gap, cfg)} floor={fmt(floor, cfg)}")
+        ok &= _check(f"min_gap s={s}", gap_ok, f"gap={fmt(gap, args)} floor={fmt(floor, args)}")
 
     if args.measure:
         print("stage_stability / mass_decay: skipped for external measure files")
     else:
         ok &= _check(f"stage_stability s={s}", stable)
         if s >= 1:
-            decay = construction.verify_mass_decay(s, construction.stage_window(s + 1),
-                                                   cfg.atom_cap)
+            decay = construction.verify_mass_decay(s, construction.stage_window(s + 1), args.cap)
             ok &= _check(f"mass_decay s={s}", decay.holds,
-                         f"max_outside={fmt(decay.max_mass_outside, cfg)} bound={fmt(decay.bound, cfg)}")
+                         f"max_outside={fmt(decay.max_mass_outside, args)} "
+                         f"bound={fmt(decay.bound, args)}")
     for n in range(2, args.tail_max + 1):
         est = construction.verify_tail_estimate(n)
         ok &= _check(f"tail_estimate n={n}", est.holds,
-                     f"lhs<={fmt(est.lhs_upper_bound, cfg)} rhs={fmt(est.rhs, cfg)}")
+                     f"lhs<={fmt(est.lhs_upper_bound, args)} rhs={fmt(est.rhs, args)}")
     print(f"overall: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 
 
 def cmd_ap(args) -> int:
-    cfg = _run_config(args)
+    _check_out_dir(args.out_report)
     f = _load_test_function(args.fn)
     window = parse_window(args.window)
-    source = lambda region: construction.limit_window(region, cfg.atom_cap)
+    source = lambda region: construction.limit_window(region, args.cap)
     cert = piecewise.almost_period_certificate(
         f, rational(args.epsilon), rational(args.range), args.stage, source, window)
     for row in cert.rows:
-        print(f"tau={row.tau} defect={fmt(row.defect, cfg)} witness={fmt(row.witness, cfg)}")
-    print(f"max_defect={fmt(cert.max_defect, cfg)} epsilon={fmt(cert.epsilon, cfg)} "
+        print(f"tau={row.tau} defect={fmt(row.defect, args)} witness={fmt(row.witness, args)}")
+    print(f"max_defect={fmt(cert.max_defect, args)} epsilon={fmt(cert.epsilon, args)} "
           f"density_gap={cert.density_gap}")
     print(f"ap_certificate: {'PASS' if cert.all_within else 'FAIL'}")
-    _write_report(cfg, serialize.ap_certificate_to_dict(cert))
+    _write_report(args, serialize.ap_certificate_to_dict(cert))
     return 0 if cert.all_within else 1
 
 
 def cmd_conv(args) -> int:
-    cfg = _run_config(args)
+    _check_out_dir(args.csv)
     f = _load_test_function(args.fn)
     mu = serialize.load_measure(args.measure)
     window = parse_window(args.window)
@@ -198,29 +181,29 @@ def cmd_conv(args) -> int:
         print(f"wrote {len(rows)} rows to {args.csv}")
     else:
         for x, v in rows:
-            print(f"x={fmt(x, cfg)} value={fmt(v, cfg)}")
+            print(f"x={fmt(x, args)} value={fmt(v, args)}")
     return 0
 
 
 def cmd_match(args) -> int:
-    cfg = _run_config(args)
+    _check_out_dir(args.out_report)
     mu = serialize.load_measure(args.mu)
     nu = serialize.load_measure(args.nu)
     windows = parse_windows(args.windows)
-    report = matching.match_close(mu, nu, windows, cfg.atom_cap)
+    report = matching.match_close(mu, nu, windows, args.cap)
     print(f"pairs={len(report.pairs)} unmatched_left={len(report.unmatched_left)} "
           f"unmatched_right={len(report.unmatched_right)}")
     for pr in report.profiles:
         print(f"profile {pr.window}: pairs_outside={pr.pairs_outside} "
-              f"max_pos_gap={fmt(pr.max_abs_position_gap, cfg)} "
-              f"max_mass_gap={fmt(pr.max_abs_mass_gap, cfg)} "
+              f"max_pos_gap={fmt(pr.max_abs_position_gap, args)} "
+              f"max_mass_gap={fmt(pr.max_abs_mass_gap, args)} "
               f"unmatched={pr.unmatched_outside}")
     print(f"monotone profile on the given windows: {'yes' if report.profile_decreasing else 'no'}")
     print(f"coincide: {'yes' if report.coincide_on_window else 'no'}")
     print(f"measures differ: {'no' if report.coincide_on_window else 'yes'}")
-    _write_report(cfg, serialize.match_report_to_dict(report))
+    _write_report(args, serialize.match_report_to_dict(report))
     if args.psi:
-        return _run_harness(args, cfg, mu, nu, report)
+        return _run_harness(args, mu, nu, report)
     return 0
 
 
@@ -234,8 +217,7 @@ def _harness_config(args, mu, nu) -> matching.HarnessConfig:
         compact=parse_window(args.compact), u=u)
 
 
-def _run_harness(args, cfg: RunConfig, mu, nu,
-                 match_report: matching.MatchReport | None = None) -> int:
+def _run_harness(args, mu, nu, match_report: matching.MatchReport | None = None) -> int:
     hc = _harness_config(args, mu, nu)
     print(f"harness: n={hc.n} v={hc.v} u={hc.u} epsilon={hc.epsilon} compact={hc.compact}")
     ok = True
@@ -245,45 +227,44 @@ def _run_harness(args, cfg: RunConfig, mu, nu,
         ident = matching.origin_product_identity(mu, nu, hc, diff)
         flag = " (degenerate)" if ident.degenerate else ""
         ok &= _check("origin_identity",
-                     ident.holds, f"value={fmt(ident.value, cfg)} "
-                                  f"expected={fmt(ident.expected, cfg)}{flag}")
+                     ident.holds, f"value={fmt(ident.value, args)} "
+                                  f"expected={fmt(ident.expected, args)}{flag}")
     if args.samples:
         samples = [rational(b.strip()) for b in args.samples.split(",") if b.strip()]
-        report = matching.far_field_check(mu, nu, hc, samples, match_report, cfg.atom_cap,
-                                          diff)
-        print(f"examined={report.examined} C={fmt(report.c_bound, cfg)}")
+        report = matching.far_field_check(mu, nu, hc, samples, match_report, args.cap, diff)
+        print(f"examined={report.examined} C={fmt(report.c_bound, args)}")
         _check("matching_hypothesis", report.hypothesis_ok, report.hypothesis_note)
         for row in report.samples:
             _check(f"far_field b={row.point}", row.holds,
-                   f"|product|={fmt(abs(row.product), cfg)} bound={fmt(row.bound, cfg)}")
+                   f"|product|={fmt(abs(row.product), args)} bound={fmt(row.bound, args)}")
         ok &= report.all_hold
-        _write_report(cfg, serialize.far_field_report_to_dict(report))
+        _write_report(args, serialize.far_field_report_to_dict(report))
     print(f"harness: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 
 
 def cmd_psi(args) -> int:
-    cfg = _run_config(args)
+    _check_out_dir(args.out_report)
     mu = serialize.load_measure(args.mu)
     nu = serialize.load_measure(args.nu)
-    return _run_harness(args, cfg, mu, nu)
+    return _run_harness(args, mu, nu)
 
 
 def cmd_lump(args) -> int:
-    cfg = _run_config(args)
+    _check_out_dir(args.out_report)
     mu = serialize.load_measure(args.mu)
     nu = serialize.load_measure(args.nu)
     dec = matching.lump_decompose(mu, nu, rational(args.v),
                                   rational(args.u) if args.u else None)
     print(f"lumps={len(dec.lumps)} link={dec.link} "
           f"max_per_neighborhood={dec.max_lumps_per_neighborhood} "
-          f"witness={fmt(dec.count_witness, cfg)}")
+          f"witness={fmt(dec.count_witness, args)}")
     for i, lump in enumerate(dec.lumps):
-        print(f"lump {i}: span=[{lump.lo}, {lump.hi}] diameter={fmt(lump.diameter, cfg)} "
+        print(f"lump {i}: span=[{lump.lo}, {lump.hi}] diameter={fmt(lump.diameter, args)} "
               f"left={len(lump.left_positions)} right={len(lump.right_positions)} "
-              f"mass_gap={fmt(lump.mass_gap, cfg)}")
+              f"mass_gap={fmt(lump.mass_gap, args)}")
     print(f"all_pairwise_close: {'yes' if dec.all_pairwise_close else 'no'}")
-    _write_report(cfg, serialize.lump_decomposition_to_dict(dec))
+    _write_report(args, serialize.lump_decomposition_to_dict(dec))
     return 0
 
 
@@ -307,7 +288,8 @@ def _int_at_least(k: int, what: str):
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--decimal", type=_int_at_least(0, "digit count"), default=None, metavar="K",
                    help="append K-digit decimal approximations (marked approximate)")
-    p.add_argument("--cap", type=int, default=None,
+    p.add_argument("--cap", type=_int_at_least(1, "atom cap"),
+                   default=os.environ.get("APMEASURE_ATOM_CAP", str(construction.DEFAULT_ATOM_CAP)),
                    help="atom cap override (also APMEASURE_ATOM_CAP)")
     p.add_argument("--out-report", default=None, metavar="PATH",
                    help="also write the structured report as JSON")

@@ -34,6 +34,7 @@ from .measures import (
     averaging_offsets,
     averaging_radius,
     common_denominator,
+    on_grid,
     rational,
     restrict,
 )
@@ -96,31 +97,29 @@ class StageMeasure:
     measure: DiscreteMeasure
 
 
-def _check_stage_cap(s: int, atom_cap: int | None) -> int:
-    """The cap in force; raises `AtomBudgetError` if n_s = prod(1+4k) exceeds it.
+def _check_stage_cap(s: int, atom_cap: int) -> None:
+    """Raise `AtomBudgetError` if n_s = prod(1+4k) exceeds the cap.
 
     The product stops at the first k whose running product passes the cap.
     """
     if s < 0:
         raise ValueError(f"stage must be >= 0, got {s}")
-    cap = DEFAULT_ATOM_CAP if atom_cap is None else atom_cap
-    if cap < 1:
+    if atom_cap < 1:
         raise ValueError("atom cap must be >= 1")
     count = 1
     for k in range(1, s + 1):
         count *= 1 + 4 * k
-        if count > cap:
+        if count > atom_cap:
             raise AtomBudgetError(f"stage {s} needs {'' if k == s else 'at least '}{count} "
-                                  f"atoms, cap is {cap}")
-    return cap
+                                  f"atoms, cap is {atom_cap}")
 
 
-def _stage_pairs(s: int, atom_cap: int | None) -> tuple[_Query, Iterator[tuple[int, int]]]:
+def _stage_pairs(s: int, atom_cap: int) -> tuple[_Query, Iterator[tuple[int, int]]]:
     """The (position, mass) grid pairs of stage s as a stream, and the query whose grid they are on.
 
-    Raises `AtomBudgetError` before any work if n_s exceeds the cap (default
-    10**7).  The expansion runs from the origin over the whole stage window
-    and asserts strict increase, so an atom collision fails loudly.
+    Raises `AtomBudgetError` before any work if n_s exceeds the cap.  The
+    expansion runs from the origin over the whole stage window and asserts
+    strict increase, so an atom collision fails loudly.
     """
     _check_stage_cap(s, atom_cap)
     window = stage_window(s)
@@ -129,7 +128,7 @@ def _stage_pairs(s: int, atom_cap: int | None) -> tuple[_Query, Iterator[tuple[i
     return query, _atoms_within(s, query.window(window), query)
 
 
-def build_stage(s: int, atom_cap: int | None = None) -> StageMeasure:
+def build_stage(s: int, atom_cap: int = DEFAULT_ATOM_CAP) -> StageMeasure:
     """Build the stage-s measure as `Atom`s, afresh on every call (see `_stage_pairs`)."""
     query, pairs = _stage_pairs(s, atom_cap)
     return StageMeasure(s, DiscreteMeasure(query.atoms(pairs), stage_window(s).closure()))
@@ -366,7 +365,7 @@ def _check_frozen(s: int, J: tuple[int, int], query: _Query) -> None:
         raise StageStabilityError(f"stage {s + 1} disagrees with stage {s} on {query.J}")
 
 
-def limit_window(J: Interval, atom_cap: int | None = None) -> DiscreteMeasure:
+def limit_window(J: Interval, atom_cap: int = DEFAULT_ATOM_CAP) -> DiscreteMeasure:
     """The weak-limit measure restricted to the bounded interval J.
 
     Expands the smallest stage s whose window contains J, pruned to J; no
@@ -375,7 +374,7 @@ def limit_window(J: Interval, atom_cap: int | None = None) -> DiscreteMeasure:
     produces (stability check included); passing it raises `AtomBudgetError`.
     """
     s = _covering_stage(J)
-    query = _Query(s + 1, J, DEFAULT_ATOM_CAP if atom_cap is None else atom_cap)
+    query = _Query(s + 1, J, atom_cap)
     grid_J = query.window(J)
     out = DiscreteMeasure(query.atoms(_atoms_within(s, grid_J, query)), J)
     _check_frozen(s, grid_J, query)
@@ -443,7 +442,7 @@ class StageScan:
 
 
 def verify_stage_scan(s: int, measure: DiscreteMeasure | None = None,
-                      atom_cap: int | None = None) -> StageScan:
+                      atom_cap: int = DEFAULT_ATOM_CAP) -> StageScan:
     """Count, total mass, support, unit mass per cell and least gap of stage s, in one pass.
 
     With no `measure` the pass reads the expansion's stream of grid pairs
@@ -459,13 +458,11 @@ def verify_stage_scan(s: int, measure: DiscreteMeasure | None = None,
     else:
         D = math.lcm(6, common_denominator(a.position for a in measure.atoms))
         M = common_denominator(a.mass for a in measure.atoms)
-        pairs = ((a.position.numerator * (D // a.position.denominator),
-                  a.mass.numerator * (M // a.mass.denominator)) for a in measure.atoms)
-    half = int(stage_window(s).hi * D)  # the open window is (-half, half); 6 | D, so exact
+        pairs = ((on_grid(a.position, D), on_grid(a.mass, M)) for a in measure.atoms)
+    half = on_grid(stage_window(s).hi, D)  # the open window is (-half, half); 6 | D
     bound = cell_center_bound(s)
-    cap = DEFAULT_ATOM_CAP if atom_cap is None else atom_cap
-    if 2 * bound + 1 > cap:
-        raise AtomBudgetError(f"stage {s} has 3^{s} lattice cells, cap is {cap}")
+    if 2 * bound + 1 > atom_cap:
+        raise AtomBudgetError(f"stage {s} has 3^{s} lattice cells, cap is {atom_cap}")
     count = total = 0
     offender = gap = last = None
     totals: dict[int, int] = {}
@@ -503,7 +500,7 @@ class MassDecayCheck:
         return self.holds
 
 
-def verify_mass_decay(s: int, J: Interval, atom_cap: int | None = None) -> MassDecayCheck:
+def verify_mass_decay(s: int, J: Interval, atom_cap: int = DEFAULT_ATOM_CAP) -> MassDecayCheck:
     """Check that atom masses outside the stage-s window stay below 1/(2s).
 
     J must strictly contain the stage window, so the check actually sees
@@ -521,7 +518,7 @@ def verify_mass_decay(s: int, J: Interval, atom_cap: int | None = None) -> MassD
     if not J.contains_interval(inner) or (J.lo == inner.lo and J.hi == inner.hi):
         raise ValueError(f"window {J} must strictly contain the stage window {inner}")
     t = _covering_stage(J)
-    query = _Query(t + 1, J, DEFAULT_ATOM_CAP if atom_cap is None else atom_cap)
+    query = _Query(t + 1, J, atom_cap)
     grid_J = query.window(J)
     worst = 0
     witness: int | None = None
@@ -535,7 +532,7 @@ def verify_mass_decay(s: int, J: Interval, atom_cap: int | None = None) -> MassD
                           None if witness is None else Fraction(witness, query.D))
 
 
-def verify_stage_stability(s: int, atom_cap: int | None = None) -> bool:
+def verify_stage_stability(s: int, atom_cap: int = DEFAULT_ATOM_CAP) -> bool:
     """Whether stage s+1 equals stage s on the closure of the stage-s window.
 
     Stage s+1 is a left block, stage s, then a right block, so the two agree
@@ -544,9 +541,9 @@ def verify_stage_stability(s: int, atom_cap: int | None = None) -> bool:
     checked against the closed-form counts n_s, then n_{s+1} (`AtomBudgetError`).
     """
     _check_stage_cap(s, atom_cap)
-    cap = _check_stage_cap(s + 1, atom_cap)
+    _check_stage_cap(s + 1, atom_cap)
     window = stage_window(s).closure()
-    query = _Query(s + 1, window, cap)
+    query = _Query(s + 1, window, atom_cap)
     return not any(_side_blocks(s + 1, query.window(window), query))
 
 

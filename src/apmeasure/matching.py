@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import merge
 from typing import Sequence
 
 from .construction import DEFAULT_ATOM_CAP, AtomBudgetError
@@ -248,10 +249,9 @@ def lump_decompose(mu: DiscreteMeasure, nu: DiscreteMeasure, v: RationalLike,
     radius = v if u is None else rational(u)
     if radius <= 0:
         raise ValueError("count radius must be positive")
-    tagged = sorted(
-        [(a.position, 0, a.mass) for a in mu.atoms]
-        + [(a.position, 1, a.mass) for a in nu.atoms]
-    )
+    # both supports are sorted: merge them, mu's atom first at a shared position
+    tagged = merge([(a.position, 0, a.mass) for a in mu.atoms],
+                   [(a.position, 1, a.mass) for a in nu.atoms])
     groups: list[list[tuple[Fraction, int, Fraction]]] = []
     for item in tagged:
         if groups and item[0] - groups[-1][-1][0] < v:
@@ -271,13 +271,11 @@ def lump_decompose(mu: DiscreteMeasure, nu: DiscreteMeasure, v: RationalLike,
 
     # Sliding sup of lumps meeting (x - radius, x + radius): sweep the open
     # cover intervals (lo - radius, hi + radius); at equal positions an end
-    # is processed before a start, since open intervals do not share their
-    # boundary point.
-    events = sorted(
-        [(lump.lo - radius, 1) for lump in lumps]
-        + [(lump.hi + radius, -1) for lump in lumps],
-        key=lambda e: (e[0], e[1]),
-    )
+    # (-1) is processed before a start (1), since open intervals do not share
+    # their boundary point.  The lumps are disjoint and in order, so starts
+    # and ends are each increasing and one merge sorts them.
+    events = list(merge([(lump.lo - radius, 1) for lump in lumps],
+                        [(lump.hi + radius, -1) for lump in lumps]))
     best, cur = 0, 0
     witness = lumps[0].lo if lumps else Fraction(0)
     for idx, (pos, delta) in enumerate(events):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from heapq import merge
-from itertools import groupby
+from itertools import accumulate, groupby
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence, TypeVar, Union
 
@@ -41,6 +41,11 @@ def rational(x: RationalLike) -> Fraction:
 def common_denominator(values: Iterable[Fraction]) -> int:
     """The lcm of the denominators of `values` (1 when there are none)."""
     return math.lcm(*{x.denominator for x in values})
+
+
+def on_grid(x: Fraction, unit: int) -> int:
+    """x * unit as an int: x on the grid (1/unit)Z, unit a multiple of x's denominator."""
+    return x.numerator * (unit // x.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +175,7 @@ class DiscreteMeasure:
     def total_mass(self) -> Fraction:
         """Summed as integer numerators over the lcm of the mass denominators."""
         unit = common_denominator(a.mass for a in self.atoms)
-        return Fraction(sum(a.mass.numerator * (unit // a.mass.denominator) for a in self.atoms),
-                        unit)
+        return Fraction(sum(on_grid(a.mass, unit) for a in self.atoms), unit)
 
     @property
     def total_variation(self) -> Fraction:
@@ -289,35 +293,47 @@ def span_within(items: Sequence[T], J: Interval,
     return lo, max(lo, hi)
 
 
+def _densest_run(mu: DiscreteMeasure, reach: Fraction, closed: bool,
+                 weights: Sequence[int]) -> tuple[int, int, int]:
+    """(w, i, j) for the leftmost atom i maximizing w = weights[i] + ... + weights[j],
+    where j is the last atom less than `reach` past atom i (at most `reach` when
+    `closed`).  mu has atoms and reach > 0.
+
+    One two-pointer scan on the integer grid of the positions and reach; a
+    closed reach r is the open reach r + 1 on that grid.
+    """
+    positions = mu.positions()
+    D = common_denominator([reach, *positions])
+    xs = [on_grid(p, D) for p in positions]
+    ahead = on_grid(reach, D) + closed
+    prefix = list(accumulate(weights, initial=0))
+    best = best_i = best_j = j = 0
+    last = len(xs) - 1
+    for i, x in enumerate(xs):
+        end = x + ahead
+        while j < last and xs[j + 1] < end:
+            j += 1
+        w = prefix[j + 1] - prefix[i]
+        if w > best:
+            best, best_i, best_j = w, i, j
+    return best, best_i, best_j
+
+
 def sliding_variation_sup(mu: DiscreteMeasure, L: RationalLike) -> tuple[Fraction, Fraction]:
     """Exact sup over t of the variation on the closed window [t, t+L].
 
     The objective is piecewise constant in t and its sup is attained with an
     atom at the left endpoint, so scanning atom-anchored placements is exact.
-    Returns (value, witness t).
+    Returns (value, witness t), the leftmost such atom.
     """
     L = rational(L)
     if L <= 0:
         raise ValueError(f"window length must be positive, got {L}")
     if not mu.atoms:
         return Fraction(0), mu.window.lo
-    prefix = [Fraction(0)]
-    for a in mu.atoms:
-        prefix.append(prefix[-1] + abs(a.mass))
-    positions = mu.positions()
-    best = Fraction(0)
-    witness = positions[0]
-    j = 0
-    for i, p in enumerate(positions):
-        if j < i:
-            j = i
-        while j + 1 < len(positions) and positions[j + 1] <= p + L:
-            j += 1
-        value = prefix[j + 1] - prefix[i]
-        if value > best:
-            best = value
-            witness = p
-    return best, witness
+    unit = common_denominator(a.mass for a in mu.atoms)
+    best, i, _ = _densest_run(mu, L, True, [abs(on_grid(a.mass, unit)) for a in mu.atoms])
+    return Fraction(best, unit), mu.atoms[i].position
 
 
 def sliding_count_sup(mu: DiscreteMeasure, u: RationalLike) -> tuple[int, Fraction]:
@@ -331,18 +347,5 @@ def sliding_count_sup(mu: DiscreteMeasure, u: RationalLike) -> tuple[int, Fracti
         raise ValueError(f"neighborhood radius must be positive, got {u}")
     if not mu.atoms:
         return 0, mu.window.lo
-    positions = mu.positions()
-    width = 2 * u
-    best = 0
-    witness = positions[0]
-    j = 0
-    for i, p in enumerate(positions):
-        if j < i:
-            j = i
-        while j + 1 < len(positions) and positions[j + 1] - p < width:
-            j += 1
-        count = j - i + 1
-        if count > best:
-            best = count
-            witness = (p + positions[j]) / 2
-    return best, witness
+    best, i, j = _densest_run(mu, 2 * u, False, [1] * len(mu))
+    return best, (mu.atoms[i].position + mu.atoms[j].position) / 2

@@ -16,7 +16,7 @@ from fractions import Fraction
 from heapq import merge
 from itertools import groupby
 from operator import itemgetter
-from typing import Callable, Iterator, Sequence, Union
+from typing import Callable, Iterator, Sequence
 
 from .measures import (
     Atom,
@@ -24,8 +24,9 @@ from .measures import (
     Interval,
     RationalLike,
     common_denominator,
+    on_grid,
     rational,
-    restrict,
+    span_within,
 )
 
 
@@ -151,18 +152,14 @@ def _faithful_atoms(f: PiecewiseLinearFn, mu: DiscreteMeasure, J: Interval) -> t
         raise FaithfulnessError(
             f"convolution on {J} needs the measure on {needed}, "
             f"but its window is {mu.window}")
-    return restrict(mu, needed).atoms
+    lo, hi = span_within(mu.atoms, needed)
+    return mu.atoms[lo:hi]
 
 
 def convolution_value(f: PiecewiseLinearFn, mu: DiscreteMeasure,
                       x: RationalLike) -> Fraction:
     """Exact value of (f * mu)(x) = sum of f(x - position) * mass."""
     return convolve(f, mu, Interval.closed(x, x)).values[0]
-
-
-def _on_grid(x: Fraction, unit: int) -> int:
-    """x * unit as an int; unit is a multiple of x's denominator."""
-    return x.numerator * (unit // x.denominator)
 
 
 def _events(points: list[tuple[int, int]], offset: int, factor: int
@@ -230,10 +227,10 @@ def _sweep(f: PiecewiseLinearFn, parts: Sequence[tuple[tuple[Atom, ...], Fractio
     S = common_denominator(ds for _, ds in changes)
     streams = []
     for part, shift, sign in parts:
-        points = [(_on_grid(a.position, D), _on_grid(a.mass, M)) for a in part]
-        streams += [_events(points, _on_grid(b - shift, D), sign * _on_grid(ds, S))
+        points = [(on_grid(a.position, D), on_grid(a.mass, M)) for a in part]
+        streams += [_events(points, on_grid(b - shift, D), sign * on_grid(ds, S))
                     for b, ds in changes]
-    return D, D * M * S, _walk(streams, _on_grid(J.lo, D), _on_grid(J.hi, D))
+    return D, D * M * S, _walk(streams, on_grid(J.lo, D), on_grid(J.hi, D))
 
 
 def convolve(f: PiecewiseLinearFn, mu: DiscreteMeasure, J: Interval) -> PiecewiseLinearFn:
@@ -275,22 +272,12 @@ def convolution_sup(f: PiecewiseLinearFn, mu: DiscreteMeasure, J: Interval
     return _sup_abs(f, ((_faithful_atoms(f, mu, J), Fraction(0), 1),), J)
 
 
-MeasureSource = Union[DiscreteMeasure, Callable[[Interval], DiscreteMeasure]]
-
-
-def _measure_on(source: MeasureSource, region: Interval) -> DiscreteMeasure:
-    if isinstance(source, DiscreteMeasure):
-        return source
-    return source(region)
-
-
-def almost_period_defect(f: PiecewiseLinearFn, source: MeasureSource,
+def almost_period_defect(f: PiecewiseLinearFn, source: Callable[[Interval], DiscreteMeasure],
                          tau: RationalLike, J: Interval) -> tuple[Fraction, Fraction]:
     """Exact sup over x in J of |(f * mu)(x + tau) - (f * mu)(x)|.
 
-    `source` is either a measure whose window already covers both J and
-    J + tau (padded by the support of f), or a callable that produces the
-    measure on a requested interval.  Returns (defect, witness x), the
+    `source` produces the measure on a requested interval (for instance
+    `construction.limit_window`).  Returns (defect, witness x), the
     witness the leftmost point of the maximum.
 
     One sweep maximum (`_sup_abs`) over the far window's atoms shifted by
@@ -300,8 +287,8 @@ def almost_period_defect(f: PiecewiseLinearFn, source: MeasureSource,
     tau = rational(tau)
     pad_lo, pad_hi = f.breakpoints[0], f.breakpoints[-1]
     base_region = Interval.closed(J.lo - pad_hi, J.hi - pad_lo)
-    base = _faithful_atoms(f, _measure_on(source, base_region), J)
-    far = _faithful_atoms(f, _measure_on(source, base_region.translate(tau)), J.translate(tau))
+    base = _faithful_atoms(f, source(base_region), J)
+    far = _faithful_atoms(f, source(base_region.translate(tau)), J.translate(tau))
     return _sup_abs(f, ((far, tau, 1), (base, Fraction(0), -1)), J)
 
 
@@ -336,7 +323,7 @@ class AlmostPeriodCertificate:
 
 def almost_period_certificate(f: PiecewiseLinearFn, epsilon: RationalLike,
                               tau_range: RationalLike, s: int,
-                              source: MeasureSource,
+                              source: Callable[[Interval], DiscreteMeasure],
                               J: Interval = Interval.closed(Fraction(-1, 2), Fraction(1, 2)),
                               ) -> AlmostPeriodCertificate:
     """Measure the defect at every candidate shift tau = p*3**s, |tau| <= range.

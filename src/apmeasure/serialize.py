@@ -34,9 +34,17 @@ def interval_to_dict(J: Interval) -> dict[str, Any]:
             "lo_open": J.lo_open, "hi_open": J.hi_open}
 
 
+def _flag(d: dict[str, Any], key: str, default: bool) -> bool:
+    """d[key] if it is a JSON boolean, `default` if the key is absent; else `ValueError`."""
+    value = d.get(key, default)
+    if not isinstance(value, bool):
+        raise ValueError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
 def interval_from_dict(d: dict[str, Any]) -> Interval:
     return Interval(parse_frac(d["lo"]), parse_frac(d["hi"]),
-                    bool(d.get("lo_open", False)), bool(d.get("hi_open", False)))
+                    _flag(d, "lo_open", False), _flag(d, "hi_open", False))
 
 
 def measure_from_dict(d: dict[str, Any]) -> DiscreteMeasure:
@@ -123,7 +131,7 @@ def plf_from_dict(d: dict[str, Any]) -> PiecewiseLinearFn:
     return PiecewiseLinearFn(
         tuple(parse_frac(b) for b in d["breakpoints"]),
         tuple(parse_frac(v) for v in d["values"]),
-        bool(d.get("zero_outside", True)),
+        _flag(d, "zero_outside", True),
     )
 
 

@@ -134,9 +134,8 @@ def two_convolution_defect(f, source, tau, J: Interval) -> tuple[Fraction, Fract
     tau = Fraction(tau)
     pad_lo, pad_hi = f.breakpoints[0], f.breakpoints[-1]
     base_region = Interval.closed(J.lo - pad_hi, J.hi - pad_lo)
-    measure_on = (lambda region: source) if isinstance(source, DiscreteMeasure) else source
-    g_base = convolve(f, measure_on(base_region), J)
-    g_far = convolve(f, measure_on(base_region.translate(tau)), J.translate(tau))
+    g_base = convolve(f, source(base_region), J)
+    g_far = convolve(f, source(base_region.translate(tau)), J.translate(tau))
     return literal_sup_abs_diff(translated(g_far, -tau), g_base, J)
 
 

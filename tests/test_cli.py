@@ -6,7 +6,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from apmeasure import Interval, build_stage, combine, construction, make_measure, matching, measures
+from apmeasure import (Interval, build_stage, combine, construction, make_measure, matching, measures,
+                       piecewise, serialize)
 from apmeasure.cli import main, parse_window, parse_windows
 from apmeasure.serialize import load_measure, provenance_sidecar_path, save_measure
 from helpers import integer_comb, perturbed_comb
@@ -427,3 +428,70 @@ class TestExitCodes:
         code, _, err = run(capsys, "match", str(tmp_path / "none.json"),
                            str(tmp_path / "none.json"), "--windows", "-1:1")
         assert code == 2
+
+    def test_string_flag_in_a_file_is_usage(self, capsys, tmp_path):
+        # "false" is a string, not a JSON boolean: it must not load an open window
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({
+            "window": {"lo": "0", "hi": "1", "lo_open": "false", "hi_open": "false"},
+            "atoms": [{"pos": "0", "mass": "1"}, {"pos": "1", "mass": "1"}]}))
+        code, out, err = run(capsys, "conv", "--measure", str(path), "--window", "1/3:2/3")
+        assert code == 2 and out == ""
+        assert "lo_open must be true or false, got 'false'" in err
+
+
+def _no_work(monkeypatch):
+    """Make the library calls that start the work of the commands below fail."""
+    def fail(*args, **kwargs):
+        raise AssertionError("the command started its work")
+    for module, name in ((serialize, "load_measure"), (construction, "build_stage"),
+                         (piecewise, "almost_period_certificate"), (piecewise, "convolve"),
+                         (matching, "match_close"), (matching, "lump_decompose")):
+        monkeypatch.setattr(module, name, fail)
+
+
+class TestRefusedBeforeWork:
+    @pytest.fixture
+    def files(self, tmp_path):
+        mpath, npath = tmp_path / "mu.json", tmp_path / "nu.json"
+        save_measure(integer_comb(-3, 3), mpath)
+        save_measure(perturbed_comb(-3, 3), npath)
+        return str(mpath), str(npath)
+
+    @pytest.mark.parametrize("command", ["ap", "conv", "match", "psi", "lump"])
+    def test_missing_output_dir(self, command, files, tmp_path, capsys, monkeypatch):
+        mpath, npath = files
+        missing = str(tmp_path / "missing_dir" / "out")
+        argv = {
+            "ap": ["ap", "2", "--epsilon", "1/10", "--range", "9", "--out-report", missing],
+            "conv": ["conv", "--measure", mpath, "--window", "-1:1", "--csv", missing],
+            "match": ["match", mpath, npath, "--windows", "-1:1", "--out-report", missing],
+            "psi": ["psi", "--mu", mpath, "--nu", npath, "--v", "1/16", "--u", "1/2",
+                    "--epsilon", "1/8", "--compact", "-1:1", "--out-report", missing],
+            "lump": ["lump", "--mu", mpath, "--nu", npath, "--v", "1/4", "--out-report", missing],
+        }[command]
+        _no_work(monkeypatch)
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "No such file or directory" in err and missing in err
+
+    @pytest.mark.parametrize("cap", ["0", "-3", "x", None])
+    @pytest.mark.parametrize("command", ["lump", "build"])
+    def test_invalid_cap(self, command, cap, files, tmp_path, capsys, monkeypatch):
+        # lump never reads the cap; it is still refused when the arguments are parsed
+        mpath, npath = files
+        argv = (["lump", "--mu", mpath, "--nu", npath, "--v", "1/4"] if command == "lump"
+                else ["build", "2", "--out", str(tmp_path / "s2.json")])
+        if cap is None:
+            monkeypatch.setenv("APMEASURE_ATOM_CAP", "0")
+        else:
+            argv += ["--cap", cap]
+        _no_work(monkeypatch)
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"atom cap must be an int >= 1, got '{cap or 0}'" in err
+
+    def test_valid_cap_overrides_an_invalid_env_cap(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("APMEASURE_ATOM_CAP", "x")
+        code, out, _ = run(capsys, "build", "1", "--cap", "5", "--out", str(tmp_path / "s1.json"))
+        assert code == 0 and "atoms=5" in out

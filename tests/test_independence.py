@@ -1,6 +1,8 @@
-"""The library never imports the independent oracles it is checked against."""
+"""The library never imports the independent oracles it is checked against,
+and it needs nothing outside the standard library."""
 
 import ast
+import sys
 from pathlib import Path
 
 import apmeasure
@@ -26,3 +28,22 @@ def test_library_imports_no_oracle():
         hits = {name for name in imported_modules(path)
                 if ORACLES & set(name.split("."))}
         assert not hits, f"{path.name} imports {sorted(hits)}"
+
+
+def third_party_imports(path: Path) -> set[str]:
+    """Top-level names of the absolute imports in `path` that are not standard library."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+    return {name.split(".")[0] for name in names} - sys.stdlib_module_names
+
+
+def test_library_imports_only_the_standard_library():
+    sources = sorted(Path(apmeasure.__file__).parent.glob("*.py"))
+    assert sources
+    for path in sources:
+        hits = third_party_imports(path)
+        assert not hits, f"{path.name} imports {sorted(hits)}, outside the standard library"

@@ -35,6 +35,11 @@ TRIANGLE = triangle_test_function()
 J_UNIT = Interval.closed(F(-1, 2), F(1, 2))
 
 
+def whole(mu):
+    """A measure source that hands out all of mu, whatever region is asked for."""
+    return lambda region: mu
+
+
 class TestPiecewiseLinearFn:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -327,13 +332,13 @@ class TestAlmostPeriodDefect:
     def test_integer_comb_periodicity(self):
         comb = integer_comb(-30, 30)
         for tau in (1, 2, -7):
-            defect, _ = almost_period_defect(TRIANGLE, comb, tau, Interval.closed(-5, 5))
+            defect, _ = almost_period_defect(TRIANGLE, whole(comb), tau, Interval.closed(-5, 5))
             assert defect == 0
 
     def test_measure_source_window_too_small(self):
         comb = integer_comb(-2, 2)
         with pytest.raises(FaithfulnessError):
-            almost_period_defect(TRIANGLE, comb, 10, J_UNIT)
+            almost_period_defect(TRIANGLE, whole(comb), 10, J_UNIT)
 
     def test_short_far_window_is_named(self):
         # the base window is checked first, then the far one, each by its own message
@@ -370,14 +375,16 @@ shifts = (st.just(F(0)) | st.integers(-24, 24).map(lambda n: F(n, 8))
          make_measure([(0, 1), (F(1, 2), 1)], GRID_MEASURE), F(1, 2), Interval.open(F(-1, 2), 1))
 @settings(max_examples=300, deadline=None)
 def test_defect_matches_two_convolutions(f, mu, tau, J):
-    assert almost_period_defect(f, mu, tau, J) == two_convolution_defect(f, mu, tau, J)
+    source = whole(mu)
+    assert almost_period_defect(f, source, tau, J) == two_convolution_defect(f, source, tau, J)
 
 
 @given(fractional_functions(), mixed_measures(), coprime_shifts, mixed_windows())
 @example(*HALVES, F(1, 11), Interval(F(-1, 5), F(1, 7), True, False))
 @settings(max_examples=150, deadline=None)
 def test_defect_matches_two_convolutions_off_grid(f, mu, tau, J):
-    assert almost_period_defect(f, mu, tau, J) == two_convolution_defect(f, mu, tau, J)
+    source = whole(mu)
+    assert almost_period_defect(f, source, tau, J) == two_convolution_defect(f, source, tau, J)
 
 
 class TestAlmostPeriodCertificate:

@@ -16,7 +16,7 @@ from apmeasure import (
     sliding_variation_sup,
     verify_stage_scan,
 )
-from helpers import averaging_operator
+from helpers import averaging_operator, brute_count_sup, brute_variation_sup
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=64)
 masses = st.fractions(min_value=-3, max_value=3, max_denominator=32).filter(lambda m: m != 0)
@@ -126,6 +126,52 @@ def test_count_sup_witness_attains(mu, u):
     hood = Interval.open(witness - u, witness + u)
     assert sum(1 for a in mu.atoms if hood.contains(a.position)) == count
 
+
+
+# Positions over mixed denominators, all of them products of 2s and 3s, and
+# few masses, so that windows often tie and the leftmost witness is tested.
+mixed_positions = st.builds(F, st.integers(-24, 24), st.sampled_from([2, 3, 4, 6, 8, 9, 12]))
+few_masses = st.sampled_from([F(-1), F(1, 2), F(1), F(3, 2)])
+MIXED_WINDOW = Interval.closed(-12, 12)
+
+
+@st.composite
+def mixed_measures_and_widths(draw):
+    """A measure on mixed-denominator positions and a width: either over a
+    denominator that shares no factor with theirs, or the distance between
+    two of its atoms, where the ends of the interval decide the count."""
+    mu = make_measure(draw(st.lists(st.tuples(mixed_positions, few_masses), max_size=12)),
+                      MIXED_WINDOW)
+    widths = st.builds(F, st.integers(1, 60), st.sampled_from([5, 7, 11, 13, 35]))
+    positions = mu.positions()
+    ties = sorted({b - a for a in positions for b in positions if b > a})
+    return mu, draw(widths | st.sampled_from(ties) if ties else widths)
+
+
+@given(mixed_measures_and_widths())
+@settings(max_examples=150)
+def test_count_sup_matches_brute_scan(case):
+    mu, width = case
+    count, witness = sliding_count_sup(mu, width / 2)
+    assert count == brute_count_sup(mu, width / 2)
+    positions = mu.positions()
+    if positions:  # the witness centers the leftmost block of `count` atoms
+        counts = [sum(1 for q in positions if p <= q < p + width) for p in positions]
+        i = counts.index(count)
+        assert witness == (positions[i] + positions[i + count - 1]) / 2
+
+
+@given(mixed_measures_and_widths())
+@settings(max_examples=150)
+def test_variation_sup_matches_brute_scan(case):
+    mu, L = case
+    value, witness = sliding_variation_sup(mu, L)
+    assert value == brute_variation_sup(mu, L)
+    positions = mu.positions()
+    if positions:  # the witness is the leftmost atom starting a heaviest window
+        values = [sum((abs(a.mass) for a in mu.atoms if t <= a.position <= t + L), F(0))
+                  for t in positions]
+        assert witness == positions[values.index(value)]
 
 @given(measures())
 def test_min_gap_is_the_least_difference(mu):

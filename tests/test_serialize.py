@@ -86,6 +86,35 @@ def test_window_openness_round_trip():
         assert measure_from_dict(measure_to_dict(mu)) == mu
 
 
+
+# atoms at both ends of [0, 1]: an open window would reject them
+UNIT_ENDS = [{"pos": "0", "mass": "1"}, {"pos": "1", "mass": "1"}]
+
+
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None, []])
+@pytest.mark.parametrize("key", ["lo_open", "hi_open"])
+def test_window_flags_must_be_json_booleans(key, value):
+    window = {"lo": "0", "hi": "1", key: value}
+    with pytest.raises(ValueError, match=f"^{key} must be true or false"):
+        measure_from_dict({"window": window, "atoms": UNIT_ENDS})
+
+
+def test_window_flags_default_to_closed():
+    absent = measure_from_dict({"window": {"lo": "0", "hi": "1"}, "atoms": UNIT_ENDS})
+    given = measure_from_dict({"window": {"lo": "0", "hi": "1", "lo_open": False,
+                                          "hi_open": False}, "atoms": UNIT_ENDS})
+    assert absent == given and absent.window == Interval.closed(0, 1) and len(absent) == 2
+
+
+@pytest.mark.parametrize("value", ["false", 0, None])
+def test_zero_outside_must_be_a_json_boolean(value):
+    d = serialize.plf_to_dict(triangle_test_function())
+    d["zero_outside"] = value
+    with pytest.raises(ValueError, match="^zero_outside must be true or false"):
+        serialize.plf_from_dict(d)
+    del d["zero_outside"]
+    assert serialize.plf_from_dict(d) == triangle_test_function()
+
 def test_loading_canonicalizes():
     raw = {
         "window": {"lo": "-1", "hi": "1", "lo_open": False, "hi_open": False},
