@@ -291,6 +291,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cap", type=_int_at_least(1, "atom cap"),
                    default=os.environ.get("APMEASURE_ATOM_CAP", str(construction.DEFAULT_ATOM_CAP)),
                    help="atom cap override (also APMEASURE_ATOM_CAP)")
+
+
+def _add_report(p: argparse.ArgumentParser) -> None:
+    """--out-report, on the commands that write a report."""
     p.add_argument("--out-report", default=None, metavar="PATH",
                    help="also write the structured report as JSON")
 
@@ -337,6 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fn", default=None, help="test function JSON (default: built-in triangle)")
     p.add_argument("--window", default="-1/2:1/2", metavar="LO:HI")
     _add_common(p)
+    _add_report(p)
     p.set_defaults(func=cmd_ap)
 
     p = sub.add_parser("conv", help="convolve a test function with a measure file")
@@ -357,6 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--psi", action="store_true", help="also run the product harness")
     _add_harness_flags(p, required=False)
     _add_common(p)
+    _add_report(p)
     p.set_defaults(func=cmd_match)
 
     p = sub.add_parser("psi", help="product harness: origin identity and far-field bound")
@@ -364,6 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", required=True)
     _add_harness_flags(p)
     _add_common(p)
+    _add_report(p)
     p.set_defaults(func=cmd_psi)
 
     p = sub.add_parser("lump", help="single-linkage lump decomposition of two measure files")
@@ -372,6 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v", required=True, help="linking distance (fraction)")
     p.add_argument("--u", default=None, help="lump-count radius (default: v)")
     _add_common(p)
+    _add_report(p)
     p.set_defaults(func=cmd_lump)
 
     # values like "-1/2" or "-10:10" start with a minus; treat any

@@ -11,9 +11,11 @@ small far away once the matching hypothesis holds.  Everything is exact.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import merge
+from itertools import accumulate
 from typing import Sequence
 
 from .construction import DEFAULT_ATOM_CAP, AtomBudgetError
@@ -23,6 +25,8 @@ from .measures import (
     Interval,
     RationalLike,
     combine,
+    common_denominator,
+    on_grid,
     rational,
     restrict,
     sliding_count_sup,
@@ -249,48 +253,69 @@ def lump_decompose(mu: DiscreteMeasure, nu: DiscreteMeasure, v: RationalLike,
     radius = v if u is None else rational(u)
     if radius <= 0:
         raise ValueError("count radius must be positive")
-    # both supports are sorted: merge them, mu's atom first at a shared position
-    tagged = merge([(a.position, 0, a.mass) for a in mu.atoms],
-                   [(a.position, 1, a.mass) for a in nu.atoms])
-    groups: list[list[tuple[Fraction, int, Fraction]]] = []
-    for item in tagged:
-        if groups and item[0] - groups[-1][-1][0] < v:
-            groups[-1].append(item)
-        else:
-            groups.append([item])
+    # Positions, v and the radius on one grid, masses on one unit: the
+    # linking, the lump masses and the sweep below are integer work.
+    sides = (mu.atoms, nu.atoms)
+    grid = common_denominator([v, radius, *(a.position for atoms in sides for a in atoms)])
+    unit = common_denominator(a.mass for atoms in sides for a in atoms)
+    link, reach = on_grid(v, grid), on_grid(radius, grid)
+    xs = [[on_grid(a.position, grid) for a in atoms] for atoms in sides]
+    positions = [[a.position for a in atoms] for atoms in sides]
+    sums = [list(accumulate((on_grid(a.mass, unit) for a in atoms), initial=0))
+            for atoms in sides]
+    masses: dict[int, Fraction] = {}
+
+    def mass(s: int, i: int, j: int) -> Fraction:
+        w = sums[s][j] - sums[s][i]
+        if w not in masses:
+            masses[w] = Fraction(w, unit)
+        return masses[w]
+
+    # a lump ends where the merged support has a gap of at least v; each
+    # side's atoms in a lump are one index range of that side
+    merged = sorted(xs[0] + xs[1])
+    cuts = [k for k in range(1, len(merged)) if merged[k] - merged[k - 1] >= link]
+    spans = [(merged[a], merged[b - 1]) for a, b in zip([0, *cuts], [*cuts, len(merged)])
+             ] if merged else []
     lumps = []
-    for g in groups:
+    i = k = 0
+    for lo_x, hi_x in spans:
+        j, m = bisect_right(xs[0], hi_x, i), bisect_right(xs[1], hi_x, k)
+        # at a shared position mu's atom comes first and nu's last
+        lo = positions[0][i] if i < j and xs[0][i] == lo_x else positions[1][k]
+        hi = positions[1][m - 1] if k < m and xs[1][m - 1] == hi_x else positions[0][j - 1]
         lumps.append(Lump(
-            left_positions=tuple(p for p, side, _ in g if side == 0),
-            right_positions=tuple(p for p, side, _ in g if side == 1),
-            lo=g[0][0],
-            hi=g[-1][0],
-            left_mass=sum((m for _, side, m in g if side == 0), Fraction(0)),
-            right_mass=sum((m for _, side, m in g if side == 1), Fraction(0)),
+            left_positions=tuple(positions[0][i:j]),
+            right_positions=tuple(positions[1][k:m]),
+            lo=lo,
+            hi=hi,
+            left_mass=mass(0, i, j),
+            right_mass=mass(1, k, m),
         ))
+        i, k = j, m
 
     # Sliding sup of lumps meeting (x - radius, x + radius): sweep the open
     # cover intervals (lo - radius, hi + radius); at equal positions an end
     # (-1) is processed before a start (1), since open intervals do not share
     # their boundary point.  The lumps are disjoint and in order, so starts
     # and ends are each increasing and one merge sorts them.
-    events = list(merge([(lump.lo - radius, 1) for lump in lumps],
-                        [(lump.hi + radius, -1) for lump in lumps]))
+    events = list(merge([(lo_x - reach, 1) for lo_x, _ in spans],
+                        [(hi_x + reach, -1) for _, hi_x in spans]))
     best, cur = 0, 0
     witness = lumps[0].lo if lumps else Fraction(0)
     for idx, (pos, delta) in enumerate(events):
         cur += delta
-        nxt = events[idx + 1][0] if idx + 1 < len(events) else pos + 1
+        nxt = events[idx + 1][0] if idx + 1 < len(events) else pos + grid
         if cur > best and nxt > pos:
             best = cur
-            witness = (pos + nxt) / 2
+            witness = Fraction(pos + nxt, 2 * grid)
     return LumpDecomposition(
         link=v,
         count_radius=radius,
         lumps=tuple(lumps),
         max_lumps_per_neighborhood=best,
         count_witness=witness,
-        all_pairwise_close=all(lump.diameter < v for lump in lumps),
+        all_pairwise_close=all(hi_x - lo_x < link for lo_x, hi_x in spans),
     )
 
 

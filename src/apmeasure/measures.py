@@ -34,7 +34,10 @@ def rational(x: RationalLike) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, (int, str)):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
     raise TypeError(f"not an exact rational: {x!r}")
 
 

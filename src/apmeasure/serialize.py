@@ -9,6 +9,7 @@ bit; no decimals ever enter a file.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from functools import cache
 from itertools import islice
@@ -17,7 +18,7 @@ from typing import Any, Iterator
 
 from .construction import StageMeasure, provenance_digits, provenance_step
 from .matching import FarFieldReport, LumpDecomposition, MatchReport
-from .measures import DiscreteMeasure, Interval, make_measure
+from .measures import Atom, DiscreteMeasure, Interval, make_measure, rational
 from .piecewise import AlmostPeriodCertificate, PiecewiseLinearFn
 
 
@@ -26,7 +27,19 @@ def frac(x: Fraction) -> str:
 
 
 def parse_frac(text: str) -> Fraction:
-    return Fraction(str(text))
+    return rational(str(text))
+
+
+_PLAIN = re.compile(r"-?[0-9]+(?:/[0-9]+)?").fullmatch
+
+
+def _plain(text: Any) -> tuple[int, int] | None:
+    """(n, d) for a str "n" or "n/d" of ASCII digits with d > 0; None for anything else."""
+    if type(text) is not str or not _PLAIN(text):
+        return None
+    num, _, den = text.partition("/")
+    d = int(den) if den else 1
+    return (int(num), d) if d else None
 
 
 def interval_to_dict(J: Interval) -> dict[str, Any]:
@@ -47,8 +60,56 @@ def interval_from_dict(d: dict[str, Any]) -> Interval:
                     _flag(d, "lo_open", False), _flag(d, "hi_open", False))
 
 
+def _canonical_atoms(entries: Any, window: Interval) -> tuple[Atom, ...] | None:
+    """The atoms of a canonical atom list in one integer pass; None if it is not one.
+
+    Canonical means every entry is plain (`_plain`), the positions increase
+    strictly, no mass is zero and the end atoms lie in the window: then
+    `make_measure` would neither sort, merge, drop nor refuse anything, and
+    the atoms are built directly, one `Fraction` per distinct mass string.
+    Each entry is read as `make_measure`'s path reads it ("pos", then
+    "mass"), up to the first entry that is not plain, so a malformed entry
+    fails the same way on either path.
+    """
+    if type(entries) is not list:
+        return None
+    masses: dict[str, Fraction] = {}
+    atoms: list[Atom] = []
+    last_n, last_d = 0, 0
+    for entry in entries:
+        pos = _plain(entry["pos"])
+        if pos is None:
+            return None
+        text = entry["mass"]
+        mass = masses.get(text) if type(text) is str else None
+        if mass is None:
+            m = _plain(text)
+            if m is None or m[0] == 0:
+                return None
+            mass = masses[text] = Fraction(*m)
+        n, d = pos
+        if atoms and n * last_d <= last_n * d:
+            return None
+        last_n, last_d = n, d
+        atoms.append(Atom(Fraction(n, d), mass))
+    if atoms and not (window.contains(atoms[0].position) and window.contains(atoms[-1].position)):
+        return None
+    return tuple(atoms)
+
+
 def measure_from_dict(d: dict[str, Any]) -> DiscreteMeasure:
+    """The measure of a parsed measure file.
+
+    A canonical atom list, as `save_measure` writes it, is read in one
+    integer pass; any other goes through `make_measure`, which stays the
+    definition of canonical form, so it loads exactly as it always did.
+    """
+    if not isinstance(d, dict):
+        raise ValueError(f"a measure file holds a JSON object, not {type(d).__name__} {d!r:.40}")
     window = interval_from_dict(d["window"])
+    atoms = _canonical_atoms(d["atoms"], window)
+    if atoms is not None:
+        return DiscreteMeasure(atoms, window)
     pairs = [(parse_frac(a["pos"]), parse_frac(a["mass"])) for a in d["atoms"]]
     return make_measure(pairs, window)
 

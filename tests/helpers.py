@@ -6,9 +6,11 @@ full DP table, and convolution values through literal pointwise sums, so
 that agreement is an actual cross-check.
 """
 
+import json
 import math
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
+from pathlib import Path
 from typing import Sequence
 
 from apmeasure import (Atom, DiscreteMeasure, FaithfulnessError, Interval,
@@ -285,3 +287,75 @@ def literal_scan(s: int, mu: DiscreteMeasure) -> StageScan:
     bad, strays = literal_cell_mass(s, mu)
     return StageScan(s, len(mu.atoms), literal_total_mass(mu), literal_stage_support(s, mu),
                      bad, strays, literal_min_gap(mu))
+
+
+def literal_load_measure(path) -> DiscreteMeasure:
+    """The measure file at `path` as the loader read every file before its
+    canonical one-pass path: the window ends, positions and masses each through
+    `Fraction(str(x))`, JSON booleans for the window flags, and the atoms
+    through `make_measure`.  The reference for `serialize.load_measure`."""
+    d = json.loads(Path(path).read_text())
+    w = d["window"]
+    flags = [w.get(key, False) for key in ("lo_open", "hi_open")]
+    if not all(isinstance(flag, bool) for flag in flags):
+        raise ValueError(f"window flags must be true or false, got {flags}")
+    window = Interval(Fraction(str(w["lo"])), Fraction(str(w["hi"])), *flags)
+    return make_measure([(Fraction(str(a["pos"])), Fraction(str(a["mass"]))) for a in d["atoms"]],
+                        window)
+
+
+def literal_lumps(mu: DiscreteMeasure, nu: DiscreteMeasure, v: Fraction, u: Fraction | None = None):
+    """Single-linkage lumps of both supports and the sliding lump count, by `Fraction`
+    arithmetic over every pair of points.
+
+    Two points are linked when they lie less than v apart, and a lump is a
+    connected component: (left positions, right positions, lo, hi, left mass,
+    right mass), in order.  The count is the most open cover intervals
+    (lo - r, hi + r), r = u or v, holding the midpoint of two neighbouring
+    cover ends, and the witness is the leftmost such midpoint (lo of the
+    first lump when no midpoint counts).  Returns (lumps, count, witness,
+    every diameter below v).  The reference for `lump_decompose`.
+    """
+    r = v if u is None else u
+    points = [(a.position, side, a.mass) for side, m in enumerate((mu, nu)) for a in m.atoms]
+    root = list(range(len(points)))
+
+    def find(i):
+        while root[i] != i:
+            i = root[i]
+        return i
+
+    for i, j in combinations(range(len(points)), 2):
+        if abs(points[i][0] - points[j][0]) < v:
+            root[find(i)] = find(j)
+    components: dict[int, list] = {}
+    for i, point in enumerate(points):
+        components.setdefault(find(i), []).append(point)
+    lumps = []
+    for c in sorted(components.values(), key=lambda c: min(p for p, _, _ in c)):
+        lumps.append((tuple(sorted(p for p, side, _ in c if side == 0)),
+                      tuple(sorted(p for p, side, _ in c if side == 1)),
+                      min(p for p, _, _ in c), max(p for p, _, _ in c),
+                      sum((m for _, side, m in c if side == 0), Fraction(0)),
+                      sum((m for _, side, m in c if side == 1), Fraction(0))))
+    ends = sorted({x for lump in lumps for x in (lump[2] - r, lump[3] + r)})
+    best, witness = 0, lumps[0][2] if lumps else Fraction(0)
+    for a, b in zip(ends, ends[1:]):
+        x = (a + b) / 2
+        count = sum(1 for lump in lumps if lump[2] - r < x < lump[3] + r)
+        if count > best:
+            best, witness = count, x
+    return lumps, best, witness, all(lump[3] - lump[2] < v for lump in lumps)
+
+
+def literal_combination(c1: Fraction, mu: DiscreteMeasure,
+                        c2: Fraction, nu: DiscreteMeasure) -> DiscreteMeasure:
+    """c1*mu + c2*nu by a dict of `Fraction` sums over the atoms in the
+    intersected window, zero sums dropped.  The reference for `combine`."""
+    window = mu.window.intersect(nu.window)
+    total: dict[Fraction, Fraction] = {}
+    for c, m in ((c1, mu), (c2, nu)):
+        for a in m.atoms:
+            if window.contains(a.position):
+                total[a.position] = total.get(a.position, Fraction(0)) + c * a.mass
+    return DiscreteMeasure(tuple(Atom(p, m) for p, m in sorted(total.items()) if m != 0), window)

@@ -439,6 +439,38 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "lo_open must be true or false, got 'false'" in err
 
+    @pytest.mark.parametrize("case", ["epsilon", "window", "v", "pos", "mass", "array"])
+    def test_zero_denominator_or_array_file_is_usage(self, case, capsys, tmp_path):
+        # exit 1 means a failed check or a tripped guard, never a parse error
+        good = {"window": {"lo": "-1", "hi": "1"}, "atoms": [{"pos": "0", "mass": "1"}]}
+        doc = {"pos": {**good, "atoms": [{"pos": "1/0", "mass": "1"}]},
+               "mass": {**good, "atoms": [{"pos": "0", "mass": "1/0"}]},
+               "array": [good]}.get(case, good)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        argv = {"epsilon": ["ap", "2", "--epsilon", "1/0", "--range", "9"],
+                "window": ["ap", "2", "--epsilon", "1/10", "--range", "9", "--window", "0:1/0"],
+                "v": ["lump", "--mu", str(path), "--nu", str(path), "--v", "1/0"],
+                }.get(case, ["lump", "--mu", str(path), "--nu", str(path), "--v", "1/4"])
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert ("list" if case == "array" else "'1/0'") in err
+
+    def test_out_report_only_where_a_report_is_written(self, capsys, tmp_path):
+        report = tmp_path / "r.json"
+        code, out, err = run(capsys, "verify", "1", "--out-report", str(report))
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --out-report" in err and "usage:" in err
+        assert not report.exists()
+        offered = set()
+        for command in ("build", "verify", "ap", "conv", "match", "psi", "lump"):
+            code, out, _ = run(capsys, command, "-h")
+            assert code == 0
+            if "--out-report" in out:
+                offered.add(command)
+        assert offered == {"ap", "match", "psi", "lump"}
+
 
 def _no_work(monkeypatch):
     """Make the library calls that start the work of the commands below fail."""

@@ -68,6 +68,12 @@ PSI_STAGE4 = "d973b9d3cbf662f53234996b2979cedd09376de260a71ab22975fa8d79fdd99b"
 PSI_ARGS = ("--v", "1/33554432", "--u", "1/1048576", "--epsilon", "1/5",
             "--compact", "-13/3:13/3", "--samples", "9,-9,11", "--zero-identity")
 
+# `lump --v 1/1024 --out-report` of the same two files: stdout and report.
+# Every lump holds both copies of its positions, and some neighbouring
+# atoms are exactly 1/1024 apart, so they must split.
+LUMP_STAGE4 = ("28e413ba04ee3c5ce88244074ece64b20a19ccfad9931c0ed83e57c9705e3d50",
+               "30b2f73e2f4b0e82aff2d5b7627d9a7ed5d339f63ace6ef70c8e4fb268a4ce89")
+
 # `psi` and `match --psi` of the integer comb on [-30, 30] against the
 # perturbed comb with one atom changed, each failing its matching hypothesis:
 # with the atom near 28 given mass 5/4 on a named pair (and |product| = 1/64
@@ -156,17 +162,33 @@ def test_conv_stdout(tmp_path):
     assert got == CONV_STAGE4, f"`apmeasure conv` on stage 4, -40:40: stdout digest {got}"
 
 
-def test_psi_stdout(tmp_path):
+def stage4_files(tmp_path) -> None:
+    """mu.json: the stage-4 atoms on [-40, 40]; double.json: the same atoms, masses doubled."""
     mu = restrict(build_stage(4).measure, Interval.closed(-40, 40))
     save_measure(mu, tmp_path / "mu.json")
     save_measure(make_measure([(a.position, 2 * a.mass) for a in mu.atoms], mu.window),
                  tmp_path / "double.json")
+
+
+def test_psi_stdout(tmp_path):
+    stage4_files(tmp_path)
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         assert main(["psi", "--mu", str(tmp_path / "mu.json"),
                      "--nu", str(tmp_path / "double.json"), *PSI_ARGS]) == 0
     got = sha256(buf.getvalue().encode())
     assert got == PSI_STAGE4, f"`apmeasure psi` on stage 4, -40:40: stdout digest {got}"
+
+
+def test_lump_stage4(tmp_path):
+    stage4_files(tmp_path)
+    report = tmp_path / "lump.json"
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(["lump", "--mu", str(tmp_path / "mu.json"), "--nu", str(tmp_path / "double.json"),
+                     "--v", "1/1024", "--out-report", str(report)]) == 0
+    got = (sha256(buf.getvalue().encode()), sha256(report.read_bytes()))
+    assert got == LUMP_STAGE4, f"`apmeasure lump --v 1/1024` on stage 4, -40:40: digests {got}"
 
 
 def corrupted_stage3() -> DiscreteMeasure:

@@ -2,13 +2,16 @@
 
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from apmeasure import (
     Interval,
+    WindowError,
     averaging_radius,
     combine,
+    lump_decompose,
     make_measure,
     restrict,
     shift,
@@ -16,7 +19,8 @@ from apmeasure import (
     sliding_variation_sup,
     verify_stage_scan,
 )
-from helpers import averaging_operator, brute_count_sup, brute_variation_sup
+from helpers import (averaging_operator, brute_count_sup, brute_variation_sup,
+                     literal_combination, literal_lumps)
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=64)
 masses = st.fractions(min_value=-3, max_value=3, max_denominator=32).filter(lambda m: m != 0)
@@ -172,6 +176,65 @@ def test_variation_sup_matches_brute_scan(case):
         values = [sum((abs(a.mass) for a in mu.atoms if t <= a.position <= t + L), F(0))
                   for t in positions]
         assert witness == positions[values.index(value)]
+
+
+# Lumps of two mixed-denominator supports, linked at a v over a denominator
+# prime to theirs or at a distance between two of their atoms (neighbours
+# exactly v apart must split), counted at a radius u drawn apart from v.
+coprime_widths = st.builds(F, st.integers(1, 60), st.sampled_from([5, 7, 11, 13, 35]))
+
+
+@st.composite
+def lump_cases(draw):
+    mu, nu = (make_measure(draw(st.lists(st.tuples(mixed_positions, few_masses), max_size=10)),
+                           MIXED_WINDOW) for _ in range(2))
+    positions = mu.positions() + nu.positions()
+    ties = sorted({b - a for a in positions for b in positions if b > a})
+    widths = st.sampled_from(ties) | coprime_widths if ties else coprime_widths
+    return mu, nu, draw(widths), draw(st.none() | widths)
+
+
+@given(lump_cases())
+@example((make_measure([(0, 1), (F(1, 7), 1)], MIXED_WINDOW),  # gaps of exactly v: three lumps
+          make_measure([(F(2, 7), 2), (F(1, 2), F(1, 2))], MIXED_WINDOW), F(1, 7), F(1, 3)))
+@settings(max_examples=150)
+def test_lumps_match_literal_single_linkage(case):
+    mu, nu, v, u = case
+    dec = lump_decompose(mu, nu, v, u)
+    lumps, count, witness, close = literal_lumps(mu, nu, v, u)
+    assert [(lump.left_positions, lump.right_positions, lump.lo, lump.hi,
+             lump.left_mass, lump.right_mass) for lump in dec.lumps] == lumps
+    assert (dec.max_lumps_per_neighborhood, dec.count_witness, dec.all_pairwise_close) == \
+        (count, witness, close)
+    assert (dec.link, dec.count_radius) == (v, v if u is None else u)
+
+
+@st.composite
+def windowed_measures(draw):
+    """A measure on a window inside [-4, 4], open or closed at each end; few
+    positions and masses, so two such measures share positions and cancel."""
+    lo, hi = sorted((draw(rationals), draw(rationals)))
+    window = Interval(lo, hi, draw(st.booleans()), draw(st.booleans()))
+    assume(not window.is_empty)
+    positions = st.builds(F, st.integers(-32, 32), st.sampled_from([3, 4, 8]))
+    pairs = draw(st.lists(st.tuples(positions, few_masses), max_size=10))
+    return make_measure([(p, m) for p, m in pairs if window.contains(p)], window)
+
+
+coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@given(windowed_measures(), windowed_measures(), coefficients, coefficients)
+@example(make_measure([(0, 1), (F(1, 2), 2)], WINDOW), make_measure([(0, 2), (1, 1)], WINDOW),
+         F(2), F(-1))
+@settings(max_examples=150)
+def test_combine_matches_literal_sum(mu, nu, c1, c2):
+    if mu.window.intersect(nu.window) is None:
+        with pytest.raises(WindowError):
+            combine(c1, mu, c2, nu)
+        return
+    assert combine(c1, mu, c2, nu) == literal_combination(c1, mu, c2, nu)
+
 
 @given(measures())
 def test_min_gap_is_the_least_difference(mu):

@@ -2,6 +2,8 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apmeasure import Interval, PiecewiseLinearFn, build_stage, make_measure, triangle_test_function
 from apmeasure import serialize
@@ -14,7 +16,7 @@ from apmeasure.serialize import (
     save_plf,
     save_stage,
 )
-from helpers import measure_to_dict, stage_to_dicts
+from helpers import literal_load_measure, measure_to_dict, stage_to_dicts
 
 
 def test_measure_round_trip(tmp_path):
@@ -123,6 +125,82 @@ def test_loading_canonicalizes():
     }
     mu = measure_from_dict(raw)
     assert [(a.position, a.mass) for a in mu.atoms] == [(F(1, 2), F(2, 3))]
+
+
+def test_canonical_file_is_read_in_one_pass(tmp_path, monkeypatch):
+    # a file as `save_measure` writes it never reaches `make_measure`, and
+    # its atoms share one Fraction per distinct mass
+    mu = build_stage(3).measure
+    path = tmp_path / "m.json"
+    save_measure(mu, path)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a canonical file took the general path")
+    monkeypatch.setattr(serialize, "make_measure", fail)
+    loaded = load_measure(path)
+    assert loaded == mu
+    assert len({id(a.mass) for a in loaded.atoms}) == len({a.mass for a in loaded.atoms})
+
+
+# Entries the one-pass path hands to the general path (or refuses, like
+# "1/0"), each read as `Fraction(str(x))` reads it or failing as it fails.
+# 1_000 and 1e3 are 1000, on the window's upper end.
+ODD_ENTRIES = ["2/4", "+3", " 3 ", "1_000", "1e3", "1.5", "3/1", "-0", 3, -2, "-6/4", "0",
+               "1/0", "0/0", "x", "1 / 2", "-3/-4", "٣", None]
+doc_values = st.fractions(min_value=-8, max_value=8, max_denominator=64)
+
+
+@st.composite
+def measure_documents(draw):
+    """A canonical measure file on [-1000, 1000], open or closed at each
+    end, with up to three changes: an odd position, mass or spelling, two
+    atoms swapped, a duplicate position, a zero mass, a cancelling
+    duplicate, or an end atom on or past the window's end."""
+    positions = sorted(draw(st.sets(doc_values, max_size=8)))
+    pairs = [(p, draw(doc_values.filter(bool))) for p in positions]
+    atoms = [{"pos": str(p), "mass": str(m)} for p, m in pairs]
+    for _ in range(draw(st.integers(0, 3)) if atoms else 0):
+        i = draw(st.integers(0, len(atoms) - 1))
+        change = draw(st.sampled_from(["pos", "mass", "unreduced", "swap", "duplicate",
+                                       "zero", "cancel", "end"]))
+        if change in ("pos", "mass"):
+            atoms[i][change] = draw(st.sampled_from(ODD_ENTRIES))
+        elif change == "unreduced":
+            p, k = pairs[i % len(pairs)][0], draw(st.integers(2, 3))
+            atoms[i]["pos"] = f"{p.numerator * k}/{p.denominator * k}"
+        elif change == "swap":
+            j = draw(st.integers(0, len(atoms) - 1))
+            atoms[i], atoms[j] = atoms[j], atoms[i]
+        elif change == "duplicate":
+            atoms.insert(i, dict(atoms[i]))
+        elif change == "zero":
+            atoms[i]["mass"] = "0"
+        elif change == "cancel":
+            p, m = pairs[i % len(pairs)]
+            atoms.append({"pos": str(p), "mass": str(-m)})
+        else:
+            atoms[draw(st.sampled_from([0, -1]))]["pos"] = draw(st.sampled_from(
+                ["-1000", "1000", "-1001", "1001"]))
+    window = {"lo": "-1000", "hi": "1000",
+              "lo_open": draw(st.booleans()), "hi_open": draw(st.booleans())}
+    return {"window": window, "atoms": atoms}
+
+
+@given(doc=measure_documents())
+@settings(max_examples=300)
+def test_loader_matches_the_literal_loader(tmp_path_factory, doc):
+    # same measure, or the same exception type; a zero denominator is now a ValueError
+    path = tmp_path_factory.getbasetemp() / "doc.json"
+    path.write_text(json.dumps(doc))
+    try:
+        want = literal_load_measure(path)
+    except (ValueError, ZeroDivisionError, TypeError, KeyError) as exc:
+        expected = ValueError if isinstance(exc, ZeroDivisionError) else type(exc)
+        with pytest.raises(Exception) as info:
+            load_measure(path)
+        assert type(info.value) is expected
+        return
+    assert load_measure(path) == want
 
 
 def test_stage_sidecar(tmp_path):
