@@ -40,7 +40,7 @@ for profile in report.profiles:
 n = sparsity_bound(comb, moved, F(1, 2))
 cfg = HarnessConfig(v=F(1, 32), n=n, epsilon=F(1, 8),
                     compact=Interval.closed(-10, 10), u=F(1, 2))
-far = far_field_check(comb, moved, cfg, [12, 20, 50], report)
+far = far_field_check(comb, moved, cfg, [12, 20, 50])
 print(f"  harness with {n} bump factors, uniform bound C = {far.c_bound}")
 for s in far.samples:
     print(f"  at b = {s.point}: |product| = {abs(s.product)} < {s.bound}  ({s.holds})")

@@ -201,9 +201,10 @@ def cmd_match(args) -> int:
     print(f"monotone profile on the given windows: {'yes' if report.profile_decreasing else 'no'}")
     print(f"coincide: {'yes' if report.coincide_on_window else 'no'}")
     print(f"measures differ: {'no' if report.coincide_on_window else 'yes'}")
-    _write_report(args, serialize.match_report_to_dict(report))
+    if args.out_report:
+        serialize.save_match_report(report, args.out_report)
     if args.psi:
-        return _run_harness(args, mu, nu, report)
+        return _run_harness(args, mu, nu)
     return 0
 
 
@@ -217,7 +218,7 @@ def _harness_config(args, mu, nu) -> matching.HarnessConfig:
         compact=parse_window(args.compact), u=u)
 
 
-def _run_harness(args, mu, nu, match_report: matching.MatchReport | None = None) -> int:
+def _run_harness(args, mu, nu) -> int:
     hc = _harness_config(args, mu, nu)
     print(f"harness: n={hc.n} v={hc.v} u={hc.u} epsilon={hc.epsilon} compact={hc.compact}")
     ok = True
@@ -231,7 +232,7 @@ def _run_harness(args, mu, nu, match_report: matching.MatchReport | None = None)
                                   f"expected={fmt(ident.expected, args)}{flag}")
     if args.samples:
         samples = [rational(b.strip()) for b in args.samples.split(",") if b.strip()]
-        report = matching.far_field_check(mu, nu, hc, samples, match_report, args.cap, diff)
+        report = matching.far_field_check(mu, nu, hc, samples, args.cap, diff)
         print(f"examined={report.examined} C={fmt(report.c_bound, args)}")
         _check("matching_hypothesis", report.hypothesis_ok, report.hypothesis_note)
         for row in report.samples:

@@ -15,7 +15,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import merge
-from itertools import accumulate
+from itertools import accumulate, chain, islice
 from typing import Sequence
 
 from .construction import DEFAULT_ATOM_CAP, AtomBudgetError
@@ -43,18 +43,14 @@ class HarnessConfigError(ValueError):
 # Matching
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MatchedPair:
+    """Two matched atoms and their gaps, left minus right."""
+
     left: Atom
     right: Atom
-
-    @property
-    def position_gap(self) -> Fraction:
-        return self.left.position - self.right.position
-
-    @property
-    def mass_gap(self) -> Fraction:
-        return self.left.mass - self.right.mass
+    position_gap: Fraction
+    mass_gap: Fraction
 
 
 @dataclass(frozen=True)
@@ -79,9 +75,11 @@ class MatchReport:
     coincide_on_window: bool
 
 
-def _align_partial(short: Sequence[Atom], long: Sequence[Atom],
-                   atom_cap: int) -> tuple[list[tuple[Atom, Atom]], list[Atom]]:
-    """Order-preserving min-cost matching of all of `short` into `long`.
+def _align_partial(short: Sequence[int], long: Sequence[int],
+                   atom_cap: int) -> tuple[list[int], list[int]]:
+    """Order-preserving min-cost matching of all of `short` into `long`, both
+    increasing grid positions: the index into `long` of each item of `short`,
+    and the indices of `long` left over.
 
     Cost cell (i, j) reads (i-1, j-1) and (i, j-1), so only the diagonals
     0 <= j - i <= n - m reach (m, n): band[i][d] = cost[i][i + d] holds
@@ -92,33 +90,33 @@ def _align_partial(short: Sequence[Atom], long: Sequence[Atom],
     if m * width > atom_cap:
         raise AtomBudgetError(f"matching {m} against {n} atoms needs {m * width} "
                               f"DP cells, cap is {atom_cap}")
-    band = [[Fraction(0)] * width]
-    for i in range(1, m + 1):
-        row: list[Fraction] = []
+    band = [[0] * width]
+    for i, x in enumerate(short):
+        row: list[int] = []
         for d, above in enumerate(band[-1]):
-            pay = above + abs(short[i - 1].position - long[i + d - 1].position)
+            pay = above + abs(x - long[i + d])
             row.append(pay if (d == 0 or pay <= row[-1]) else row[-1])
         band.append(row)
-    pairs: list[tuple[Atom, Atom]] = []
-    leftovers: list[Atom] = []
+    matched: list[int] = []
+    leftovers: list[int] = []
     i, d = m, width - 1
     while i + d > 0:  # row 0 is all zeros, so it skips the rest of `long`
         if d > 0 and band[i][d] == band[i][d - 1]:
             d -= 1
-            leftovers.append(long[i + d])
+            leftovers.append(i + d)
         else:
             i -= 1
-            pairs.append((short[i], long[i + d]))
-    return pairs[::-1], leftovers[::-1]
+            matched.append(i + d)
+    return matched[::-1], leftovers[::-1]
 
 
-def _escaping_pairs(pairs: Sequence[MatchedPair], K: Interval) -> Sequence[MatchedPair]:
-    """The pairs with an end outside K, in order.  The matching preserves
-    order, so the pairs with both ends in K are one index range."""
+def _inside_range(pairs: Sequence[MatchedPair], K: Interval) -> tuple[int, int]:
+    """(lo, hi) such that pairs[lo:hi] are the pairs with both ends in K.
+    The matching preserves order, so those pairs are one index range."""
     left_lo, left_hi = span_within(pairs, K, key=lambda p: p.left.position)
     right_lo, right_hi = span_within(pairs, K, key=lambda p: p.right.position)
     lo = max(left_lo, right_lo)
-    return pairs[:lo] + pairs[max(lo, min(left_hi, right_hi)):]
+    return lo, max(lo, min(left_hi, right_hi))
 
 
 def _stray_atoms(K: Interval, *unmatched: Sequence[Atom]) -> list[Atom]:
@@ -128,6 +126,17 @@ def _stray_atoms(K: Interval, *unmatched: Sequence[Atom]) -> list[Atom]:
         lo, hi = span_within(atoms, K)
         stray += [*atoms[:lo], *atoms[hi:]]
     return stray
+
+
+def _max_abs_outside(values: Sequence[int], lo: int, hi: int) -> int:
+    """The largest |x| of values[:lo] and values[hi:], 0 when both are empty."""
+    return max(map(abs, chain(islice(values, lo), islice(values, hi, None))), default=0)
+
+
+def _fractions(values: Sequence[int], unit: int) -> list[Fraction]:
+    """values / unit, one `Fraction` per distinct value."""
+    made = {x: Fraction(x, unit) for x in set(values)}
+    return [made[x] for x in values]
 
 
 def match_close(mu: DiscreteMeasure, nu: DiscreteMeasure,
@@ -141,6 +150,10 @@ def match_close(mu: DiscreteMeasure, nu: DiscreteMeasure,
     nested window, the exact sup of |position gap| and |mass gap| over pairs
     with either endpoint outside the window.  `atom_cap` bounds the cells of
     the partial matching (`AtomBudgetError`).
+
+    Both supports go on one position grid and one mass grid once, so the
+    matching, the gaps, the profiles and the coincidence flag are integer
+    work; `Fraction`s are made only for the reported values.
     """
     if not nested_windows:
         raise ValueError("need at least one window")
@@ -148,31 +161,41 @@ def match_close(mu: DiscreteMeasure, nu: DiscreteMeasure,
         if not outer.contains_interval(inner):
             raise ValueError(f"windows are not nested: {inner} is not inside {outer}")
     outermost = nested_windows[-1]
-    a = restrict(mu, outermost).atoms
-    b = restrict(nu, outermost).atoms
+    left = restrict(mu, outermost).atoms
+    right = restrict(nu, outermost).atoms
+    grid = common_denominator(a.position for a in chain(left, right))
+    unit = common_denominator(a.mass for a in chain(left, right))
 
     unmatched_left: list[Atom] = []
     unmatched_right: list[Atom] = []
-    if len(a) == len(b):
-        # For equal counts the order-preserving pairing minimizes the total
-        # |position gap|: any crossing pair can be uncrossed without increasing
-        # the cost of the convex distance.
-        raw = list(zip(a, b))
-    elif len(a) < len(b):
-        raw, unmatched_right = _align_partial(a, b, atom_cap)
-    else:
-        swapped, unmatched_left = _align_partial(b, a, atom_cap)
-        raw = [(x, y) for y, x in swapped]
-    pairs = tuple(MatchedPair(x, y) for x, y in raw)
+    # For equal counts the order-preserving pairing minimizes the total
+    # |position gap|: any crossing pair can be uncrossed without increasing
+    # the cost of the convex distance.
+    if len(left) != len(right):
+        xs = [on_grid(a.position, grid) for a in left]
+        ys = [on_grid(a.position, grid) for a in right]
+        if len(left) < len(right):
+            matched, rest = _align_partial(xs, ys, atom_cap)
+            unmatched_right = [right[j] for j in rest]
+            right = [right[j] for j in matched]
+        else:
+            matched, rest = _align_partial(ys, xs, atom_cap)
+            unmatched_left = [left[j] for j in rest]
+            left = [left[j] for j in matched]
+    position_gaps = [on_grid(a.position, grid) - on_grid(b.position, grid)
+                     for a, b in zip(left, right)]
+    mass_gaps = [on_grid(a.mass, unit) - on_grid(b.mass, unit) for a, b in zip(left, right)]
+    pairs = tuple(map(MatchedPair, left, right, _fractions(position_gaps, grid),
+                      _fractions(mass_gaps, unit)))
 
     profiles = []
     for K in nested_windows:
-        outside = _escaping_pairs(pairs, K)
+        lo, hi = _inside_range(pairs, K)
         profiles.append(WindowProfile(
             window=K,
-            pairs_outside=len(outside),
-            max_abs_position_gap=max((abs(p.position_gap) for p in outside), default=Fraction(0)),
-            max_abs_mass_gap=max((abs(p.mass_gap) for p in outside), default=Fraction(0)),
+            pairs_outside=len(pairs) - (hi - lo),
+            max_abs_position_gap=Fraction(_max_abs_outside(position_gaps, lo, hi), grid),
+            max_abs_mass_gap=Fraction(_max_abs_outside(mass_gaps, lo, hi), unit),
             unmatched_outside=len(_stray_atoms(K, unmatched_left, unmatched_right)),
         ))
     decreasing = all(
@@ -181,7 +204,7 @@ def match_close(mu: DiscreteMeasure, nu: DiscreteMeasure,
         for cur, nxt in zip(profiles, profiles[1:])
     )
     coincide = (not unmatched_left and not unmatched_right
-                and all(p.position_gap == 0 and p.mass_gap == 0 for p in pairs))
+                and not any(position_gaps) and not any(mass_gaps))
     return MatchReport(
         window=outermost,
         pairs=pairs,
@@ -440,16 +463,17 @@ class FarFieldReport:
 
 def far_field_check(mu: DiscreteMeasure, nu: DiscreteMeasure, cfg: HarnessConfig,
                     sample_points: Sequence[RationalLike],
-                    match_report: MatchReport | None = None,
                     atom_cap: int = DEFAULT_ATOM_CAP,
                     diff: DiscreteMeasure | None = None) -> FarFieldReport:
     """Validate the far-field smallness of the product at the given samples.
 
     Each sample must lie outside the compact enlarged by the separation
     radius.  The matching hypothesis (position gaps within v, mass gaps
-    below epsilon for every pair escaping the compact) is verified on the
-    supplied or freshly computed match report (under `atom_cap`) before the
-    inequality is asserted.  `diff` is mu - nu, as in `disagreement_product`.
+    below epsilon for every pair escaping the compact, and no unmatched
+    atom outside it) is read off the compact's profile of the matching on
+    [compact, common window] (under `atom_cap`) before the inequality is
+    asserted; the offending pair or atom is looked up only when it fails.
+    `diff` is mu - nu, as in `disagreement_product`.
     """
     samples = [rational(b) for b in sample_points]
     if not samples:
@@ -464,18 +488,21 @@ def far_field_check(mu: DiscreteMeasure, nu: DiscreteMeasure, cfg: HarnessConfig
     common = mu.window.intersect(nu.window)
     if common is None or not common.contains_interval(k):
         raise ValueError("the compact must lie inside the common measure window")
-    if match_report is None:
-        match_report = match_close(mu, nu, [k, common], atom_cap)
-    far = next((p for p in _escaping_pairs(match_report.pairs, k)
-                if abs(p.position_gap) > cfg.v or abs(p.mass_gap) >= cfg.epsilon), None)
-    stray = _stray_atoms(k, match_report.unmatched_left, match_report.unmatched_right)
-    ok = far is None and not stray
+    report = match_close(mu, nu, [k, common], atom_cap)
+    outside = report.profiles[0]
+    ok = (outside.max_abs_position_gap <= cfg.v and outside.max_abs_mass_gap < cfg.epsilon
+          and outside.unmatched_outside == 0)
     note = "position gaps within v and mass gaps below epsilon outside the compact"
-    if far is not None:
-        note = (f"pair ({far.left.position}, {far.right.position}) escapes the compact "
-                f"with position gap {far.position_gap} and mass gap {far.mass_gap}")
-    elif stray:
-        note = f"unmatched atom at {stray[0].position} outside the compact"
+    if not ok:
+        lo, hi = _inside_range(report.pairs, k)
+        far = next((p for p in report.pairs[:lo] + report.pairs[hi:]
+                    if abs(p.position_gap) > cfg.v or abs(p.mass_gap) >= cfg.epsilon), None)
+        if far is not None:
+            note = (f"pair ({far.left.position}, {far.right.position}) escapes the compact "
+                    f"with position gap {far.position_gap} and mass gap {far.mass_gap}")
+        else:
+            stray = _stray_atoms(k, report.unmatched_left, report.unmatched_right)
+            note = f"unmatched atom at {stray[0].position} outside the compact"
 
     if diff is None:
         diff = combine(1, mu, -1, nu)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 from itertools import islice
@@ -117,21 +118,25 @@ def measure_from_dict(d: dict[str, Any]) -> DiscreteMeasure:
 _BATCH = 4096
 
 
-def _stream_atoms(path: Path, head: dict[str, Any], entries: Iterator[str]) -> None:
-    """Write {**head, "atoms": [...]} byte for byte as `json.dumps(indent=1)`
-    would, from entries already rendered at their final depth, a batch at a
-    time, so the whole document is never in memory.
+def _stream_list(path: Path, doc: dict[str, Any], key: str, entries: Iterator[str]) -> None:
+    """Write `doc` with its top-level list doc[key] (left empty in `doc`) made
+    of `entries`, byte for byte as `json.dumps(indent=1)` would, from entries
+    already rendered at their final depth, a batch at a time, so the whole
+    list is never in memory as one string.
 
     Fraction strings hold only digits, '-' and '/', which JSON never escapes,
     so an entry can be rendered by a template.
     """
+    text = json.dumps(doc, indent=1)
+    opening = f'\n "{key}": ['
+    cut = text.index(opening + "]") + len(opening)  # text[cut:] starts with the "]"
     with path.open("w") as fh:
-        fh.write(json.dumps(head, indent=1)[:-2] + ',\n "atoms": [')
+        fh.write(text[:cut])
         sep = "\n"
         while chunk := list(islice(entries, _BATCH)):
             fh.write(sep + ",\n".join(chunk))
             sep = ",\n"
-        fh.write("]\n}\n" if sep == "\n" else "\n ]\n}\n")
+        fh.write(("" if sep == "\n" else "\n ") + text[cut:] + "\n")
 
 
 def _atom_entries(mu: DiscreteMeasure) -> Iterator[str]:
@@ -139,7 +144,8 @@ def _atom_entries(mu: DiscreteMeasure) -> Iterator[str]:
 
 
 def save_measure(mu: DiscreteMeasure, path: str | Path) -> None:
-    _stream_atoms(Path(path), {"window": interval_to_dict(mu.window)}, _atom_entries(mu))
+    _stream_list(Path(path), {"window": interval_to_dict(mu.window), "atoms": []}, "atoms",
+                 _atom_entries(mu))
 
 
 def load_measure(path: str | Path) -> DiscreteMeasure:
@@ -176,7 +182,7 @@ def save_stage(stage: StageMeasure, path: str | Path) -> Path:
     """
     save_measure(stage.measure, path)
     side = provenance_sidecar_path(path)
-    _stream_atoms(side, {"stage": stage.stage}, _provenance_entries(stage))
+    _stream_list(side, {"stage": stage.stage, "atoms": []}, "atoms", _provenance_entries(stage))
     return side
 
 
@@ -233,6 +239,15 @@ def match_report_to_dict(report: MatchReport) -> dict[str, Any]:
         "profile_decreasing": report.profile_decreasing,
         "coincide_on_window": report.coincide_on_window,
     }
+
+
+def save_match_report(report: MatchReport, path: str | Path) -> None:
+    """Write `match_report_to_dict(report)` as `json.dumps(indent=1)` would,
+    the pairs rendered from a template and streamed."""
+    pairs = (f'  {{\n   "left_pos": "{p.left.position!s}",\n   "right_pos": "{p.right.position!s}",'
+             f'\n   "position_gap": "{p.position_gap!s}",\n   "mass_gap": "{p.mass_gap!s}"\n  }}'
+             for p in report.pairs)
+    _stream_list(Path(path), match_report_to_dict(replace(report, pairs=())), "pairs", pairs)
 
 
 def far_field_report_to_dict(report: FarFieldReport) -> dict[str, Any]:

@@ -13,9 +13,10 @@ from itertools import combinations, permutations
 from pathlib import Path
 from typing import Sequence
 
-from apmeasure import (Atom, DiscreteMeasure, FaithfulnessError, Interval,
-                       PiecewiseLinearFn, StageMeasure, convolve, make_measure)
+from apmeasure import (Atom, DiscreteMeasure, FaithfulnessError, Interval, MatchReport,
+                       PiecewiseLinearFn, StageMeasure, convolve, make_measure, restrict)
 from apmeasure.construction import StageScan, cell_center_bound, provenance, stage_window
+from apmeasure.matching import MatchedPair, WindowProfile
 
 
 def brute_count_sup(mu: DiscreteMeasure, u: Fraction) -> int:
@@ -79,6 +80,64 @@ def full_table_align_partial(short: Sequence[Atom], long: Sequence[Atom]) -> tup
     pairs.reverse()
     leftovers = [long[k] for k in range(n) if not used[k]]
     return pairs, leftovers
+
+
+def literal_match_report(mu: DiscreteMeasure, nu: DiscreteMeasure,
+                         nested_windows: Sequence[Interval]) -> MatchReport:
+    """The match report by `Fraction` arithmetic: the supports restricted to
+    the outermost window, paired in order for equal counts and by
+    `full_table_align_partial` otherwise, each gap a subtraction, and each
+    profile a `contains` scan of every pair and unmatched atom.  The
+    reference for `match_close`."""
+    outermost = nested_windows[-1]
+    a, b = restrict(mu, outermost).atoms, restrict(nu, outermost).atoms
+    unmatched_left: list[Atom] = []
+    unmatched_right: list[Atom] = []
+    if len(a) == len(b):
+        raw = list(zip(a, b))
+    elif len(a) < len(b):
+        raw, unmatched_right = full_table_align_partial(a, b)
+    else:
+        swapped, unmatched_left = full_table_align_partial(b, a)
+        raw = [(x, y) for y, x in swapped]
+    pairs = tuple(MatchedPair(x, y, x.position - y.position, x.mass - y.mass) for x, y in raw)
+    profiles = []
+    for K in nested_windows:
+        outside = [p for p in pairs
+                   if not (K.contains(p.left.position) and K.contains(p.right.position))]
+        profiles.append(WindowProfile(
+            window=K,
+            pairs_outside=len(outside),
+            max_abs_position_gap=max((abs(p.position_gap) for p in outside), default=Fraction(0)),
+            max_abs_mass_gap=max((abs(p.mass_gap) for p in outside), default=Fraction(0)),
+            unmatched_outside=sum(1 for x in (*unmatched_left, *unmatched_right)
+                                  if not K.contains(x.position)),
+        ))
+    decreasing = all(nxt.max_abs_position_gap <= cur.max_abs_position_gap
+                     and nxt.max_abs_mass_gap <= cur.max_abs_mass_gap
+                     for cur, nxt in zip(profiles, profiles[1:]))
+    coincide = (not unmatched_left and not unmatched_right
+                and all(p.position_gap == 0 and p.mass_gap == 0 for p in pairs))
+    return MatchReport(outermost, pairs, tuple(unmatched_left), tuple(unmatched_right),
+                       tuple(profiles), decreasing, coincide)
+
+
+def literal_hypothesis(report: MatchReport, compact: Interval, v: Fraction,
+                       epsilon: Fraction) -> tuple[bool, str]:
+    """(hypothesis_ok, hypothesis_note) of the far-field check by a `contains`
+    scan of every pair and unmatched atom of `report`: the first pair with an
+    end outside the compact and a position gap above v or a mass gap of at
+    least epsilon, else the first unmatched atom outside the compact.  The
+    reference for `far_field_check`'s reading of the compact's profile."""
+    for p in report.pairs:
+        inside = compact.contains(p.left.position) and compact.contains(p.right.position)
+        if not inside and (abs(p.position_gap) > v or abs(p.mass_gap) >= epsilon):
+            return False, (f"pair ({p.left.position}, {p.right.position}) escapes the compact "
+                           f"with position gap {p.position_gap} and mass gap {p.mass_gap}")
+    for a in (*report.unmatched_left, *report.unmatched_right):
+        if not compact.contains(a.position):
+            return False, f"unmatched atom at {a.position} outside the compact"
+    return True, "position gaps within v and mass gaps below epsilon outside the compact"
 
 
 def pointwise_convolution(f, mu: DiscreteMeasure, x: Fraction) -> Fraction:

@@ -340,6 +340,25 @@ class TestMatch:
         assert "harness: PASS" in out
 
 
+    def test_psi_checks_the_hypothesis_outside_the_windows(self, tmp_path, capsys):
+        # the heavy atom at 8 lies outside the only --windows window; the
+        # harness matches on [compact, common window] and still sees it
+        mu = make_measure([(k, 1) for k in range(-9, 10)], Interval.closed(-10, 10))
+        nu = make_measure([(k, 5 if k == 8 else 1) for k in range(-9, 10)], mu.window)
+        mpath, npath = tmp_path / "a.json", tmp_path / "b.json"
+        save_measure(mu, mpath)
+        save_measure(nu, npath)
+        harness = ("--v", "1/1000", "--u", "1/10", "--epsilon", "1/5",
+                   "--compact", "-2:2", "--samples", "5")
+        fail = ("matching_hypothesis: FAIL pair (8, 8) escapes the compact "
+                "with position gap 0 and mass gap -4\n")
+        code, out, _ = run(capsys, "match", str(mpath), str(npath), "--windows", "-2:2",
+                           "--psi", *harness)
+        assert code == 1 and fail in out and "harness: FAIL" in out
+        code, out, _ = run(capsys, "psi", "--mu", str(mpath), "--nu", str(npath), *harness)
+        assert code == 1 and fail in out
+
+
 class TestPsi:
     def _write_combs(self, tmp_path):
         mu = integer_comb(-30, 30)

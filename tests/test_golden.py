@@ -74,11 +74,18 @@ PSI_ARGS = ("--v", "1/33554432", "--u", "1/1048576", "--epsilon", "1/5",
 LUMP_STAGE4 = ("28e413ba04ee3c5ce88244074ece64b20a19ccfad9931c0ed83e57c9705e3d50",
                "30b2f73e2f4b0e82aff2d5b7627d9a7ed5d339f63ace6ef70c8e4fb268a4ce89")
 
+# `match --out-report` of the same two files on the nested windows
+# [-4/3, 4/3], [-13/3, 13/3], [-40, 40]: stdout and report.  Every one of the
+# 9,561 pairs has a zero position gap and a nonzero mass gap.
+MATCH_STAGE4 = ("3c3743f28a13379b357184854a7e5dd725d3db49f4374314404425d13ef34ed9",
+                "8e26700b551a8682deafceb8931622c4b06d9a89df45030308d708d6e2b5cf3e")
+
 # `psi` and `match --psi` of the integer comb on [-30, 30] against the
 # perturbed comb with one atom changed, each failing its matching hypothesis:
 # with the atom near 28 given mass 5/4 on a named pair (and |product| = 1/64
 # at 28), with the atom near -20 removed on an unmatched atom.  Each pins
-# stdout and the far-field report; `match` hands the harness its own report.
+# stdout and the far-field report; the harness matches on the compact and the
+# common window, which is also `match`'s outermost window here.
 HARNESS_ARGS = ("--v", "1/32", "--u", "1/2", "--epsilon", "1/8", "--compact", "-10:10",
                 "--samples", "12,28,-25")
 HARNESS = {
@@ -189,6 +196,17 @@ def test_lump_stage4(tmp_path):
                      "--v", "1/1024", "--out-report", str(report)]) == 0
     got = (sha256(buf.getvalue().encode()), sha256(report.read_bytes()))
     assert got == LUMP_STAGE4, f"`apmeasure lump --v 1/1024` on stage 4, -40:40: digests {got}"
+
+
+def test_match_stage4(tmp_path):
+    stage4_files(tmp_path)
+    report = tmp_path / "match.json"
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(["match", str(tmp_path / "mu.json"), str(tmp_path / "double.json"),
+                     "--windows", "-4/3:4/3;-13/3:13/3;-40:40", "--out-report", str(report)]) == 0
+    got = (sha256(buf.getvalue().encode()), sha256(report.read_bytes()))
+    assert got == MATCH_STAGE4, f"`apmeasure match` on stage 4, -40:40: digests {got}"
 
 
 def corrupted_stage3() -> DiscreteMeasure:

@@ -26,6 +26,8 @@ from helpers import (
     brute_min_matching_cost,
     full_table_align_partial,
     integer_comb,
+    literal_hypothesis,
+    literal_match_report,
     perturbed_comb,
 )
 
@@ -149,6 +151,54 @@ def test_profiles_match_literal_scan(pair, windows):
         assert profile.max_abs_position_gap == max((abs(p.position_gap) for p in outside), default=0)
         assert profile.max_abs_mass_gap == max((abs(p.mass_gap) for p in outside), default=0)
         assert profile.unmatched_outside == len(stray)
+
+
+@st.composite
+def stepped_pairs(draw):
+    """Two measures, each on its own step, with masses of coprime denominators
+    (some negative), of equal or unequal atom counts, out to about 8."""
+    equal = draw(st.booleans())
+    size = draw(st.integers(0, 12))
+    sides = []
+    for _ in range(2):
+        step = draw(st.sampled_from([F(1, 6), F(1, 10), F(1, 7)]))
+        reach = int(8 / step)
+        cells = draw(st.lists(st.integers(-reach, reach), unique=True,
+                              min_size=size if equal else 0, max_size=size if equal else 12))
+        sides.append(measure([(c * step, draw(st.sampled_from(
+            [1, 2, F(1, 2), F(1, 3), F(2, 5), F(-1, 7), F(3, 11)]))) for c in cells]))
+    return tuple(sides)
+
+
+@given(stepped_pairs(), nested_windows())
+@example((measure([]), measure([])), [BIG])
+@example((measure([(0, 1), (1, 1)]), measure([(0, 1), (F(1, 2), 1), (1, 2)])),
+         [Interval.open(0, 1), BIG])
+@settings(max_examples=300, deadline=None)
+def test_report_matches_the_literal_oracle(pair, windows):
+    mu, nu = pair
+    report = match_close(mu, nu, windows)
+    want = literal_match_report(mu, nu, windows)
+    assert report == want
+    # == holds between an int and a Fraction: each stored gap must be a Fraction
+    assert all(type(p.position_gap) is F and type(p.mass_gap) is F for p in report.pairs)
+
+
+@given(stepped_pairs(), nested_windows(),
+       st.sampled_from([F(1, 70), F(1, 30), F(1, 6), F(1)]),
+       st.sampled_from([F(1, 6), F(1, 2), F(2)]))
+# ties: a mass gap of exactly epsilon fails, a position gap of exactly v passes
+@example((measure([(5, 1)]), measure([(5, F(1, 2))])), [Interval.closed(-1, 1)], F(1, 6), F(1, 2))
+@example((measure([(5, 1)]), measure([(5 + F(1, 6), 1)])), [Interval.closed(-1, 1)], F(1, 6), F(2))
+@settings(max_examples=150, deadline=None)
+def test_far_field_hypothesis_matches_the_literal_scan(pair, windows, v, epsilon):
+    mu, nu = pair
+    compact = windows[0]
+    cfg = HarnessConfig(v=v, n=1, epsilon=epsilon, compact=compact, u=5 * v)
+    report = far_field_check(mu, nu, cfg, [compact.hi + 5 * v])
+    literal = literal_match_report(mu, nu, [compact, BIG])
+    assert (report.hypothesis_ok, report.hypothesis_note) == \
+        literal_hypothesis(literal, compact, v, epsilon)
 
 
 ABC = measure([(0, 1), (1, 1), (2, 1)])

@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apmeasure import Interval, PiecewiseLinearFn, build_stage, make_measure, triangle_test_function
+from apmeasure import (Interval, PiecewiseLinearFn, build_stage, make_measure, match_close,
+                       triangle_test_function)
 from apmeasure import serialize
 from apmeasure.serialize import (
     load_measure,
     load_plf,
+    match_report_to_dict,
     measure_from_dict,
     provenance_sidecar_path,
+    save_match_report,
     save_measure,
     save_plf,
     save_stage,
@@ -80,6 +83,22 @@ def test_batch_boundary_is_json_dumps(extra, tmp_path, monkeypatch):
     side = save_stage(stage, path)
     measure, sidecar = stage_to_dicts(stage)
     assert (path.read_text(), side.read_text()) == (dumped(measure), dumped(sidecar))
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_match_report_is_json_dumps(extra, tmp_path, monkeypatch):
+    # no pairs, pairs with signed gaps and unmatched atoms on either side,
+    # half-open windows, and a pair count at a batch boundary
+    path = tmp_path / "r.json"
+    window = Interval(F(-9, 2), F(9, 2), True, False)
+    mu = make_measure([(F(k, 3), F(1, k % 4 + 1)) for k in range(-12, 12)], window)
+    nu = make_measure([(F(k, 5), F(-2, 7) if k % 3 else 1) for k in range(-20, 15)], window)
+    monkeypatch.setattr(serialize, "_BATCH", 24 + extra)
+    windows = [Interval.open(-1, 1), Interval(F(-3), F(4), False, True), window]
+    for a, b in [(mu, mu), (mu, nu), (nu, mu), (make_measure([], window), nu)]:
+        report = match_close(a, b, windows)
+        save_match_report(report, path)
+        assert path.read_text() == dumped(match_report_to_dict(report))
 
 
 def test_window_openness_round_trip():
