@@ -64,13 +64,15 @@ def _load_test_function(path: str | None) -> piecewise.PiecewiseLinearFn:
     return f
 
 
-def _check_out_dir(path: str | None) -> None:
-    """Raise `FileNotFoundError` unless the directory of the output path exists.
+def _check_out_dirs(args) -> None:
+    """Raise `FileNotFoundError` unless the directory of each output path exists.
 
-    Commands call this first, so a bad path fails before the work.
+    `main` calls this before the command, so a bad path fails before the work.
     """
-    if path and not Path(path).parent.is_dir():
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    for name in ("out", "csv", "out_report"):
+        path = getattr(args, name, None)
+        if path and not Path(path).parent.is_dir():
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
 def _write_report(args, payload: dict) -> None:
@@ -83,7 +85,6 @@ def _write_report(args, payload: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_build(args) -> int:
-    _check_out_dir(args.out)
     stage = construction.build_stage(args.stage, args.cap)
     serialize.save_stage(stage, args.out)
     print(f"atoms={len(stage.measure)} mass={stage.measure.total_mass}")
@@ -148,7 +149,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_ap(args) -> int:
-    _check_out_dir(args.out_report)
     f = _load_test_function(args.fn)
     window = parse_window(args.window)
     source = lambda region: construction.limit_window(region, args.cap)
@@ -164,7 +164,6 @@ def cmd_ap(args) -> int:
 
 
 def cmd_conv(args) -> int:
-    _check_out_dir(args.csv)
     f = _load_test_function(args.fn)
     mu = serialize.load_measure(args.measure)
     window = parse_window(args.window)
@@ -186,7 +185,6 @@ def cmd_conv(args) -> int:
 
 
 def cmd_match(args) -> int:
-    _check_out_dir(args.out_report)
     mu = serialize.load_measure(args.mu)
     nu = serialize.load_measure(args.nu)
     windows = parse_windows(args.windows)
@@ -203,23 +201,17 @@ def cmd_match(args) -> int:
     print(f"measures differ: {'no' if report.coincide_on_window else 'yes'}")
     if args.out_report:
         serialize.save_match_report(report, args.out_report)
-    if args.psi:
-        return _run_harness(args, mu, nu)
     return 0
 
 
-def _harness_config(args, mu, nu) -> matching.HarnessConfig:
-    if None in (args.v, args.u, args.epsilon, args.compact):
-        raise ValueError("the product harness needs --v, --u, --epsilon and --compact")
+def cmd_psi(args) -> int:
+    mu = serialize.load_measure(args.mu)
+    nu = serialize.load_measure(args.nu)
     u = rational(args.u)
     n = args.n if args.n is not None else matching.sparsity_bound(mu, nu, u)
-    return matching.HarnessConfig(
+    hc = matching.HarnessConfig(
         v=rational(args.v), n=n, epsilon=rational(args.epsilon),
         compact=parse_window(args.compact), u=u)
-
-
-def _run_harness(args, mu, nu) -> int:
-    hc = _harness_config(args, mu, nu)
     print(f"harness: n={hc.n} v={hc.v} u={hc.u} epsilon={hc.epsilon} compact={hc.compact}")
     ok = True
     # mu - nu, built once for both checks
@@ -244,15 +236,7 @@ def _run_harness(args, mu, nu) -> int:
     return 0 if ok else 1
 
 
-def cmd_psi(args) -> int:
-    _check_out_dir(args.out_report)
-    mu = serialize.load_measure(args.mu)
-    nu = serialize.load_measure(args.nu)
-    return _run_harness(args, mu, nu)
-
-
 def cmd_lump(args) -> int:
-    _check_out_dir(args.out_report)
     mu = serialize.load_measure(args.mu)
     nu = serialize.load_measure(args.nu)
     dec = matching.lump_decompose(mu, nu, rational(args.v),
@@ -298,20 +282,6 @@ def _add_report(p: argparse.ArgumentParser) -> None:
     """--out-report, on the commands that write a report."""
     p.add_argument("--out-report", default=None, metavar="PATH",
                    help="also write the structured report as JSON")
-
-
-def _add_harness_flags(p: argparse.ArgumentParser, required: bool = True) -> None:
-    p.add_argument("--v", required=required, help="bump half width (fraction)")
-    p.add_argument("--u", required=required, help="separation radius (fraction)")
-    p.add_argument("--epsilon", required=required, help="mass gap tolerance (fraction)")
-    p.add_argument("--compact", required=required, metavar="LO:HI",
-                   help="compact region outside which closeness is assumed")
-    p.add_argument("--n", type=int, default=None,
-                   help="number of bump factors (default: sparsity bound)")
-    p.add_argument("--samples", default=None,
-                   help="comma-separated far-field sample points")
-    p.add_argument("--zero-identity", action="store_true",
-                   help="also check the product identity at the origin")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -360,8 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("nu")
     p.add_argument("--windows", required=True,
                    help="nested windows, e.g. '-2:2;-10:10;-40:40'")
-    p.add_argument("--psi", action="store_true", help="also run the product harness")
-    _add_harness_flags(p, required=False)
     _add_common(p)
     _add_report(p)
     p.set_defaults(func=cmd_match)
@@ -369,7 +337,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("psi", help="product harness: origin identity and far-field bound")
     p.add_argument("--mu", required=True)
     p.add_argument("--nu", required=True)
-    _add_harness_flags(p)
+    p.add_argument("--v", required=True, help="bump half width (fraction)")
+    p.add_argument("--u", required=True, help="separation radius (fraction)")
+    p.add_argument("--epsilon", required=True, help="mass gap tolerance (fraction)")
+    p.add_argument("--compact", required=True, metavar="LO:HI",
+                   help="compact region outside which closeness is assumed")
+    p.add_argument("--n", type=int, default=None,
+                   help="number of bump factors (default: sparsity bound)")
+    p.add_argument("--samples", default=None,
+                   help="comma-separated far-field sample points")
+    p.add_argument("--zero-identity", action="store_true",
+                   help="also check the product identity at the origin")
     _add_common(p)
     _add_report(p)
     p.set_defaults(func=cmd_psi)
@@ -398,6 +376,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        _check_out_dirs(args)
         return args.func(args)
     except (AtomBudgetError, StageStabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)

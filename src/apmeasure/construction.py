@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
@@ -232,15 +232,8 @@ class _Query:
 
     def atoms(self, pairs: Iterable[tuple[int, int]]) -> tuple[Atom, ...]:
         """(position, mass) grid pairs as `Atom`s; atoms of one mass share its `Fraction`."""
-        D, M = self.D, self.M
-        masses: dict[int, Fraction] = {}
-        out = []
-        for p, m in pairs:
-            mass = masses.get(m)
-            if mass is None:
-                mass = masses[m] = Fraction(m, M)
-            out.append(Atom(Fraction(p, D), mass))
-        return tuple(out)
+        D, mass = self.D, cache(partial(Fraction, denominator=self.M))
+        return tuple(Atom(Fraction(p, D), mass(m)) for p, m in pairs)
 
 
 def _side_sources(s: int, J: tuple[int, int], query: _Query

@@ -14,6 +14,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, partial
 from heapq import merge
 from itertools import accumulate, chain, islice
 from typing import Sequence
@@ -133,12 +134,6 @@ def _max_abs_outside(values: Sequence[int], lo: int, hi: int) -> int:
     return max(map(abs, chain(islice(values, lo), islice(values, hi, None))), default=0)
 
 
-def _fractions(values: Sequence[int], unit: int) -> list[Fraction]:
-    """values / unit, one `Fraction` per distinct value."""
-    made = {x: Fraction(x, unit) for x in set(values)}
-    return [made[x] for x in values]
-
-
 def match_close(mu: DiscreteMeasure, nu: DiscreteMeasure,
                 nested_windows: Sequence[Interval],
                 atom_cap: int = DEFAULT_ATOM_CAP) -> MatchReport:
@@ -185,8 +180,10 @@ def match_close(mu: DiscreteMeasure, nu: DiscreteMeasure,
     position_gaps = [on_grid(a.position, grid) - on_grid(b.position, grid)
                      for a, b in zip(left, right)]
     mass_gaps = [on_grid(a.mass, unit) - on_grid(b.mass, unit) for a, b in zip(left, right)]
-    pairs = tuple(map(MatchedPair, left, right, _fractions(position_gaps, grid),
-                      _fractions(mass_gaps, unit)))
+    # one `Fraction` per distinct gap value
+    pairs = tuple(map(MatchedPair, left, right,
+                      map(cache(partial(Fraction, denominator=grid)), position_gaps),
+                      map(cache(partial(Fraction, denominator=unit)), mass_gaps)))
 
     profiles = []
     for K in nested_windows:
@@ -286,13 +283,7 @@ def lump_decompose(mu: DiscreteMeasure, nu: DiscreteMeasure, v: RationalLike,
     positions = [[a.position for a in atoms] for atoms in sides]
     sums = [list(accumulate((on_grid(a.mass, unit) for a in atoms), initial=0))
             for atoms in sides]
-    masses: dict[int, Fraction] = {}
-
-    def mass(s: int, i: int, j: int) -> Fraction:
-        w = sums[s][j] - sums[s][i]
-        if w not in masses:
-            masses[w] = Fraction(w, unit)
-        return masses[w]
+    mass = cache(partial(Fraction, denominator=unit))  # one `Fraction` per distinct lump mass
 
     # a lump ends where the merged support has a gap of at least v; each
     # side's atoms in a lump are one index range of that side
@@ -312,8 +303,8 @@ def lump_decompose(mu: DiscreteMeasure, nu: DiscreteMeasure, v: RationalLike,
             right_positions=tuple(positions[1][k:m]),
             lo=lo,
             hi=hi,
-            left_mass=mass(0, i, j),
-            right_mass=mass(1, k, m),
+            left_mass=mass(sums[0][j] - sums[0][i]),
+            right_mass=mass(sums[1][m] - sums[1][k]),
         ))
         i, k = j, m
 

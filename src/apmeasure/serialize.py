@@ -43,6 +43,14 @@ def _plain(text: Any) -> tuple[int, int] | None:
     return (int(num), d) if d else None
 
 
+def _json(value: Any, kind: type, what: str) -> Any:
+    """`value` if it is a JSON object (kind dict) or list (kind list); else `ValueError`."""
+    if not isinstance(value, kind):
+        name = "object" if kind is dict else "list"
+        raise ValueError(f"{what} holds a JSON {name}, not {type(value).__name__} {value!r:.40}")
+    return value
+
+
 def interval_to_dict(J: Interval) -> dict[str, Any]:
     return {"lo": frac(J.lo), "hi": frac(J.hi),
             "lo_open": J.lo_open, "hi_open": J.hi_open}
@@ -57,27 +65,29 @@ def _flag(d: dict[str, Any], key: str, default: bool) -> bool:
 
 
 def interval_from_dict(d: dict[str, Any]) -> Interval:
+    _json(d, dict, "a window")
     return Interval(parse_frac(d["lo"]), parse_frac(d["hi"]),
                     _flag(d, "lo_open", False), _flag(d, "hi_open", False))
 
 
-def _canonical_atoms(entries: Any, window: Interval) -> tuple[Atom, ...] | None:
+def _canonical_atoms(entries: list[Any], window: Interval) -> tuple[Atom, ...] | None:
     """The atoms of a canonical atom list in one integer pass; None if it is not one.
 
-    Canonical means every entry is plain (`_plain`), the positions increase
-    strictly, no mass is zero and the end atoms lie in the window: then
-    `make_measure` would neither sort, merge, drop nor refuse anything, and
-    the atoms are built directly, one `Fraction` per distinct mass string.
+    Canonical means every entry is an object of plain fields (`_plain`),
+    the positions increase strictly, no mass is zero and the end atoms lie
+    in the window: then `make_measure` would neither sort, merge, drop nor
+    refuse anything, and the atoms are built directly, one `Fraction` per
+    distinct mass string.
     Each entry is read as `make_measure`'s path reads it ("pos", then
     "mass"), up to the first entry that is not plain, so a malformed entry
     fails the same way on either path.
     """
-    if type(entries) is not list:
-        return None
     masses: dict[str, Fraction] = {}
     atoms: list[Atom] = []
     last_n, last_d = 0, 0
     for entry in entries:
+        if type(entry) is not dict:
+            return None
         pos = _plain(entry["pos"])
         if pos is None:
             return None
@@ -105,13 +115,14 @@ def measure_from_dict(d: dict[str, Any]) -> DiscreteMeasure:
     integer pass; any other goes through `make_measure`, which stays the
     definition of canonical form, so it loads exactly as it always did.
     """
-    if not isinstance(d, dict):
-        raise ValueError(f"a measure file holds a JSON object, not {type(d).__name__} {d!r:.40}")
+    _json(d, dict, "a measure file")
     window = interval_from_dict(d["window"])
-    atoms = _canonical_atoms(d["atoms"], window)
+    entries = _json(d["atoms"], list, "atoms")
+    atoms = _canonical_atoms(entries, window)
     if atoms is not None:
         return DiscreteMeasure(atoms, window)
-    pairs = [(parse_frac(a["pos"]), parse_frac(a["mass"])) for a in d["atoms"]]
+    pairs = [(parse_frac(a["pos"]), parse_frac(a["mass"]))
+             for a in (_json(e, dict, "an atom") for e in entries)]
     return make_measure(pairs, window)
 
 
@@ -195,9 +206,10 @@ def plf_to_dict(f: PiecewiseLinearFn) -> dict[str, Any]:
 
 
 def plf_from_dict(d: dict[str, Any]) -> PiecewiseLinearFn:
+    _json(d, dict, "a test-function file")
     return PiecewiseLinearFn(
-        tuple(parse_frac(b) for b in d["breakpoints"]),
-        tuple(parse_frac(v) for v in d["values"]),
+        tuple(parse_frac(b) for b in _json(d["breakpoints"], list, "breakpoints")),
+        tuple(parse_frac(v) for v in _json(d["values"], list, "values")),
         _flag(d, "zero_outside", True),
     )
 

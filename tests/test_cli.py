@@ -326,37 +326,28 @@ class TestMatch:
         code, _, err = run(capsys, *argv, "--cap", "19999")
         assert code == 1 and "cap" in err
 
-    def test_match_with_psi(self, tmp_path, capsys):
-        mu = integer_comb(-30, 30)
-        nu = perturbed_comb(-30, 30)
-        mpath, npath = tmp_path / "mu.json", tmp_path / "nu.json"
-        save_measure(mu, mpath)
-        save_measure(nu, npath)
-        code, out, _ = run(capsys, "match", str(mpath), str(npath),
-                           "--windows", "-10:10;-61/2:61/2", "--psi",
-                           "--v", "1/32", "--u", "1/2", "--epsilon", "1/8",
-                           "--compact", "-10:10", "--samples", "12,20")
-        assert code == 0
-        assert "harness: PASS" in out
-
-
     def test_psi_checks_the_hypothesis_outside_the_windows(self, tmp_path, capsys):
-        # the heavy atom at 8 lies outside the only --windows window; the
-        # harness matches on [compact, common window] and still sees it
+        # the heavy atom at 8 lies outside the compact; the harness matches
+        # on [compact, common window] and sees it
         mu = make_measure([(k, 1) for k in range(-9, 10)], Interval.closed(-10, 10))
         nu = make_measure([(k, 5 if k == 8 else 1) for k in range(-9, 10)], mu.window)
         mpath, npath = tmp_path / "a.json", tmp_path / "b.json"
         save_measure(mu, mpath)
         save_measure(nu, npath)
-        harness = ("--v", "1/1000", "--u", "1/10", "--epsilon", "1/5",
-                   "--compact", "-2:2", "--samples", "5")
         fail = ("matching_hypothesis: FAIL pair (8, 8) escapes the compact "
                 "with position gap 0 and mass gap -4\n")
-        code, out, _ = run(capsys, "match", str(mpath), str(npath), "--windows", "-2:2",
-                           "--psi", *harness)
+        code, out, _ = run(capsys, "psi", "--mu", str(mpath), "--nu", str(npath),
+                           "--v", "1/1000", "--u", "1/10", "--epsilon", "1/5",
+                           "--compact", "-2:2", "--samples", "5")
         assert code == 1 and fail in out and "harness: FAIL" in out
-        code, out, _ = run(capsys, "psi", "--mu", str(mpath), "--nu", str(npath), *harness)
-        assert code == 1 and fail in out
+
+    @pytest.mark.parametrize("extra", [["--psi"], ["--v", "1/32"]])
+    def test_harness_options_are_usage_errors(self, extra, capsys, monkeypatch):
+        # the harness runs only as `psi`
+        _no_work(monkeypatch)
+        code, out, err = run(capsys, "match", "a.json", "b.json", "--windows", "-1:1", *extra)
+        assert code == 2 and out == ""
+        assert "usage:" in err and f"unrecognized arguments: {' '.join(extra)}" in err
 
 
 class TestPsi:
@@ -475,6 +466,24 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
         assert ("list" if case == "array" else "'1/0'") in err
+
+    @pytest.mark.parametrize("case", ["window", "atoms", "atom", "breakpoints", "fn-list"])
+    def test_wrong_json_type_in_a_file_is_usage(self, case, capsys, tmp_path):
+        good = {"window": {"lo": "-1", "hi": "1"}, "atoms": [{"pos": "0", "mass": "1"}]}
+        doc = {"window": {**good, "window": [0, 1]},
+               "atoms": {**good, "atoms": 5},
+               "atom": {**good, "atoms": [["0", "1"]]},
+               "breakpoints": {"breakpoints": 5, "values": ["0"]},
+               "fn-list": [{"breakpoints": ["-1", "0", "1"], "values": ["0", "1", "0"]}],
+               }[case]
+        path, measure = tmp_path / "f.json", tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        measure.write_text(json.dumps(good))
+        argv = (["verify", "1", "--measure", str(path)] if case in ("window", "atoms", "atom")
+                else ["conv", "--fn", str(path), "--measure", str(measure), "--window", "-1:1"])
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
     def test_out_report_only_where_a_report_is_written(self, capsys, tmp_path):
         report = tmp_path / "r.json"

@@ -56,6 +56,10 @@ class TestBuildStage:
             (F(15, 16), F(1, 2)), (F(17, 16), F(1, 2)),
         ]
 
+    def test_equal_masses_share_one_fraction(self):
+        atoms = build_stage(3).measure.atoms
+        assert len({id(a.mass) for a in atoms}) == len({a.mass for a in atoms}) < len(atoms)
+
     def test_stage2_counts(self):
         mu2 = build_stage(2).measure
         assert len(mu2) == 45

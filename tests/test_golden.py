@@ -80,12 +80,13 @@ LUMP_STAGE4 = ("28e413ba04ee3c5ce88244074ece64b20a19ccfad9931c0ed83e57c9705e3d50
 MATCH_STAGE4 = ("3c3743f28a13379b357184854a7e5dd725d3db49f4374314404425d13ef34ed9",
                 "8e26700b551a8682deafceb8931622c4b06d9a89df45030308d708d6e2b5cf3e")
 
-# `psi` and `match --psi` of the integer comb on [-30, 30] against the
-# perturbed comb with one atom changed, each failing its matching hypothesis:
-# with the atom near 28 given mass 5/4 on a named pair (and |product| = 1/64
-# at 28), with the atom near -20 removed on an unmatched atom.  Each pins
-# stdout and the far-field report; the harness matches on the compact and the
-# common window, which is also `match`'s outermost window here.
+# `psi`, and `match` followed by `psi`, of the integer comb on [-30, 30]
+# against the perturbed comb with one atom changed, each failing its matching
+# hypothesis: with the atom near 28 given mass 5/4 on a named pair (and
+# |product| = 1/64 at 28), with the atom near -20 removed on an unmatched
+# atom.  Each pins the joined stdout and `psi`'s far-field report; the harness
+# matches on the compact and the common window, which is also `match`'s
+# outermost window here.
 HARNESS_ARGS = ("--v", "1/32", "--u", "1/2", "--epsilon", "1/8", "--compact", "-10:10",
                 "--samples", "12,28,-25")
 HARNESS = {
@@ -245,10 +246,11 @@ def harness_files(tmp_path) -> None:
 def test_harness_failures(command, nu, tmp_path):
     harness_files(tmp_path)
     mu, nu_path, report = (str(tmp_path / name) for name in ("comb.json", nu, "report.json"))
-    files = ["--mu", mu, "--nu", nu_path] if command == "psi" else \
-        [mu, nu_path, "--windows", "-10:10;-61/2:61/2", "--psi"]
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        assert main([command, *files, *HARNESS_ARGS, "--out-report", report]) == 1
+        if command == "match":
+            assert main(["match", mu, nu_path, "--windows", "-10:10;-61/2:61/2"]) == 0
+        assert main(["psi", "--mu", mu, "--nu", nu_path, *HARNESS_ARGS,
+                     "--out-report", report]) == 1
     got = (sha256(buf.getvalue().encode()), sha256((tmp_path / "report.json").read_bytes()))
     assert got == HARNESS[command, nu], f"`apmeasure {command}` against {nu}: digests {got}"

@@ -184,6 +184,16 @@ def test_report_matches_the_literal_oracle(pair, windows):
     assert all(type(p.position_gap) is F and type(p.mass_gap) is F for p in report.pairs)
 
 
+def test_equal_values_share_one_fraction():
+    mu = build_stage(3).measure
+    nu = combine(2, mu, 0, mu)
+    report = match_close(mu, nu, [mu.window])
+    dec = lump_decompose(mu, nu, F(1, 100))
+    for values in ([p.position_gap for p in report.pairs], [p.mass_gap for p in report.pairs],
+                   [m for lump in dec.lumps for m in (lump.left_mass, lump.right_mass)]):
+        assert len({id(x) for x in values}) == len(set(values)) < len(values)
+
+
 @given(stepped_pairs(), nested_windows(),
        st.sampled_from([F(1, 70), F(1, 30), F(1, 6), F(1)]),
        st.sampled_from([F(1, 6), F(1, 2), F(2)]))
