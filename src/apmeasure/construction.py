@@ -36,7 +36,6 @@ from .measures import (
     common_denominator,
     on_grid,
     rational,
-    restrict,
 )
 
 DEFAULT_ATOM_CAP = 10_000_000
@@ -89,14 +88,6 @@ class ProvenanceStep:
     offset: Fraction
 
 
-@dataclass(frozen=True)
-class StageMeasure:
-    """A built stage; per-atom provenance is decoded from the atom index."""
-
-    stage: int
-    measure: DiscreteMeasure
-
-
 def _check_stage_cap(s: int, atom_cap: int) -> None:
     """Raise `AtomBudgetError` if n_s = prod(1+4k) exceeds the cap.
 
@@ -128,10 +119,11 @@ def _stage_pairs(s: int, atom_cap: int) -> tuple[_Query, Iterator[tuple[int, int
     return query, _atoms_within(s, query.window(window), query)
 
 
-def build_stage(s: int, atom_cap: int = DEFAULT_ATOM_CAP) -> StageMeasure:
-    """Build the stage-s measure as `Atom`s, afresh on every call (see `_stage_pairs`)."""
+def build_stage(s: int, atom_cap: int = DEFAULT_ATOM_CAP) -> DiscreteMeasure:
+    """The stage-s measure on the closed stage window, as `Atom`s, afresh on
+    every call (see `_stage_pairs`); atom i's provenance is `provenance(s, i)`."""
     query, pairs = _stage_pairs(s, atom_cap)
-    return StageMeasure(s, DiscreteMeasure(query.atoms(pairs), stage_window(s).closure()))
+    return DiscreteMeasure(query.atoms(pairs), stage_window(s).closure())
 
 
 @cache
@@ -561,7 +553,7 @@ class ClusterCertificate:
     member_mass: Fraction
 
 
-def cluster_certificate(target: StageMeasure, ancestor_stage: int,
+def cluster_certificate(target_stage: int, ancestor_stage: int,
                         ancestor_position: RationalLike,
                         branch: Sequence[tuple[int, RationalLike]]) -> ClusterCertificate:
     """Certify the cluster obtained from an ancestor atom along a branch.
@@ -571,12 +563,18 @@ def cluster_certificate(target: StageMeasure, ancestor_stage: int,
     re-expanding the iterated averaging offsets independently of the stage
     builder, checking that the intermediate offset sets are collision free
     and mutually disjoint, and then comparing against the actual atoms of
-    `target` near the shifted center.
+    stage `target_stage` near the shifted center.
+
+    No stage is built: a stage agrees with the limit on its window, so the
+    ancestor's mass is the limit's if y lies in the ancestor stage's window,
+    and the atoms near the center (whose ends are members, so inside the
+    target stage's window) are `limit_window`'s.
     """
     y = rational(ancestor_position)
-    if not 0 <= ancestor_stage <= target.stage:
-        raise ValueError(f"ancestor stage {ancestor_stage} out of range for target {target.stage}")
-    ancestor_mass = build_stage(ancestor_stage).measure.mass_at(y)
+    if not 0 <= ancestor_stage <= target_stage:
+        raise ValueError(f"ancestor stage {ancestor_stage} out of range for target {target_stage}")
+    inside = stage_window(ancestor_stage).contains(y)
+    ancestor_mass = limit_window(Interval.closed(y, y)).mass_at(y) if inside else 0
     if ancestor_mass == 0:
         raise ValueError(f"{y} is not an atom of stage {ancestor_stage}")
 
@@ -585,8 +583,8 @@ def cluster_certificate(target: StageMeasure, ancestor_stage: int,
     prev = ancestor_stage
     for k, sh in branch:
         sh = rational(sh)
-        if k <= prev or k > target.stage:
-            raise ValueError(f"branch stage {k} must increase within ({ancestor_stage}, {target.stage}]")
+        if k <= prev or k > target_stage:
+            raise ValueError(f"branch stage {k} must increase within ({ancestor_stage}, {target_stage}]")
         if abs(sh) != 3 ** (k - 1):
             raise ValueError(f"branch shift {sh} is not a stage-{k} lattice step")
         stages.append(k)
@@ -612,7 +610,7 @@ def cluster_certificate(target: StageMeasure, ancestor_stage: int,
     center = y + sum(shifts, Fraction(0))
     expected = sorted(center + off for off in level_offsets[-1])
     hood = Interval.closed(center - spread, center + spread)
-    found = restrict(target.measure, hood)
+    found = limit_window(hood)
     if found.positions() != expected:
         raise AssertionError(f"cluster near {center} does not match the branch expansion")
     mass = ancestor_mass / q

@@ -125,11 +125,6 @@ class Interval:
         t = rational(t)
         return Interval(self.lo + t, self.hi + t, self.lo_open, self.hi_open)
 
-    def widen(self, delta: RationalLike) -> "Interval":
-        """Enlarge by delta on each side, keeping openness flags."""
-        delta = rational(delta)
-        return Interval(self.lo - delta, self.hi + delta, self.lo_open, self.hi_open)
-
     def closure(self) -> "Interval":
         return Interval(self.lo, self.hi)
 
@@ -180,10 +175,6 @@ class DiscreteMeasure:
         unit = common_denominator(a.mass for a in self.atoms)
         return Fraction(sum(on_grid(a.mass, unit) for a in self.atoms), unit)
 
-    @property
-    def total_variation(self) -> Fraction:
-        return sum((abs(a.mass) for a in self.atoms), Fraction(0))
-
     def mass_at(self, x: RationalLike) -> Fraction:
         x = rational(x)
         i = bisect_left(self.atoms, x, key=lambda a: a.position)
@@ -219,15 +210,6 @@ def make_measure(pairs: Iterable[tuple[RationalLike, RationalLike]],
         elif m != 0:
             atoms.append(Atom(p, m))
     return DiscreteMeasure(tuple(atoms), window)
-
-
-def shift(mu: DiscreteMeasure, t: RationalLike) -> DiscreteMeasure:
-    """Translate every atom and the window by t; masses unchanged."""
-    t = rational(t)
-    if t == 0:
-        return mu
-    atoms = tuple(Atom(a.position + t, a.mass) for a in mu.atoms)
-    return DiscreteMeasure(atoms, mu.window.translate(t))
 
 
 def averaging_radius(k: int) -> Fraction:

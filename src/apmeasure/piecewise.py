@@ -66,9 +66,6 @@ class PiecewiseLinearFn:
     def span(self) -> Interval:
         return Interval.closed(self.breakpoints[0], self.breakpoints[-1])
 
-    def defined_on(self, J: Interval) -> bool:
-        return self.zero_outside or self.span.contains_interval(J)
-
     def eval(self, x: RationalLike) -> Fraction:
         x = rational(x)
         bps = self.breakpoints

@@ -15,9 +15,10 @@ from fractions import Fraction
 from functools import cache
 from itertools import islice
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
-from .construction import StageMeasure, provenance_digits, provenance_step
+from .construction import (DEFAULT_ATOM_CAP, _stage_pairs, projected_atom_count, provenance_digits,
+                           provenance_step, stage_window)
 from .matching import FarFieldReport, LumpDecomposition, MatchReport
 from .measures import Atom, DiscreteMeasure, Interval, make_measure, rational
 from .piecewise import AlmostPeriodCertificate, PiecewiseLinearFn
@@ -150,13 +151,14 @@ def _stream_list(path: Path, doc: dict[str, Any], key: str, entries: Iterator[st
         fh.write(("" if sep == "\n" else "\n ") + text[cut:] + "\n")
 
 
-def _atom_entries(mu: DiscreteMeasure) -> Iterator[str]:
-    return (f'  {{\n   "pos": "{a.position!s}",\n   "mass": "{a.mass!s}"\n  }}' for a in mu.atoms)
+def _atom_entries(pairs: Iterable[tuple[Any, Any]]) -> Iterator[str]:
+    """The atom entries of a measure file, one per (position, mass) pair, each value by `str`."""
+    return (f'  {{\n   "pos": "{p!s}",\n   "mass": "{m!s}"\n  }}' for p, m in pairs)
 
 
 def save_measure(mu: DiscreteMeasure, path: str | Path) -> None:
     _stream_list(Path(path), {"window": interval_to_dict(mu.window), "atoms": []}, "atoms",
-                 _atom_entries(mu))
+                 _atom_entries((a.position, a.mass) for a in mu.atoms))
 
 
 def load_measure(path: str | Path) -> DiscreteMeasure:
@@ -175,25 +177,45 @@ def _step_fragments(k: int, sign: int, j: int) -> tuple[str, str, str]:
     return f"\n    {step.stage}", f'\n    "{step.shift!s}"', f'\n    "{step.offset!s}"'
 
 
-def _provenance_entries(stage: StageMeasure) -> Iterator[str]:
-    for i, atom in enumerate(stage.measure.atoms):
-        digits = provenance_digits(stage.stage, i)
+def _provenance_entries(s: int, positions: Iterable[Fraction]) -> Iterator[str]:
+    for i, position in enumerate(positions):
+        digits = provenance_digits(s, i)
         columns = zip(*(_step_fragments(*digit) for digit in digits))
         stages, shifts, offsets = ((",".join(column) + "\n   " for column in columns)
                                    if digits else ("", "", ""))
-        yield (f'  {{\n   "pos": "{atom.position!s}",\n   "stages": [{stages}],\n'
+        yield (f'  {{\n   "pos": "{position!s}",\n   "stages": [{stages}],\n'
                f'   "shifts": [{shifts}],\n   "offsets": [{offsets}]\n  }}')
 
 
-def save_stage(stage: StageMeasure, path: str | Path) -> Path:
-    """Write the stage measure plus its provenance sidecar; returns the sidecar path.
+def save_stage(s: int, path: str | Path, atom_cap: int = DEFAULT_ATOM_CAP) -> Path:
+    """Write the stage-s measure plus its provenance sidecar; returns the sidecar path.
 
-    Both files are streamed in batches of entries, so neither exists in
-    memory as one list or one string.
+    Both files are streamed in batches from the expansion's grid pairs
+    (`_stage_pairs`, whose cap check runs before any file is opened), the
+    sidecar from a second walk of the same deterministic expansion, so no
+    `Atom` is made and neither file is ever in memory as one string.
+    Raises `AssertionError` unless the measure file got n_s atoms of mass 3^s.
     """
-    save_measure(stage.measure, path)
+    query, pairs = _stage_pairs(s, atom_cap)
+    D, M = query.D, query.M
+    mass_text = cache(lambda m: str(Fraction(m, M)))
+    count = total = 0
+
+    def atoms() -> Iterator[tuple[Fraction, str]]:
+        nonlocal count, total
+        for p, m in pairs:
+            count += 1
+            total += m
+            yield Fraction(p, D), mass_text(m)
+
+    window = interval_to_dict(stage_window(s).closure())
+    _stream_list(Path(path), {"window": window, "atoms": []}, "atoms", _atom_entries(atoms()))
+    if count != projected_atom_count(s) or total != 3 ** s * M:
+        raise AssertionError(f"stage {s} streamed {count} atoms of mass {Fraction(total, M)}")
     side = provenance_sidecar_path(path)
-    _stream_list(side, {"stage": stage.stage, "atoms": []}, "atoms", _provenance_entries(stage))
+    _, pairs = _stage_pairs(s, atom_cap)
+    _stream_list(side, {"stage": s, "atoms": []}, "atoms",
+                 _provenance_entries(s, (Fraction(p, D) for p, _ in pairs)))
     return side
 
 

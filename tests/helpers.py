@@ -14,8 +14,8 @@ from pathlib import Path
 from typing import Sequence
 
 from apmeasure import (Atom, DiscreteMeasure, FaithfulnessError, Interval, MatchReport,
-                       PiecewiseLinearFn, StageMeasure, convolve, make_measure, restrict)
-from apmeasure.construction import StageScan, cell_center_bound, provenance, stage_window
+                       PiecewiseLinearFn, convolve, make_measure, restrict)
+from apmeasure.construction import StageScan, cell_center_bound, stage_window
 from apmeasure.matching import MatchedPair, WindowProfile
 
 
@@ -167,7 +167,7 @@ def literal_sup_abs_diff(g1, g2, J: Interval) -> tuple[Fraction, Fraction]:
     functions' breakpoints inside J, by a set, a sort and `eval` at every
     candidate: the reference for the library's breakpoint walk."""
     for g in (g1, g2):
-        if not g.defined_on(J):
+        if not (g.zero_outside or g.span.contains_interval(J)):
             raise FaithfulnessError(f"function with span {g.span} is not defined on {J}")
     candidates = {J.lo, J.hi}
     for g in (g1, g2):
@@ -220,6 +220,17 @@ def indicator_overlap_bump(v: Fraction, j: int, x: Fraction) -> Fraction:
     return max(Fraction(0), hi - lo) / (2 * v)
 
 
+def widened(J: Interval, delta) -> Interval:
+    """J enlarged by delta on each side, its openness kept."""
+    return Interval(J.lo - delta, J.hi + delta, J.lo_open, J.hi_open)
+
+
+def shifted(mu: DiscreteMeasure, t) -> DiscreteMeasure:
+    """mu with every atom and its window moved right by t, masses unchanged."""
+    return DiscreteMeasure(tuple(Atom(a.position + t, a.mass) for a in mu.atoms),
+                           mu.window.translate(t))
+
+
 def integer_comb(n_lo: int, n_hi: int, mass=Fraction(1),
                  pad=Fraction(1, 2)) -> DiscreteMeasure:
     """Unit masses at the integers n_lo..n_hi."""
@@ -250,7 +261,7 @@ def averaging_operator(mu: DiscreteMeasure, k: int) -> DiscreteMeasure:
         raise ValueError(f"averaging operator needs k >= 1, got {k}")
     offsets = literal_offsets(k)
     pairs = [(a.position + off, a.mass / (2 * k)) for a in mu.atoms for off in offsets]
-    return make_measure(pairs, mu.window.widen(offsets[-1]))
+    return make_measure(pairs, widened(mu.window, offsets[-1]))
 
 
 def literal_stage(s: int):
@@ -286,21 +297,30 @@ def measure_to_dict(mu: DiscreteMeasure) -> dict:
             "atoms": [{"pos": str(a.position), "mass": str(a.mass)} for a in mu.atoms]}
 
 
-def stage_to_dicts(stage: StageMeasure) -> tuple[dict, dict]:
-    """The measure file and the provenance sidecar of `stage` as dicts.
+def stage_to_dicts(s: int) -> tuple[dict, dict]:
+    """The measure file and the provenance sidecar of stage s as dicts, from
+    the literal recursion (`literal_stage`) on the closed stage window
+    [-h, h], h = (3^s - 1)/2 + 1/3.
 
     `json.dumps(d, indent=1) + "\\n"` of each is the byte oracle for what
     `serialize.save_stage` writes.
     """
-    entries = []
-    for i, atom in enumerate(stage.measure.atoms):
-        prov = provenance(stage.stage, i)
-        entries.append({"pos": str(atom.position),
-                        "stages": [step.stage for step in prov],
-                        "shifts": [str(step.shift) for step in prov],
-                        "offsets": [str(step.offset) for step in prov]})
-    sidecar = {"stage": stage.stage, "atoms": entries}
-    return measure_to_dict(stage.measure), sidecar
+    entries = literal_stage(s)
+    half = Fraction(3 ** s - 1, 2) + Fraction(1, 3)
+    measure = {"window": {"lo": str(-half), "hi": str(half), "lo_open": False, "hi_open": False},
+               "atoms": [{"pos": str(p), "mass": str(m)} for p, m, _ in entries]}
+    sidecar = {"stage": s,
+               "atoms": [{"pos": str(p),
+                          "stages": [k for k, _, _ in prov],
+                          "shifts": [str(shift) for _, shift, _ in prov],
+                          "offsets": [str(off) for _, _, off in prov]}
+                         for p, _, prov in entries]}
+    return measure, sidecar
+
+
+def literal_total_variation(mu: DiscreteMeasure) -> Fraction:
+    """The absolute atom masses added one `Fraction` at a time."""
+    return sum((abs(a.mass) for a in mu.atoms), Fraction(0))
 
 
 def literal_total_mass(mu: DiscreteMeasure) -> Fraction:

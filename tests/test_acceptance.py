@@ -42,7 +42,7 @@ TRIANGLE = triangle_test_function()
 
 def test_criterion_01_stage_reproduction():
     start = time.perf_counter()
-    mu1 = build_stage(1).measure
+    mu1 = build_stage(1)
     elapsed = time.perf_counter() - start
     r1 = averaging_radius(1)
     assert r1 == F(1, 16)
@@ -61,13 +61,13 @@ def test_criterion_02_counting_and_mass_laws():
     start = time.perf_counter()
     expected_counts = [1, 5, 45, 585, 9945, 208845]
     for s in range(6):
-        stage = build_stage(s)
-        n = len(stage.measure)
+        mu = build_stage(s)
+        n = len(mu)
         assert n == expected_counts[s] == projected_atom_count(s)
         if s >= 1:
             assert n == expected_counts[s - 1] * (1 + 4 * s)
-        assert stage.measure.total_mass == 3 ** s
-        positions = stage.measure.positions()
+        assert mu.total_mass == 3 ** s
+        positions = mu.positions()
         assert all(a < b for a, b in zip(positions, positions[1:]))  # zero merges
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
@@ -133,8 +133,8 @@ def test_criterion_07_almost_period_certificate():
 
 
 def test_criterion_08_sparsity_violation():
-    mu2 = build_stage(2).measure
-    mu3 = build_stage(3).measure
+    mu2 = build_stage(2)
+    mu3 = build_stage(3)
     c2, _ = sliding_count_sup(mu2, F(1, 16))
     c3, _ = sliding_count_sup(mu3, F(1, 16))
     assert c2 == 4 == brute_count_sup(mu2, F(1, 16))
@@ -202,7 +202,7 @@ def test_criterion_10_counterexample_demonstration():
 
 
 def test_criterion_11_negative_controls():
-    mu2 = build_stage(2).measure
+    mu2 = build_stage(2)
     pairs = [(a.position, a.mass) for a in mu2.atoms]
     idx = next(i for i, (p, _) in enumerate(pairs) if p == 3 - F(1, 512))
     pairs[idx] = (pairs[idx][0], pairs[idx][1] + F(1, 8))

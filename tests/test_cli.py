@@ -49,7 +49,7 @@ class TestBuild:
         code, out, _ = run(capsys, "build", "1", "--out", str(out_path))
         assert code == 0
         assert "atoms=5 mass=3" in out
-        assert load_measure(out_path) == build_stage(1).measure
+        assert load_measure(out_path) == build_stage(1)
         assert provenance_sidecar_path(out_path).exists()
 
     def test_stage0(self, tmp_path, capsys):
@@ -61,9 +61,23 @@ class TestBuild:
         assert code == 0 and "atoms=585 mass=27" in out
 
     def test_cap_exceeded(self, tmp_path, capsys):
-        code, _, err = run(capsys, "build", "4", "--cap", "100",
-                           "--out", str(tmp_path / "s4.json"))
+        out_path = tmp_path / "s4.json"
+        code, _, err = run(capsys, "build", "4", "--cap", "100", "--out", str(out_path))
         assert code == 1 and "cap" in err
+        assert list(tmp_path.iterdir()) == []  # refused before any file is opened
+
+    def test_builds_no_stage(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("build must not build a stage or make its atoms")
+
+        # the kernel's grid pairs become `Atom`s only through `_Query.atoms`
+        monkeypatch.setattr(construction, "build_stage", refuse)
+        monkeypatch.setattr(construction._Query, "atoms", refuse)
+        out_path = tmp_path / "s3.json"
+        code, out, _ = run(capsys, "build", "3", "--out", str(out_path))
+        assert code == 0 and out == "atoms=585 mass=27\n"
+        monkeypatch.undo()
+        assert load_measure(out_path) == build_stage(3)
 
     def test_env_cap(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("APMEASURE_ATOM_CAP", "3")
@@ -72,8 +86,9 @@ class TestBuild:
 
     def test_missing_out_dir_fails_before_building(self, tmp_path, capsys, monkeypatch):
         def no_build(*args, **kwargs):
-            raise AssertionError("build_stage called")
-        monkeypatch.setattr(construction, "build_stage", no_build)
+            raise AssertionError("the stage expansion started")
+        monkeypatch.setattr(serialize, "save_stage", no_build)
+        monkeypatch.setattr(construction, "_stage_pairs", no_build)
         out_path = tmp_path / "missing_dir" / "stage5.json"
         code, _, err = run(capsys, "build", "5", "--out", str(out_path))
         assert code == 2
@@ -92,7 +107,7 @@ class TestVerify:
             assert token in out
 
     def test_corrupted_measure_fails_with_witness(self, tmp_path, capsys):
-        mu = build_stage(1).measure
+        mu = build_stage(1)
         pairs = [(a.position, a.mass) for a in mu.atoms]
         pairs[0] = (pairs[0][0], F(3, 4))  # bump one mass in the cell at -1
         bad = make_measure(pairs, mu.window)
@@ -111,7 +126,7 @@ class TestVerify:
 
     def test_builds_no_stage(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "s2.json"
-        save_measure(build_stage(2).measure, path)
+        save_measure(build_stage(2), path)
 
         def refuse(*args, **kwargs):
             raise AssertionError("verify must not build a stage or make its atoms")
@@ -126,7 +141,7 @@ class TestVerify:
     def test_cell_budget_covers_a_file(self, tmp_path, capsys):
         # a stage-1 file checked as stage 5 has 243 cells to scan
         path = tmp_path / "s1.json"
-        save_measure(build_stage(1).measure, path)
+        save_measure(build_stage(1), path)
         code, _, err = run(capsys, "verify", "5", "--measure", str(path), "--cap", "100")
         assert code == 1 and "cap" in err
         start = time.perf_counter()
@@ -138,7 +153,7 @@ class TestVerify:
         # a stage-1 file checked as stage 14: 4.78M cells, all but the first three
         # bad ones walked without a `Fraction`
         path = tmp_path / "s1.json"
-        save_measure(build_stage(1).measure, path)
+        save_measure(build_stage(1), path)
         start = time.perf_counter()
         code, out, _ = run(capsys, "verify", "14", "--measure", str(path), "--tail-max", "2")
         assert code == 1
@@ -244,7 +259,7 @@ class TestAp:
 class TestConv:
     def test_print_and_csv(self, tmp_path, capsys):
         mpath = tmp_path / "m.json"
-        save_measure(build_stage(1).measure, mpath)
+        save_measure(build_stage(1), mpath)
         code, out, _ = run(capsys, "conv", "--measure", str(mpath),
                            "--window", "-1:1")
         assert code == 0
@@ -259,21 +274,21 @@ class TestConv:
 
     def test_half_open_window(self, tmp_path, capsys):
         mpath = tmp_path / "m.json"
-        save_measure(build_stage(1).measure, mpath)
+        save_measure(build_stage(1), mpath)
         code, out, _ = run(capsys, "conv", "--measure", str(mpath), "--window", "[0:1)")
         assert code == 0
         assert "x=0 value=1" in out
 
     def test_faithfulness_error_is_usage(self, tmp_path, capsys):
         mpath = tmp_path / "m.json"
-        save_measure(build_stage(1).measure, mpath)
+        save_measure(build_stage(1), mpath)
         code, _, err = run(capsys, "conv", "--measure", str(mpath), "--window", "-10:10")
         assert code == 2 and "window" in err
 
     @pytest.mark.parametrize("count", ["-3", "-1", "x"])
     def test_bad_sample_count_is_a_usage_error(self, tmp_path, capsys, count):
         mpath = tmp_path / "m.json"
-        save_measure(build_stage(1).measure, mpath)
+        save_measure(build_stage(1), mpath)
         code, out, err = run(capsys, "conv", "--measure", str(mpath), "--window", "-1:1",
                              "--samples", count)
         assert code == 2 and out == ""
@@ -281,7 +296,7 @@ class TestConv:
 
     def test_zero_samples_adds_no_rows(self, tmp_path, capsys):
         mpath = tmp_path / "m.json"
-        save_measure(build_stage(1).measure, mpath)
+        save_measure(build_stage(1), mpath)
         _, plain, _ = run(capsys, "conv", "--measure", str(mpath), "--window", "-1:1")
         code, out, _ = run(capsys, "conv", "--measure", str(mpath), "--window", "-1:1",
                            "--samples", "0")
@@ -290,7 +305,7 @@ class TestConv:
 
 class TestMatch:
     def test_doubled_stage(self, tmp_path, capsys):
-        mu = build_stage(2).measure
+        mu = build_stage(2)
         nu = combine(2, mu, 0, mu)
         mpath, npath = tmp_path / "mu.json", tmp_path / "nu.json"
         save_measure(mu, mpath)
@@ -305,7 +320,7 @@ class TestMatch:
         assert "measures differ: yes" in out
 
     def test_identical_files(self, tmp_path, capsys):
-        mu = build_stage(1).measure
+        mu = build_stage(1)
         path = tmp_path / "m.json"
         save_measure(mu, path)
         code, out, _ = run(capsys, "match", str(path), str(path), "--windows", "-4/3:4/3")
@@ -414,7 +429,7 @@ class TestPsi:
 
 class TestLump:
     def test_basic(self, tmp_path, capsys):
-        mu = build_stage(2).measure
+        mu = build_stage(2)
         empty = make_measure([], mu.window)
         mpath, npath = tmp_path / "mu.json", tmp_path / "nu.json"
         save_measure(mu, mpath)
@@ -504,7 +519,8 @@ def _no_work(monkeypatch):
     """Make the library calls that start the work of the commands below fail."""
     def fail(*args, **kwargs):
         raise AssertionError("the command started its work")
-    for module, name in ((serialize, "load_measure"), (construction, "build_stage"),
+    for module, name in ((serialize, "load_measure"), (serialize, "save_stage"),
+                         (construction, "_stage_pairs"),
                          (piecewise, "almost_period_certificate"), (piecewise, "convolve"),
                          (matching, "match_close"), (matching, "lump_decompose")):
         monkeypatch.setattr(module, name, fail)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction as F
@@ -28,7 +29,7 @@ from apmeasure import (
 from apmeasure import construction
 from apmeasure.construction import cell_center_bound
 from apmeasure.measures import make_measure
-from helpers import literal_scan, literal_stage
+from helpers import literal_scan, literal_stage, widened
 
 
 def atoms_of(mu):
@@ -47,42 +48,42 @@ class TestStageWindow:
 
 class TestBuildStage:
     def test_stage0(self):
-        assert atoms_of(build_stage(0).measure) == [(0, 1)]
+        assert atoms_of(build_stage(0)) == [(0, 1)]
 
     def test_stage1_explicit(self):
-        assert atoms_of(build_stage(1).measure) == [
+        assert atoms_of(build_stage(1)) == [
             (F(-17, 16), F(1, 2)), (F(-15, 16), F(1, 2)),
             (F(0), F(1)),
             (F(15, 16), F(1, 2)), (F(17, 16), F(1, 2)),
         ]
 
     def test_equal_masses_share_one_fraction(self):
-        atoms = build_stage(3).measure.atoms
+        atoms = build_stage(3).atoms
         assert len({id(a.mass) for a in atoms}) == len({a.mass for a in atoms}) < len(atoms)
 
     def test_stage2_counts(self):
-        mu2 = build_stage(2).measure
+        mu2 = build_stage(2)
         assert len(mu2) == 45
         assert mu2.total_mass == 9
 
     def test_projected_counts(self):
         assert [projected_atom_count(s) for s in range(6)] == [1, 5, 45, 585, 9945, 208845]
         for s in range(4):
-            assert len(build_stage(s).measure) == projected_atom_count(s)
+            assert len(build_stage(s)) == projected_atom_count(s)
 
     def test_recurrence(self):
         for s in range(1, 4):
-            assert len(build_stage(s).measure) == len(build_stage(s - 1).measure) * (1 + 4 * s)
+            assert len(build_stage(s)) == len(build_stage(s - 1)) * (1 + 4 * s)
 
     def test_mass_provenance_consistency(self):
-        for i, atom in enumerate(build_stage(3).measure.atoms):
+        for i, atom in enumerate(build_stage(3).atoms):
             q = 1
             for step in provenance(3, i):
                 q *= 2 * step.stage
             assert atom.mass == F(1, q)
 
     def test_provenance_reconstructs_position(self):
-        for i, atom in enumerate(build_stage(3).measure.atoms):
+        for i, atom in enumerate(build_stage(3).atoms):
             assert atom.position == sum((step.shift + step.offset for step in provenance(3, i)), F(0))
 
     def test_provenance_stages_increase(self):
@@ -104,7 +105,7 @@ class TestLiteralOracle:
 
     @pytest.mark.parametrize("s", range(5))
     def test_builder_matches(self, s):
-        built = atoms_of(build_stage(s).measure)
+        built = atoms_of(build_stage(s))
         assert built == [(p, m) for p, m, _ in literal_stage(s)]
 
     @pytest.mark.parametrize("lo_open", [False, True])
@@ -151,18 +152,18 @@ class TestSupportAndCells:
 
     def test_cell_budget(self):
         # stage 5 has 243 cells: a file is charged its cells, not its atoms
-        mu = build_stage(1).measure
+        mu = build_stage(1)
         assert verify_stage_scan(5, mu, atom_cap=243).bad_cells[0] == (-121, 0)
         with pytest.raises(AtomBudgetError, match="stage 5 has 3\\^5 lattice cells, cap is 242$"):
             verify_stage_scan(5, mu, atom_cap=242)
 
     def test_stage1_side_cell(self):
-        mu1 = build_stage(1).measure
+        mu1 = build_stage(1)
         cell = Interval.open(F(-4, 3), F(-2, 3))
         assert restrict(mu1, cell).total_mass == 1
 
     def test_corrupted_mass_detected(self):
-        mu2 = build_stage(2).measure
+        mu2 = build_stage(2)
         pairs = atoms_of(mu2)
         # flip the mass of one atom in the cell centered at 3
         idx = next(i for i, (p, _) in enumerate(pairs) if p == 3 - F(1, 512))
@@ -172,7 +173,7 @@ class TestSupportAndCells:
         assert scan.bad_cells == ((3, F(2)),) and not scan.strays
 
     def test_stray_atom_detected(self):
-        mu = make_measure([(0, 1), (F(1, 2), 1)], stage_window(0).closure().widen(1))
+        mu = make_measure([(0, 1), (F(1, 2), 1)], widened(stage_window(0).closure(), 1))
         scan = verify_stage_scan(0, mu)
         assert scan.strays == (F(1, 2),) and not scan.bad_cells and scan.offender == F(1, 2)
 
@@ -183,7 +184,7 @@ def perturbed_stages(draw):
     onto n -+ 1/3 or a half-integer (n the atom's cell), onto or past an end
     of the stage window, or a mass shifted."""
     s = draw(st.integers(min_value=0, max_value=3))
-    built = atoms_of(build_stage(s).measure)
+    built = atoms_of(build_stage(s))
     pairs = list(built)
     window = stage_window(s)
     edits = st.tuples(st.integers(min_value=0, max_value=len(pairs) - 1),
@@ -201,7 +202,7 @@ def perturbed_stages(draw):
             pairs[i] = ((window.hi if sign > 0 else window.lo) + sign * amount, m)
         else:
             pairs[i] = (p, m + sign * amount)
-    return s, make_measure(pairs, window.closure().widen(2))
+    return s, make_measure(pairs, widened(window.closure(), 2))
 
 
 @st.composite
@@ -210,12 +211,12 @@ def off_grid_measures(draw):
     position over 7, 11 or 16 (7 and 11 divide no stage grid) and each mass
     a signed fraction."""
     s = draw(st.integers(min_value=0, max_value=3))
-    window = stage_window(s).closure().widen(2)
+    window = widened(stage_window(s).closure(), 2)
     position = st.builds(lambda den, x: F(math.floor(x * den), den), st.sampled_from([7, 11, 16]),
                          st.fractions(min_value=window.lo, max_value=window.hi))
     mass = st.fractions(min_value=-2, max_value=2, max_denominator=12).filter(bool)
     pairs = draw(st.lists(st.tuples(position, mass), max_size=8))
-    return s, make_measure(pairs, window.widen(1))
+    return s, make_measure(pairs, widened(window, 1))
 
 
 @given(perturbed_stages() | off_grid_measures())
@@ -446,7 +447,7 @@ def stage_subwindows(draw):
     """A stage s <= 4 and a window inside its open window, often ending on atoms."""
     s = draw(st.integers(min_value=0, max_value=4))
     inner = stage_window(s)
-    positions = build_stage(s).measure.positions()
+    positions = build_stage(s).positions()
     point = (st.sampled_from(positions)
              | st.fractions(min_value=inner.lo, max_value=inner.hi, max_denominator=1024)
              .filter(inner.contains))
@@ -458,7 +459,7 @@ def stage_subwindows(draw):
 @settings(max_examples=60, deadline=None)
 def test_window_expansion_agrees_with_builder(case):
     s, J = case
-    assert limit_window(J) == restrict(build_stage(s).measure, J)
+    assert limit_window(J) == restrict(build_stage(s), J)
 
 
 class TestStability:
@@ -491,7 +492,7 @@ class TestStability:
 
 class TestClusterCertificate:
     def test_single_averaging_branch(self):
-        cert = cluster_certificate(build_stage(2), 0, 0, [(2, 3)])
+        cert = cluster_certificate(2, 0, 0, [(2, 3)])
         assert cert.q == 4
         assert cert.spread == F(1, 512)
         assert cert.center == 3
@@ -500,7 +501,7 @@ class TestClusterCertificate:
         assert cert.member_mass == F(1, 4)
 
     def test_two_step_branch(self):
-        cert = cluster_certificate(build_stage(3), 0, 0, [(2, 3), (3, 9)])
+        cert = cluster_certificate(3, 0, 0, [(2, 3), (3, 9)])
         assert cert.q == 24
         assert cert.spread == F(1, 512) + F(1, 65536)
         assert cert.center == 12
@@ -509,28 +510,53 @@ class TestClusterCertificate:
         assert all(abs(m - 12) <= cert.spread for m in cert.members)
 
     def test_empty_branch(self):
-        cert = cluster_certificate(build_stage(2), 1, F(15, 16), [])
+        cert = cluster_certificate(2, 1, F(15, 16), [])
         assert cert.q == 1 and cert.spread == 0
         assert cert.members == (F(15, 16),)
         assert cert.member_mass == F(1, 2)
 
     def test_nontrivial_ancestor(self):
-        cert = cluster_certificate(build_stage(2), 1, F(15, 16), [(2, -3)])
+        cert = cluster_certificate(2, 1, F(15, 16), [(2, -3)])
         assert cert.q == 4
         assert cert.center == F(15, 16) - 3
         assert cert.member_mass == F(1, 8)
 
     def test_not_an_atom(self):
         with pytest.raises(ValueError, match="not an atom"):
-            cluster_certificate(build_stage(2), 0, F(1, 7), [(2, 3)])
+            cluster_certificate(2, 0, F(1, 7), [(2, 3)])
+
+    def test_limit_atom_outside_the_ancestor_stage(self):
+        # 15/16 is an atom of the limit (mass 1/2) but lies outside the stage-0 window
+        with pytest.raises(ValueError, match="not an atom of stage 0"):
+            cluster_certificate(2, 0, F(15, 16), [(2, 3)])
+
+    def test_builds_no_stage(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("cluster_certificate must not build a stage")
+
+        monkeypatch.setattr(construction, "build_stage", refuse)
+        cert = cluster_certificate(5, 1, F(-17, 16), [(3, 9), (5, -81)])
+        assert cert.q == 60 and cert.member_mass == F(1, 120)
+        assert cert.center == F(-17, 16) - 72
+
+    @pytest.mark.parametrize("ancestor_stage", range(3))
+    def test_every_branch_into_stage_three(self, ancestor_stage):
+        # every atom of the ancestor stage and every branch of signed passes up to stage 3
+        later = range(ancestor_stage + 1, 4)
+        branches = [[(k, sign * 3 ** (k - 1)) for k, sign in zip(later, signs) if sign]
+                    for signs in itertools.product((-1, 0, 1), repeat=len(later))]
+        for y, mass, _ in literal_stage(ancestor_stage):
+            for branch in branches:
+                cert = cluster_certificate(3, ancestor_stage, y, branch)
+                assert cert.member_mass == mass / cert.q
 
     def test_bad_shift(self):
         with pytest.raises(ValueError, match="lattice step"):
-            cluster_certificate(build_stage(2), 0, 0, [(2, 5)])
+            cluster_certificate(2, 0, 0, [(2, 5)])
 
     def test_stage_order_enforced(self):
         with pytest.raises(ValueError, match="must increase"):
-            cluster_certificate(build_stage(3), 0, 0, [(3, 9), (2, 3)])
+            cluster_certificate(3, 0, 0, [(3, 9), (2, 3)])
 
 
 class TestSeparation:

@@ -15,7 +15,7 @@ import pytest
 from apmeasure import DiscreteMeasure, Interval, build_stage, make_measure, restrict, stage_window
 from apmeasure.cli import main
 from apmeasure.serialize import save_measure
-from helpers import integer_comb, perturbed_comb
+from helpers import integer_comb, perturbed_comb, widened
 
 STAGE_FILES = {
     0: ("e8f6512a6614b52dd5531333f44e47b2c609e131d83d8ae57fe881145ee76b25",
@@ -148,7 +148,7 @@ def test_ap_report(tmp_path, capsys):
 @pytest.mark.parametrize("files", sorted(MATCH_REPORTS), ids=lambda files: files[0])
 def test_partial_match_report(files, tmp_path, capsys):
     J = Interval.closed(F(63, 2), F(69, 2))
-    far = restrict(build_stage(4).measure, J)
+    far = restrict(build_stage(4), J)
     assert len(far) == 960
     save_measure(far, tmp_path / "far.json")
     save_measure(DiscreteMeasure(far.atoms[:479] + far.atoms[480:], J), tmp_path / "far_drop.json")
@@ -162,7 +162,7 @@ def test_partial_match_report(files, tmp_path, capsys):
 
 def test_conv_stdout(tmp_path):
     path = tmp_path / "stage4.json"
-    save_measure(build_stage(4).measure, path)
+    save_measure(build_stage(4), path)
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         assert main(["conv", "--measure", str(path), "--window", "-40:40"]) == 0
@@ -172,7 +172,7 @@ def test_conv_stdout(tmp_path):
 
 def stage4_files(tmp_path) -> None:
     """mu.json: the stage-4 atoms on [-40, 40]; double.json: the same atoms, masses doubled."""
-    mu = restrict(build_stage(4).measure, Interval.closed(-40, 40))
+    mu = restrict(build_stage(4), Interval.closed(-40, 40))
     save_measure(mu, tmp_path / "mu.json")
     save_measure(make_measure([(a.position, 2 * a.mass) for a in mu.atoms], mu.window),
                  tmp_path / "double.json")
@@ -211,18 +211,18 @@ def test_match_stage4(tmp_path):
 
 
 def corrupted_stage3() -> DiscreteMeasure:
-    atoms = build_stage(3).measure.atoms
+    atoms = build_stage(3).atoms
     pairs = [(a.position, a.mass) for a in atoms]
     pairs[0] = (pairs[0][0], 2 * pairs[0][1])
     moved = next(i for i, (p, _) in enumerate(pairs) if p == 3 - F(1, 512))
     pairs[moved] = (F(7, 2), pairs[moved][1])
     pairs[-1] = (F(14), pairs[-1][1])
-    return make_measure(pairs, stage_window(3).closure().widen(2))
+    return make_measure(pairs, widened(stage_window(3).closure(), 2))
 
 
 @pytest.mark.parametrize("name", sorted(VERIFY_MEASURE))
 def test_verify_measure_stdout(name, tmp_path, monkeypatch):
-    s, mu, code = (4, build_stage(4).measure, 0) if name == "stage4.json" \
+    s, mu, code = (4, build_stage(4), 0) if name == "stage4.json" \
         else (3, corrupted_stage3(), 1)
     save_measure(mu, tmp_path / name)
     monkeypatch.chdir(tmp_path)  # stdout names the file

@@ -19,7 +19,6 @@ from apmeasure import (
     make_measure,
     match_close,
     origin_product_identity,
-    shift,
     sparsity_bound,
 )
 from helpers import (
@@ -29,6 +28,7 @@ from helpers import (
     literal_hypothesis,
     literal_match_report,
     perturbed_comb,
+    shifted,
 )
 
 BIG = Interval.closed(-100, 100)
@@ -185,7 +185,7 @@ def test_report_matches_the_literal_oracle(pair, windows):
 
 
 def test_equal_values_share_one_fraction():
-    mu = build_stage(3).measure
+    mu = build_stage(3)
     nu = combine(2, mu, 0, mu)
     report = match_close(mu, nu, [mu.window])
     dec = lump_decompose(mu, nu, F(1, 100))
@@ -266,7 +266,7 @@ class TestSparsityBound:
         assert sparsity_bound(comb, comb, F(1, 4)) == 2
 
     def test_stage2(self):
-        mu2 = build_stage(2).measure
+        mu2 = build_stage(2)
         doubled = combine(2, mu2, 0, mu2)
         assert sparsity_bound(mu2, doubled, F(1, 16)) == 5
 
@@ -279,7 +279,7 @@ class TestSparsityBound:
         nu = measure([(F(1, 6), 1)])
         t = F(7, 5)
         assert sparsity_bound(mu, nu, F(1, 4)) == sparsity_bound(
-            shift(mu, t), shift(nu, t), F(1, 4))
+            shifted(mu, t), shifted(nu, t), F(1, 4))
 
 
 class TestLumps:
@@ -306,7 +306,7 @@ class TestLumps:
         assert len(dec.lumps) == 2
 
     def test_stage2_clusters(self):
-        mu2 = build_stage(2).measure
+        mu2 = build_stage(2)
         dec = lump_decompose(mu2, measure([], mu2.window), F(1, 100))
         assert len(dec.lumps) == 15
         multi = [lump for lump in dec.lumps if len(lump.left_positions) > 1]

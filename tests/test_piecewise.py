@@ -110,7 +110,7 @@ class TestConvolve:
             assert g.eval(x) == TRIANGLE.eval(x)
 
     def test_stage1_value(self):
-        mu1 = build_stage(1).measure
+        mu1 = build_stage(1)
         # both atoms 15/16 and 17/16 are within reach 1/6 of x = 15/16
         expected = F(1, 2) * 1 + F(1, 2) * F(1, 4)
         assert convolution_value(TRIANGLE, mu1, F(15, 16)) == expected == F(5, 8)
@@ -121,7 +121,7 @@ class TestConvolve:
         assert convolution_value(TRIANGLE, mu, 3) == 1 - F(9, 1024)
 
     def test_curve_matches_pointwise_oracle(self):
-        mu2 = build_stage(2).measure
+        mu2 = build_stage(2)
         J = Interval.closed(F(-5, 4), F(5, 4))
         g = convolve(TRIANGLE, mu2, J)
         for i in range(-20, 21):
@@ -306,7 +306,7 @@ class TestSup:
         assert convolution_sup(TRIANGLE, empty, J_UNIT) == (0, J_UNIT.lo)
 
     def test_grid_oracle_never_exceeds(self):
-        mu = build_stage(1).measure
+        mu = build_stage(1)
         J = Interval.closed(-1, 1)
         sup, _ = convolution_sup(TRIANGLE, mu, J)
         assert grid_max_abs_diff(convolve(TRIANGLE, mu, J), ZERO, J) <= sup

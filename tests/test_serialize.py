@@ -32,7 +32,7 @@ def test_measure_round_trip(tmp_path):
 
 
 def test_measure_file_is_decimal_free(tmp_path):
-    mu = build_stage(2).measure
+    mu = build_stage(2)
     path = tmp_path / "m.json"
     save_measure(mu, path)
     payload = json.loads(path.read_text())
@@ -48,10 +48,9 @@ def dumped(d):
 @pytest.mark.parametrize("s", range(5))
 def test_stage_files_are_json_dumps(s, tmp_path):
     # stage 0's one atom has empty stages/shifts/offsets lists
-    stage = build_stage(s)
     path = tmp_path / "stage.json"
-    side = save_stage(stage, path)
-    measure, sidecar = stage_to_dicts(stage)
+    side = save_stage(s, path)
+    measure, sidecar = stage_to_dicts(s)
     assert path.read_text() == dumped(measure)
     assert side.read_text() == dumped(sidecar)
 
@@ -79,9 +78,8 @@ def test_batch_boundary_is_json_dumps(extra, tmp_path, monkeypatch):
     assert path.read_text() == dumped(measure_to_dict(mu))
     # the 45 atoms of stage 2 at a batch boundary, measure file and sidecar
     monkeypatch.setattr(serialize, "_BATCH", 45 + extra)
-    stage = build_stage(2)
-    side = save_stage(stage, path)
-    measure, sidecar = stage_to_dicts(stage)
+    side = save_stage(2, path)
+    measure, sidecar = stage_to_dicts(2)
     assert (path.read_text(), side.read_text()) == (dumped(measure), dumped(sidecar))
 
 
@@ -149,7 +147,7 @@ def test_loading_canonicalizes():
 def test_canonical_file_is_read_in_one_pass(tmp_path, monkeypatch):
     # a file as `save_measure` writes it never reaches `make_measure`, and
     # its atoms share one Fraction per distinct mass
-    mu = build_stage(3).measure
+    mu = build_stage(3)
     path = tmp_path / "m.json"
     save_measure(mu, path)
 
@@ -223,11 +221,10 @@ def test_loader_matches_the_literal_loader(tmp_path_factory, doc):
 
 
 def test_stage_sidecar(tmp_path):
-    stage = build_stage(2)
     path = tmp_path / "stage2.json"
-    side = save_stage(stage, path)
+    side = save_stage(2, path)
     assert side == provenance_sidecar_path(path)
-    assert load_measure(path) == stage.measure
+    assert load_measure(path) == build_stage(2)
     payload = json.loads(side.read_text())
     assert payload["stage"] == 2
     assert len(payload["atoms"]) == 45
@@ -238,12 +235,19 @@ def test_stage_sidecar(tmp_path):
     assert cluster_atom["offsets"] == ["-1/512"]
 
 
-def test_sidecar_reconstructs_positions():
-    _, sidecar = stage_to_dicts(build_stage(2))
+def test_sidecar_reconstructs_positions(tmp_path):
+    sidecar = json.loads(save_stage(2, tmp_path / "stage2.json").read_text())
     for entry in sidecar["atoms"]:
         total = sum((F(s) for s in entry["shifts"]), F(0))
         total += sum((F(o) for o in entry["offsets"]), F(0))
         assert total == F(entry["pos"])
+
+
+def test_save_stage_checks_what_it_wrote(tmp_path, monkeypatch):
+    # a stream that disagrees with the closed-form count n_s fails loudly
+    monkeypatch.setattr(serialize, "projected_atom_count", lambda s: 46)
+    with pytest.raises(AssertionError, match="stage 2 streamed 45 atoms of mass 9"):
+        save_stage(2, tmp_path / "stage2.json")
 
 
 def test_plf_round_trip(tmp_path):
