@@ -58,9 +58,9 @@ from .piecewise import (
     almost_period_certificate,
     almost_period_defect,
     bump,
+    convolution_rows,
     convolution_sup,
     convolution_value,
-    convolve,
     triangle_test_function,
 )
 

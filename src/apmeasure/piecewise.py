@@ -1,11 +1,12 @@
 """Exact calculus of piecewise-linear test functions on the line.
 
-Functions are stored as breakpoint/value lists with rational coordinates.
-Two flavors exist: compactly supported functions (zero off their breakpoint
-span, first and last values must be 0) and window functions (faithful only
-on their span, e.g. the result of convolving against a windowed measure).
-Because everything stays piecewise linear, suprema are attained at
-breakpoints and every certificate below is an exact rational statement.
+Functions are stored as breakpoint/value lists with rational coordinates;
+each is compactly supported (zero off its breakpoint span, so its first and
+last values are 0).  A convolution against a measure is never built as a
+function: it is read off one integer sweep (`_sweep`) as rows, a maximum
+or a single value.  Because everything stays piecewise linear, suprema are
+attained at breakpoints and every certificate below is an exact rational
+statement.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from heapq import merge
 from itertools import groupby
 from operator import itemgetter
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .measures import (
     Atom,
@@ -31,21 +32,17 @@ from .measures import (
 
 
 class FaithfulnessError(ValueError):
-    """A value was requested where the measure or function is not certified."""
+    """A value was requested where the measure is not certified."""
 
 
 @dataclass(frozen=True)
 class PiecewiseLinearFn:
-    """Continuous piecewise-linear function given by breakpoints and values.
-
-    With ``zero_outside`` the function is defined on all of the line and
-    vanishes off the breakpoint span (so the boundary values must be zero);
-    otherwise it is only defined on the span and evaluating outside raises.
-    """
+    """Compactly supported continuous piecewise-linear function given by
+    breakpoints and values: it vanishes off the breakpoint span, so the
+    boundary values must be zero."""
 
     breakpoints: tuple[Fraction, ...]
     values: tuple[Fraction, ...]
-    zero_outside: bool = True
 
     def __post_init__(self):
         bps = tuple(rational(b) for b in self.breakpoints)
@@ -54,25 +51,16 @@ class PiecewiseLinearFn:
         object.__setattr__(self, "values", vals)
         if len(bps) != len(vals):
             raise ValueError("breakpoint and value lists differ in length")
-        if not bps:
-            raise ValueError("need at least one breakpoint")
         if any(a >= b for a, b in zip(bps, bps[1:])):
             raise ValueError("breakpoints must be strictly increasing")
-        if self.zero_outside:
-            if len(bps) < 2 or vals[0] != 0 or vals[-1] != 0:
-                raise ValueError("a compactly supported function must start and end at 0")
-
-    @property
-    def span(self) -> Interval:
-        return Interval.closed(self.breakpoints[0], self.breakpoints[-1])
+        if len(bps) < 2 or vals[0] != 0 or vals[-1] != 0:
+            raise ValueError("a compactly supported function must start and end at 0")
 
     def eval(self, x: RationalLike) -> Fraction:
         x = rational(x)
         bps = self.breakpoints
         if x < bps[0] or x > bps[-1]:
-            if self.zero_outside:
-                return Fraction(0)
-            raise FaithfulnessError(f"{x} is outside the definition range {self.span}")
+            return Fraction(0)
         i = bisect_right(bps, x) - 1
         if i == len(bps) - 1:
             return self.values[-1]
@@ -93,8 +81,7 @@ class PiecewiseLinearFn:
 
     def slope_changes(self) -> list[tuple[Fraction, Fraction]]:
         """(breakpoint, slope jump) pairs, including the jumps from/to zero
-        at the support boundary.  Only meaningful for compactly supported
-        functions."""
+        at the support boundary."""
         slopes = [Fraction(0)] + self.slopes() + [Fraction(0)]
         return [
             (b, after - before)
@@ -142,8 +129,6 @@ def _needed_region(f: PiecewiseLinearFn, J: Interval) -> Interval:
 
 def _faithful_atoms(f: PiecewiseLinearFn, mu: DiscreteMeasure, J: Interval) -> tuple[Atom, ...]:
     """The atoms of mu that (f * mu) on J can see; `FaithfulnessError` unless mu's window covers them."""
-    if not f.zero_outside:
-        raise ValueError("convolution needs a compactly supported test function")
     needed = _needed_region(f, J)
     if not mu.window.contains_interval(needed):
         raise FaithfulnessError(
@@ -151,12 +136,6 @@ def _faithful_atoms(f: PiecewiseLinearFn, mu: DiscreteMeasure, J: Interval) -> t
             f"but its window is {mu.window}")
     lo, hi = span_within(mu.atoms, needed)
     return mu.atoms[lo:hi]
-
-
-def convolution_value(f: PiecewiseLinearFn, mu: DiscreteMeasure,
-                      x: RationalLike) -> Fraction:
-    """Exact value of (f * mu)(x) = sum of f(x - position) * mass."""
-    return convolve(f, mu, Interval.closed(x, x)).values[0]
 
 
 def _events(points: list[tuple[int, int]], offset: int, factor: int
@@ -169,7 +148,7 @@ def _events(points: list[tuple[int, int]], offset: int, factor: int
     return ((x + offset, m * factor) for x, m in points)
 
 
-def _walk(streams: list[Iterator[tuple[int, int]]], lo: int, hi: int
+def _walk(streams: list[Iterable[tuple[int, int]]], lo: int, hi: int
           ) -> Iterator[tuple[int, int]]:
     """`_sweep`'s left-to-right walk: (x, value) per reported point, on the
     integer events of `streams` and the integer window ends lo <= hi."""
@@ -192,11 +171,13 @@ def _walk(streams: list[Iterator[tuple[int, int]]], lo: int, hi: int
 
 
 def _sweep(f: PiecewiseLinearFn, parts: Sequence[tuple[tuple[Atom, ...], Fraction, int]],
-           J: Interval) -> tuple[int, int, Iterator[tuple[int, int]]]:
+           J: Interval, marks: Sequence[Fraction] = ()
+           ) -> tuple[int, int, Iterator[tuple[int, int]]]:
     """(D, V, points): the points (x*D, h(x)*V) at J.lo, at each distinct
     event x inside J, and at J.hi when J.hi > J.lo, left to right, for
     h(x) = the sum over the parts (atoms, shift, sign) of
-    sign * (f * atoms)(x + shift).
+    sign * (f * atoms)(x + shift).  Each of the increasing `marks` is one
+    more event, of jump 0, so a mark inside J is reported too.
 
     One left-to-right sweep.  A compactly supported f is the sum of
     ds * (y - b)_+ over its slope changes (b, ds), so h(y) is the sum of
@@ -209,20 +190,21 @@ def _sweep(f: PiecewiseLinearFn, parts: Sequence[tuple[tuple[Atom, ...], Fractio
     J.lo folded in.
 
     The sweep runs on one integer grid per call.  D is the lcm of the
-    denominators of J's ends, the b, the shifts and the atom positions, so
-    every event is an int over D.  M and S are the lcms of the mass and the
-    slope-jump denominators, so every jump, a mass over M times a slope
-    jump over S, is an int over W = M*S (the lcm of M and S would not do:
-    1/2 * 1/2 = 1/4).  Each slope is an int over W and each value an int
-    over V = D*W.  The caller makes `Fraction`s of what it keeps.
+    denominators of J's ends, the marks, the b, the shifts and the atom
+    positions, so every event is an int over D.  M and S are the lcms of
+    the mass and the slope-jump denominators, so every jump, a mass over M
+    times a slope jump over S, is an int over W = M*S (the lcm of M and S
+    would not do: 1/2 * 1/2 = 1/4).  Each slope is an int over W and each
+    value an int over V = D*W.  The caller makes `Fraction`s of what it
+    keeps.
     """
     changes = f.slope_changes()
     atoms = [a for part, _, _ in parts for a in part]
-    D = common_denominator([J.lo, J.hi, *(b for b, _ in changes),
+    D = common_denominator([J.lo, J.hi, *marks, *(b for b, _ in changes),
                             *(shift for _, shift, _ in parts), *(a.position for a in atoms)])
     M = common_denominator(a.mass for a in atoms)
     S = common_denominator(ds for _, ds in changes)
-    streams = []
+    streams = [[(on_grid(x, D), 0) for x in marks]] if marks else []
     for part, shift, sign in parts:
         points = [(on_grid(a.position, D), on_grid(a.mass, M)) for a in part]
         streams += [_events(points, on_grid(b - shift, D), sign * on_grid(ds, S))
@@ -230,19 +212,26 @@ def _sweep(f: PiecewiseLinearFn, parts: Sequence[tuple[tuple[Atom, ...], Fractio
     return D, D * M * S, _walk(streams, on_grid(J.lo, D), on_grid(J.hi, D))
 
 
-def convolve(f: PiecewiseLinearFn, mu: DiscreteMeasure, J: Interval) -> PiecewiseLinearFn:
-    """(f * mu) on the interval J as an exact window function.
+def convolution_rows(f: PiecewiseLinearFn, mu: DiscreteMeasure, J: Interval,
+                     marks: Iterable[RationalLike] = ()) -> Iterator[tuple[Fraction, Fraction]]:
+    """(x, (f * mu)(x)) exactly, left to right, at J's ends, at every distinct
+    event position inside J (see `_sweep`) and at every mark inside J, each
+    row as the sweep reaches it.
 
-    Faithfulness is enforced: the measure window must cover everything the
-    convolution can see from J.  The result's breakpoints are J's ends and
-    every distinct event position inside J (see `_sweep`).
+    Faithfulness is enforced before the first row: the measure window must
+    cover everything the convolution can see from J.  f * mu is linear
+    between consecutive rows.
     """
-    D, V, points = _sweep(f, ((_faithful_atoms(f, mu, J), Fraction(0), 1),), J)
-    bps, values = [], []
-    for x, value in points:
-        bps.append(Fraction(x, D))
-        values.append(Fraction(value, V))
-    return PiecewiseLinearFn(tuple(bps), tuple(values), zero_outside=False)
+    D, V, points = _sweep(f, ((_faithful_atoms(f, mu, J), Fraction(0), 1),), J,
+                          sorted(map(rational, marks)))
+    return ((Fraction(x, D), Fraction(value, V)) for x, value in points)
+
+
+def convolution_value(f: PiecewiseLinearFn, mu: DiscreteMeasure,
+                      x: RationalLike) -> Fraction:
+    """Exact value of (f * mu)(x) = sum of f(x - position) * mass: the one
+    row of the point window [x, x]."""
+    return next(convolution_rows(f, mu, Interval.closed(x, x)))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +254,7 @@ def _sup_abs(f: PiecewiseLinearFn, parts: Sequence[tuple[tuple[Atom, ...], Fract
 def convolution_sup(f: PiecewiseLinearFn, mu: DiscreteMeasure, J: Interval
                     ) -> tuple[Fraction, Fraction]:
     """Exact sup of |f * mu| over J with its leftmost witness: the max over
-    `convolve`'s breakpoints, faithfulness checked as there, no function built."""
+    `convolution_rows`' points, faithfulness checked as there."""
     return _sup_abs(f, ((_faithful_atoms(f, mu, J), Fraction(0), 1),), J)
 
 

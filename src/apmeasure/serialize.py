@@ -223,16 +223,18 @@ def plf_to_dict(f: PiecewiseLinearFn) -> dict[str, Any]:
     return {
         "breakpoints": [frac(b) for b in f.breakpoints],
         "values": [frac(v) for v in f.values],
-        "zero_outside": f.zero_outside,
     }
 
 
 def plf_from_dict(d: dict[str, Any]) -> PiecewiseLinearFn:
+    """A test function; an optional "zero_outside" key must be true, as every
+    test function is compactly supported."""
     _json(d, dict, "a test-function file")
+    if not _flag(d, "zero_outside", True):
+        raise ValueError("a test function must be compactly supported (zero_outside true)")
     return PiecewiseLinearFn(
         tuple(parse_frac(b) for b in _json(d["breakpoints"], list, "breakpoints")),
         tuple(parse_frac(v) for v in _json(d["values"], list, "values")),
-        _flag(d, "zero_outside", True),
     )
 
 

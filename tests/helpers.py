@@ -3,7 +3,9 @@
 Everything here deliberately avoids the library's own fast paths: counts go
 through quadratic scans, matchings through permutation enumeration or the
 full DP table, and convolution values through literal pointwise sums, so
-that agreement is an actual cross-check.
+that agreement is an actual cross-check.  From the library this module
+imports only types and the measure constructor (`tests/test_independence.py`
+holds the list).
 """
 
 import json
@@ -13,9 +15,8 @@ from itertools import combinations, permutations
 from pathlib import Path
 from typing import Sequence
 
-from apmeasure import (Atom, DiscreteMeasure, FaithfulnessError, Interval, MatchReport,
-                       PiecewiseLinearFn, convolve, make_measure, restrict)
-from apmeasure.construction import StageScan, cell_center_bound, stage_window
+from apmeasure import Atom, DiscreteMeasure, Interval, MatchReport, make_measure
+from apmeasure.construction import StageScan
 from apmeasure.matching import MatchedPair, WindowProfile
 
 
@@ -90,7 +91,7 @@ def literal_match_report(mu: DiscreteMeasure, nu: DiscreteMeasure,
     profile a `contains` scan of every pair and unmatched atom.  The
     reference for `match_close`."""
     outermost = nested_windows[-1]
-    a, b = restrict(mu, outermost).atoms, restrict(nu, outermost).atoms
+    a, b = ([x for x in side.atoms if outermost.contains(x.position)] for side in (mu, nu))
     unmatched_left: list[Atom] = []
     unmatched_right: list[Atom] = []
     if len(a) == len(b):
@@ -162,51 +163,32 @@ def literal_convolution_sup(f, mu: DiscreteMeasure, J: Interval) -> tuple[Fracti
     return best, witness
 
 
-def literal_sup_abs_diff(g1, g2, J: Interval) -> tuple[Fraction, Fraction]:
-    """Max of |g1 - g2| (and its leftmost witness) over J's ends and both
-    functions' breakpoints inside J, by a set, a sort and `eval` at every
-    candidate: the reference for the library's breakpoint walk."""
-    for g in (g1, g2):
-        if not (g.zero_outside or g.span.contains_interval(J)):
-            raise FaithfulnessError(f"function with span {g.span} is not defined on {J}")
-    candidates = {J.lo, J.hi}
-    for g in (g1, g2):
-        candidates.update(b for b in g.breakpoints if J.lo < b < J.hi)
+def two_convolution_defect(f, source, tau, J: Interval) -> tuple[Fraction, Fraction]:
+    """Max of |(f * far)(x + tau) - (f * base)(x)| (and its leftmost witness)
+    over J's ends and every event inside J, base = source(base region) and
+    far = source(base region + tau), each value two pointwise sums.  The
+    events are base position + breakpoint and far position - tau +
+    breakpoint.  The reference for the library's one-sweep defect."""
+    tau = Fraction(tau)
+    pad_lo, pad_hi = f.breakpoints[0], f.breakpoints[-1]
+    base_region = Interval.closed(J.lo - pad_hi, J.hi - pad_lo)
+    base, far = source(base_region), source(base_region.translate(tau))
+    events = {a.position + b for a in base.atoms for b in f.breakpoints}
+    events.update(a.position - tau + b for a in far.atoms for b in f.breakpoints)
     best = Fraction(-1)
     witness = J.lo
-    for x in sorted(candidates):
-        d = abs(g1.eval(x) - g2.eval(x))
+    for x in sorted({J.lo, J.hi, *(x for x in events if J.lo < x < J.hi)}):
+        d = abs(pointwise_convolution(f, far, x + tau) - pointwise_convolution(f, base, x))
         if d > best:
             best = d
             witness = x
     return best, witness
 
 
-def translated(g, t):
-    """g(x - t): the piecewise-linear function g moved right by t."""
-    return PiecewiseLinearFn(tuple(b + t for b in g.breakpoints), g.values, g.zero_outside)
-
-
-def two_convolution_defect(f, source, tau, J: Interval) -> tuple[Fraction, Fraction]:
-    """The almost-period defect through two whole convolutions: (f * mu) on J
-    and on J + tau, the far one translated back by -tau, and the literal
-    breakpoint sup of their difference.  The reference for the library's
-    one-sweep defect."""
-    tau = Fraction(tau)
-    pad_lo, pad_hi = f.breakpoints[0], f.breakpoints[-1]
-    base_region = Interval.closed(J.lo - pad_hi, J.hi - pad_lo)
-    g_base = convolve(f, source(base_region), J)
-    g_far = convolve(f, source(base_region.translate(tau)), J.translate(tau))
-    return literal_sup_abs_diff(translated(g_far, -tau), g_base, J)
-
-
-def grid_max_abs_diff(g1, g2, J: Interval, steps: int = 200) -> Fraction:
-    """Lower bound for sup |g1 - g2| on J from a uniform rational grid."""
-    best = Fraction(0)
-    for i in range(steps + 1):
-        x = J.lo + (J.hi - J.lo) * i / steps
-        best = max(best, abs(g1.eval(x) - g2.eval(x)))
-    return best
+def grid_max_abs_convolution(f, mu: DiscreteMeasure, J: Interval, steps: int = 200) -> Fraction:
+    """Lower bound for sup |f * mu| on J from pointwise sums on a uniform rational grid."""
+    return max(abs(pointwise_convolution(f, mu, J.lo + (J.hi - J.lo) * i / steps))
+               for i in range(steps + 1))
 
 
 def indicator_overlap_bump(v: Fraction, j: int, x: Fraction) -> Fraction:
@@ -329,8 +311,10 @@ def literal_total_mass(mu: DiscreteMeasure) -> Fraction:
 
 
 def literal_stage_support(s: int, mu: DiscreteMeasure) -> Fraction | None:
-    """The first atom outside the open stage-s window, by a `Fraction` scan of every atom."""
-    window = stage_window(s)
+    """The first atom outside the open stage-s window
+    ((1-3^s)/2 - 1/3, (3^s-1)/2 + 1/3), by a `Fraction` scan of every atom."""
+    half = Fraction(3 ** s - 1, 2) + Fraction(1, 3)
+    window = Interval.open(-half, half)
     return next((a.position for a in mu.atoms if not window.contains(a.position)), None)
 
 
@@ -339,7 +323,7 @@ def literal_cell_mass(s: int, mu: DiscreteMeasure
     """(bad cells, strays) by `Fraction` arithmetic: each atom's cell is floor(p + 1/2),
     an atom at distance >= 1/3 from it, or in a cell past the stage, is a stray,
     and a bad cell is (n, its mass) for every cell |n| <= the bound whose mass is not 1."""
-    bound = cell_center_bound(s)
+    bound = (3 ** s - 1) // 2
     third = Fraction(1, 3)
     totals: dict[int, Fraction] = {}
     strays: list[Fraction] = []

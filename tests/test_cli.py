@@ -284,6 +284,12 @@ class TestConv:
         save_measure(build_stage(1), mpath)
         code, _, err = run(capsys, "conv", "--measure", str(mpath), "--window", "-10:10")
         assert code == 2 and "window" in err
+        # refused before the first row: no stdout and no CSV file
+        csv_path = tmp_path / "g.csv"
+        code, out, err = run(capsys, "conv", "--measure", str(mpath), "--window", "-10:10",
+                             "--csv", str(csv_path))
+        assert code == 2 and out == "" and "window" in err
+        assert not csv_path.exists()
 
     @pytest.mark.parametrize("count", ["-3", "-1", "x"])
     def test_bad_sample_count_is_a_usage_error(self, tmp_path, capsys, count):
@@ -500,6 +506,21 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["conv", "ap"])
+    def test_window_function_file_is_usage(self, command, tmp_path, capsys):
+        # every test function is compactly supported; a file saying otherwise is refused
+        fn, mpath = tmp_path / "f.json", tmp_path / "m.json"
+        fn.write_text(json.dumps({"breakpoints": ["0", "1"], "values": ["0", "0"],
+                                  "zero_outside": False}))
+        save_measure(build_stage(1), mpath)
+        argv = (["conv", "--fn", str(fn), "--measure", str(mpath), "--window", "-1/2:1/2"]
+                if command == "conv" else
+                ["ap", "1", "--fn", str(fn), "--epsilon", "1", "--range", "3"])
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "compactly supported" in err
+
     def test_out_report_only_where_a_report_is_written(self, capsys, tmp_path):
         report = tmp_path / "r.json"
         code, out, err = run(capsys, "verify", "1", "--out-report", str(report))
@@ -521,7 +542,7 @@ def _no_work(monkeypatch):
         raise AssertionError("the command started its work")
     for module, name in ((serialize, "load_measure"), (serialize, "save_stage"),
                          (construction, "_stage_pairs"),
-                         (piecewise, "almost_period_certificate"), (piecewise, "convolve"),
+                         (piecewise, "almost_period_certificate"), (piecewise, "convolution_rows"),
                          (matching, "match_close"), (matching, "lump_decompose")):
         monkeypatch.setattr(module, name, fail)
 

@@ -61,6 +61,15 @@ AP2_REPORT = "62c11e4cdd6e6b80ff221e5bbe6d9fb72adad87eefa1eb4cb03ee324a95a146e"
 # `conv` of the built-in triangle against the stage-4 measure file on [-40, 40]
 CONV_STAGE4 = "f25ee6d23d6cb22910ce24febd8eabcb2fb977830785413a61ff981ad882777c"
 
+# the same with uniform sample points merged into the rows: the stdout of
+# `--samples 37 --decimal 5`, and the CSV file of `--samples 11 --csv`
+CONV_SAMPLES = {
+    ("--samples", "37", "--decimal", "5"):
+        "a95b4bf2ff9d9292edab2aa336c7e13d6d676bdf2f760f7c47581d328148b62c",
+    ("--samples", "11", "--csv"):
+        "5c8180181c531eba2481343609b71c5ae8858733d13097a2aacc4a69efafd5e0",
+}
+
 # `psi` of the stage-4 atoms on [-40, 40] against the same atoms with their
 # masses doubled: the origin identity and three far-field samples, each a
 # sweep over the signed difference mu - nu
@@ -168,6 +177,22 @@ def test_conv_stdout(tmp_path):
         assert main(["conv", "--measure", str(path), "--window", "-40:40"]) == 0
     got = sha256(buf.getvalue().encode())
     assert got == CONV_STAGE4, f"`apmeasure conv` on stage 4, -40:40: stdout digest {got}"
+
+
+@pytest.mark.parametrize("flags", sorted(CONV_SAMPLES), ids=lambda flags: "-".join(f.lstrip("-") for f in flags))
+def test_conv_samples(flags, tmp_path):
+    path, csv = tmp_path / "stage4.json", tmp_path / "g.csv"
+    save_measure(build_stage(4), path)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(["conv", "--measure", str(path), "--window", "-40:40", *flags,
+                     *([str(csv)] if "--csv" in flags else [])]) == 0
+    if "--csv" in flags:
+        assert buf.getvalue() == f"wrote 28695 rows to {csv}\n"
+        got = sha256(csv.read_bytes())
+    else:
+        got = sha256(buf.getvalue().encode())
+    assert got == CONV_SAMPLES[flags], f"`apmeasure conv {' '.join(flags)}` on stage 4: digest {got}"
 
 
 def stage4_files(tmp_path) -> None:

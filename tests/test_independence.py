@@ -47,3 +47,21 @@ def test_library_imports_only_the_standard_library():
     for path in sources:
         hits = third_party_imports(path)
         assert not hits, f"{path.name} imports {sorted(hits)}, outside the standard library"
+
+
+# What `tests/helpers.py` may take from the library: the types its oracles
+# return or read, and the measure constructor.  Any computation it checks
+# the library against is written out there.
+HELPER_IMPORTS = {"Atom", "DiscreteMeasure", "Interval", "MatchReport", "MatchedPair",
+                  "StageScan", "WindowProfile", "make_measure"}
+
+
+def test_helpers_import_only_types_and_constructors():
+    path = Path(__file__).with_name("helpers.py")
+    taken = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            assert not any(alias.name.split(".")[0] == "apmeasure" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "apmeasure":
+            taken.update(alias.name for alias in node.names)
+    assert taken and taken <= HELPER_IMPORTS, f"helpers.py imports {sorted(taken - HELPER_IMPORTS)}"

@@ -13,9 +13,9 @@ from apmeasure import (
     build_stage,
     bump,
     combine,
+    convolution_rows,
     convolution_sup,
     convolution_value,
-    convolve,
     limit_window,
     make_measure,
     radius_series_tail_bound,
@@ -23,7 +23,7 @@ from apmeasure import (
     triangle_test_function,
 )
 from helpers import (
-    grid_max_abs_diff,
+    grid_max_abs_convolution,
     indicator_overlap_bump,
     integer_comb,
     literal_convolution_sup,
@@ -48,16 +48,12 @@ class TestPiecewiseLinearFn:
             PiecewiseLinearFn((0, 1), (1, 0))  # nonzero at left support edge
         with pytest.raises(ValueError):
             PiecewiseLinearFn((0,), (1,))  # single point cannot be zero outside
-        PiecewiseLinearFn((0,), (1,), zero_outside=False)
 
     def test_eval_and_extension(self):
         assert TRIANGLE.eval(0) == 1
         assert TRIANGLE.eval(F(1, 12)) == F(1, 2)
         assert TRIANGLE.eval(5) == 0
-        window_fn = PiecewiseLinearFn((0, 1), (2, 4), zero_outside=False)
-        assert window_fn.eval(F(1, 2)) == 3
-        with pytest.raises(FaithfulnessError):
-            window_fn.eval(2)
+        assert TRIANGLE.eval(F(-1, 6)) == TRIANGLE.eval(-5) == 0
 
     def test_max_abs_slope(self):
         assert TRIANGLE.max_abs_slope() == 6
@@ -101,13 +97,18 @@ class TestBump:
             bump(1, 0)
 
 
+def rows_at(f, mu, J, xs):
+    """{x: (f * mu)(x)} for the points xs inside J, read off the rows with xs as marks."""
+    return dict(convolution_rows(f, mu, J, xs))
+
+
 class TestConvolve:
     def test_identity_with_origin_mass(self):
         mu = make_measure([(0, 1)], Interval.closed(-2, 2))
-        g = convolve(TRIANGLE, mu, Interval.closed(-1, 1))
-        for i in range(-12, 13):
-            x = F(i, 12)
-            assert g.eval(x) == TRIANGLE.eval(x)
+        xs = [F(i, 12) for i in range(-12, 13)]
+        rows = rows_at(TRIANGLE, mu, Interval.closed(-1, 1), xs)
+        for x in xs:
+            assert rows[x] == TRIANGLE.eval(x)
 
     def test_stage1_value(self):
         mu1 = build_stage(1)
@@ -123,12 +124,10 @@ class TestConvolve:
     def test_curve_matches_pointwise_oracle(self):
         mu2 = build_stage(2)
         J = Interval.closed(F(-5, 4), F(5, 4))
-        g = convolve(TRIANGLE, mu2, J)
-        for i in range(-20, 21):
-            x = F(i, 16)
-            assert g.eval(x) == pointwise_convolution(TRIANGLE, mu2, x)
-        for x in g.breakpoints:
-            assert g.eval(x) == pointwise_convolution(TRIANGLE, mu2, x)
+        rows = rows_at(TRIANGLE, mu2, J, [F(i, 16) for i in range(-20, 21)])
+        assert len(rows) > 41
+        for x, value in rows.items():
+            assert value == pointwise_convolution(TRIANGLE, mu2, x)
 
     def test_linear_in_measure(self):
         W = Interval.closed(-3, 3)
@@ -136,29 +135,29 @@ class TestConvolve:
         nu = make_measure([(F(1, 3), F(1, 2)), (1, 1)], W)
         mix = combine(3, mu, -2, nu)
         J = Interval.closed(-2, 2)
-        g_mix = convolve(TRIANGLE, mix, J)
-        g_mu = convolve(TRIANGLE, mu, J)
-        g_nu = convolve(TRIANGLE, nu, J)
-        for x in g_mix.breakpoints + g_mu.breakpoints + g_nu.breakpoints:
-            assert g_mix.eval(x) == 3 * g_mu.eval(x) - 2 * g_nu.eval(x)
+        xs = {x for m in (mix, mu, nu) for x, _ in convolution_rows(TRIANGLE, m, J)}
+        g_mix, g_mu, g_nu = (rows_at(TRIANGLE, m, J, xs) for m in (mix, mu, nu))
+        assert g_mix.keys() == g_mu.keys() == g_nu.keys() == xs
+        for x in xs:
+            assert g_mix[x] == 3 * g_mu[x] - 2 * g_nu[x]
 
     def test_faithfulness_enforced(self):
+        # checked when the rows are asked for, before the first one is made
         mu = make_measure([(0, 1)], Interval.closed(-1, 1))
         with pytest.raises(FaithfulnessError, match="window"):
-            convolve(TRIANGLE, mu, Interval.closed(-1, 1))
-        g = convolve(TRIANGLE, mu, Interval.closed(F(-1, 2), F(1, 2)))
-        assert g.eval(0) == 1
+            convolution_rows(TRIANGLE, mu, Interval.closed(-1, 1))
+        assert rows_at(TRIANGLE, mu, Interval.closed(F(-1, 2), F(1, 2)), [0])[0] == 1
 
     def test_degenerate_window(self):
         mu = make_measure([(0, 1)], Interval.closed(-1, 1))
-        g = convolve(TRIANGLE, mu, Interval.closed(F(1, 12), F(1, 12)))
-        assert g.eval(F(1, 12)) == F(1, 2)
+        J = Interval.closed(F(1, 12), F(1, 12))
+        assert list(convolution_rows(TRIANGLE, mu, J)) == [(F(1, 12), F(1, 2))]
+        assert list(convolution_rows(TRIANGLE, mu, J, [F(1, 12), 0, 1])) == [(F(1, 12), F(1, 2))]
 
     def test_requires_compact_support(self):
-        window_fn = PiecewiseLinearFn((0, 1), (2, 4), zero_outside=False)
-        mu = make_measure([(0, 1)], Interval.closed(-9, 9))
+        # a function that does not vanish at its span's ends cannot be made
         with pytest.raises(ValueError, match="compactly supported"):
-            convolve(window_fn, mu, Interval.closed(-1, 1))
+            PiecewiseLinearFn((0, 1), (2, 4))
 
 
 # Positions on (1/4)Z, test-function breakpoints and window ends on (1/8)Z:
@@ -195,13 +194,13 @@ def grid_windows(draw):
     return Interval.closed(F(lo, 8), F(hi, 8))
 
 
-def check_convolve(f, mu, J):
-    g = convolve(f, mu, J)
+def check_rows(f, mu, J):
+    rows = list(convolution_rows(f, mu, J))
     events = {a.position + b for a in mu.atoms for b, _ in f.slope_changes()}
     inner = sorted(x for x in events if J.lo < x < J.hi)
-    assert g.breakpoints == (J.lo, *inner, *([J.hi] if J.hi > J.lo else []))
-    for x in g.breakpoints:
-        assert g.eval(x) == pointwise_convolution(f, mu, x)
+    assert [x for x, _ in rows] == [J.lo, *inner, *([J.hi] if J.hi > J.lo else [])]
+    for x, value in rows:
+        assert value == pointwise_convolution(f, mu, x)
     assert convolution_value(f, mu, J.hi) == pointwise_convolution(f, mu, J.hi)
 
 
@@ -210,7 +209,7 @@ def check_convolve(f, mu, J):
          make_measure([(0, 1), (F(1, 2), -1)], GRID_MEASURE), Interval.closed(F(-1, 4), 1))
 @settings(max_examples=300, deadline=None)
 def test_convolve_matches_pointwise_sums(f, mu, J):
-    check_convolve(f, mu, J)
+    check_rows(f, mu, J)
 
 
 # Off the (1/8)Z grid: atom positions and function breakpoints each on their
@@ -271,7 +270,32 @@ HALVES = (triangle_test_function(2, 1), make_measure([(F(1, 3), F(1, 2))], GRID_
 @example(*HALVES, Interval.closed(F(-1, 5), F(1, 7)))
 @settings(max_examples=150, deadline=None)
 def test_convolve_matches_pointwise_sums_off_grid(f, mu, J):
-    check_convolve(f, mu, J)
+    check_rows(f, mu, J)
+
+
+@st.composite
+def windows_with_marks(draw):
+    """A `grid_windows` window J and up to six marks in any order, repeats
+    allowed: J's ends, points of (1/8)Z (where events lie), and rationals of
+    other denominators, in J or past it."""
+    J = draw(grid_windows())
+    mark = (st.sampled_from([J.lo, J.hi]) | st.integers(-40, 40).map(lambda n: F(n, 8))
+            | st.fractions(min_value=-5, max_value=5, max_denominator=15))
+    return J, draw(st.lists(mark, max_size=6))
+
+
+@given(compact_functions(), grid_measures(), windows_with_marks())
+@example(triangle_test_function(F(1, 4)), make_measure([(0, 1), (F(1, 2), -1)], GRID_MEASURE),
+         (Interval.closed(F(1, 4), F(1, 4)), [F(1, 4), F(1, 4), 0]))  # a point window
+@example(TRIANGLE, make_measure([(F(1, 4), 2)], GRID_MEASURE),
+         (Interval.closed(F(-1, 2), 1), [1, F(1, 7), F(-1, 2), F(1, 4), F(1, 4)]))
+@settings(max_examples=300, deadline=None)
+def test_marks_join_the_rows(f, mu, window_and_marks):
+    # the rows with marks are the rows without them and each mark in J, sorted
+    J, marks = window_and_marks
+    want = set(convolution_rows(f, mu, J))
+    want.update((x, pointwise_convolution(f, mu, x)) for x in marks if J.lo <= x <= J.hi)
+    assert list(convolution_rows(f, mu, J, marks)) == sorted(want)
 
 
 @st.composite
@@ -280,9 +304,6 @@ def open_or_closed_windows(draw):
     lo = draw(st.integers(-8, 8))
     hi = lo if draw(st.integers(0, 3)) == 0 else draw(st.integers(lo, 8))
     return Interval(F(lo, 8), F(hi, 8), draw(st.booleans()), draw(st.booleans()))
-
-
-ZERO = PiecewiseLinearFn((-1, 1), (0, 0))
 
 
 @given(compact_functions(), grid_measures(), grid_windows())
@@ -309,7 +330,7 @@ class TestSup:
         mu = build_stage(1)
         J = Interval.closed(-1, 1)
         sup, _ = convolution_sup(TRIANGLE, mu, J)
-        assert grid_max_abs_diff(convolve(TRIANGLE, mu, J), ZERO, J) <= sup
+        assert grid_max_abs_convolution(TRIANGLE, mu, J) <= sup
 
     def test_outside_definition_range(self):
         # on [-1, 1] the triangle sees atoms in (-7/6, 7/6)

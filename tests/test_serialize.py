@@ -252,7 +252,16 @@ def test_save_stage_checks_what_it_wrote(tmp_path, monkeypatch):
 
 def test_plf_round_trip(tmp_path):
     for fn in (triangle_test_function(),
-               PiecewiseLinearFn((0, 1), (2, 4), zero_outside=False)):
+               PiecewiseLinearFn((0, F(1, 3), 1, F(5, 2)), (0, 2, F(-1, 4), 0))):
         path = tmp_path / "f.json"
         save_plf(fn, path)
         assert load_plf(path) == fn
+
+
+def test_window_function_file_is_refused():
+    # every test function is compactly supported; a file that says otherwise is a usage error
+    d = {"breakpoints": ["0", "1"], "values": ["2", "4"], "zero_outside": False}
+    with pytest.raises(ValueError, match="must be compactly supported"):
+        serialize.plf_from_dict(d)
+    d = {**d, "values": ["0", "0"], "zero_outside": True}
+    assert serialize.plf_from_dict(d) == PiecewiseLinearFn((0, 1), (0, 0))
