@@ -72,9 +72,10 @@ def _check_out_dirs(args) -> None:
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
-def _write_report(args, payload: dict) -> None:
+def _write_report(args, to_dict, report) -> None:
+    """Write `to_dict(report)` to --out-report; the dict is built only when one is asked for."""
     if args.out_report:
-        Path(args.out_report).write_text(json.dumps(payload, indent=1) + "\n")
+        Path(args.out_report).write_text(json.dumps(to_dict(report), indent=1) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +157,7 @@ def cmd_ap(args) -> int:
     print(f"max_defect={fmt(cert.max_defect, args)} epsilon={fmt(cert.epsilon, args)} "
           f"density_gap={cert.density_gap}")
     print(f"ap_certificate: {'PASS' if cert.all_within else 'FAIL'}")
-    _write_report(args, serialize.ap_certificate_to_dict(cert))
+    _write_report(args, serialize.ap_certificate_to_dict, cert)
     return 0 if cert.all_within else 1
 
 
@@ -228,7 +229,7 @@ def cmd_psi(args) -> int:
             _check(f"far_field b={row.point}", row.holds,
                    f"|product|={fmt(abs(row.product), args)} bound={fmt(row.bound, args)}")
         ok &= report.all_hold
-        _write_report(args, serialize.far_field_report_to_dict(report))
+        _write_report(args, serialize.far_field_report_to_dict, report)
     print(f"harness: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 
@@ -246,7 +247,7 @@ def cmd_lump(args) -> int:
               f"left={len(lump.left_positions)} right={len(lump.right_positions)} "
               f"mass_gap={fmt(lump.mass_gap, args)}")
     print(f"all_pairwise_close: {'yes' if dec.all_pairwise_close else 'no'}")
-    _write_report(args, serialize.lump_decomposition_to_dict(dec))
+    _write_report(args, serialize.lump_decomposition_to_dict, dec)
     return 0
 
 

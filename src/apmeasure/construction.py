@@ -40,6 +40,9 @@ from .measures import (
 
 DEFAULT_ATOM_CAP = 10_000_000
 
+# an averaging group: (base, mass, kept offsets), the atoms base + offset of one mass
+_Group = tuple[int, int, Sequence[int]]
+
 
 class AtomBudgetError(RuntimeError):
     """Projected atom count exceeds the configured cap."""
@@ -105,8 +108,8 @@ def _check_stage_cap(s: int, atom_cap: int) -> None:
                                   f"atoms, cap is {atom_cap}")
 
 
-def _stage_pairs(s: int, atom_cap: int) -> tuple[_Query, Iterator[tuple[int, int]]]:
-    """The (position, mass) grid pairs of stage s as a stream, and the query whose grid they are on.
+def _whole_stage(s: int, atom_cap: int) -> tuple[_Query, Iterator[_Group]]:
+    """The averaging groups of stage s as a stream (`_stage_groups`), and their query.
 
     Raises `AtomBudgetError` before any work if n_s exceeds the cap.  The
     expansion runs from the origin over the whole stage window and asserts
@@ -116,13 +119,14 @@ def _stage_pairs(s: int, atom_cap: int) -> tuple[_Query, Iterator[tuple[int, int
     window = stage_window(s)
     # the closed-form count bounds this expansion; it was checked above
     query = _Query(s, window, math.inf)
-    return query, _atoms_within(s, query.window(window), query)
+    return query, _stage_groups(s, query.window(window), query)
 
 
 def build_stage(s: int, atom_cap: int = DEFAULT_ATOM_CAP) -> DiscreteMeasure:
     """The stage-s measure on the closed stage window, as `Atom`s, afresh on
-    every call (see `_stage_pairs`); atom i's provenance is `provenance(s, i)`."""
-    query, pairs = _stage_pairs(s, atom_cap)
+    every call (see `_whole_stage`); atom i's provenance is `provenance(s, i)`."""
+    query, groups = _whole_stage(s, atom_cap)
+    pairs = ((base + off, mass) for base, mass, kept in groups for off in kept)
     return DiscreteMeasure(query.atoms(pairs), stage_window(s).closure())
 
 
@@ -228,53 +232,99 @@ class _Query:
         return tuple(Atom(Fraction(p, D), mass(m)) for p, m in pairs)
 
 
+def _least_step(xs: Sequence[int]) -> int:
+    """The least step between neighbours of the increasing `xs` (two or more)."""
+    return min(b - a for a, b in zip(xs, xs[1:]))
+
+
+def _share(s: int, mass: int) -> int:
+    """mass/(2s), the mass of each stage-s averaged copy of an atom of mass `mass`."""
+    share, rem = divmod(mass, 2 * s)
+    if rem:
+        raise AssertionError(f"stage {s}: a source mass is not divisible by {2 * s}")
+    return share
+
+
+def _collision(t: int, last: int, start: int, query: _Query) -> AssertionError:
+    return AssertionError(f"stage {t}: atom collision at {Fraction(last, query.D)}"
+                          f" / {Fraction(start, query.D)}")
+
+
 def _side_sources(s: int, J: tuple[int, int], query: _Query
-                  ) -> Iterator[tuple[int, Iterator[tuple[int, int]]]]:
-    """(shift, source stream) for the two blocks stage s adds around its copy of stage s-1, left first.
+                  ) -> Iterator[tuple[int, Iterator[_Group]]]:
+    """(shift, source groups) for the two blocks stage s adds around its copy of stage s-1, left first.
 
     J is a closed range of grid points.  Each block is stage s-1 shifted by
-    -+3^(s-1) and averaged; its source is the stage-(s-1) atoms within one
-    averaging radius of the shifted J, the only ones whose averaged copies
-    can land in J.
+    -+3^(s-1) and averaged; its source is the stage-(s-1) groups
+    (`_stage_groups`) within one averaging radius of the shifted J, the only
+    atoms whose averaged copies can land in J.
     """
     lo, hi = J
     radius = query.offsets(s)[-1]
     shift_mag = 3 ** (s - 1) * query.D
     for sh in (-shift_mag, shift_mag):
-        yield sh, _atoms_within(s - 1, (lo - sh - radius, hi - sh + radius), query)
+        yield sh, _stage_groups(s - 1, (lo - sh - radius, hi - sh + radius), query)
 
 
-def _groups(s: int, sh: int, source: Iterable[tuple[int, int]], J: tuple[int, int],
-            query: _Query) -> Iterator[tuple[int, int, tuple[int, ...] | list[int]]]:
+def _groups(s: int, sh: int, source: Iterable[_Group], J: tuple[int, int],
+            query: _Query) -> Iterator[_Group]:
     """The averaged copies in J of one shifted source block, one group per source atom.
 
-    A source atom at p stands for the 2s atoms base + offset (base = p + sh,
-    offsets from `_Query.offsets`, increasing), all of mass mass_p/(2s); the
-    group is (base, mass, offsets kept in J).  Containment is tested at the
-    two ends of each group, and only a group that J cuts is tested atom by
-    atom.  Each group's kept atoms are charged to the budget as it is made,
+    The source is groups; each of their atoms, at p, stands for the 2s atoms
+    base + offset (base = p + sh, offsets from `_Query.offsets`, increasing),
+    all of mass mass_p/(2s), and its group is (base, mass, offsets kept in
+    J).  Containment is tested at the two ends of each group, and only a
+    group that J cuts is tested atom by atom.  Each group's kept atoms are charged to the budget as it is made,
     so a budget trips at most one group past the cap.
     """
     lo, hi = J
     offsets = query.offsets(s)
     first, last = offsets[0], offsets[-1]
-    weight = 2 * s
-    for pos, mass in source:
-        base = pos + sh
-        kept = offsets
-        if not (lo <= base + first and base + last <= hi):
-            kept = [off for off in offsets if lo <= base + off <= hi]
-            if not kept:
-                continue
-        query.charge(len(kept))
-        mass, rem = divmod(mass, weight)
-        if rem:
-            raise AssertionError(f"stage {s}: a source mass is not divisible by {weight}")
-        yield base, mass, kept
+    for src, mass, src_kept in source:
+        mass = _share(s, mass)
+        for p in src_kept:
+            base = src + p + sh
+            kept = offsets
+            if not (lo <= base + first and base + last <= hi):
+                kept = [off for off in offsets if lo <= base + off <= hi]
+                if not kept:
+                    continue
+            query.charge(len(kept))
+            yield base, mass, kept
 
 
-def _side_blocks(s: int, J: tuple[int, int], query: _Query
-                 ) -> Iterator[tuple[int, int, tuple[int, ...] | list[int]]]:
+def _images(s: int, sh: int, source: Iterable[_Group], J: tuple[int, int],
+            query: _Query) -> Iterator[tuple[int, int, int]]:
+    """(first atom, last atom, mass) of the image in J of each group of one shifted source block.
+
+    A source group's atoms share one mass, so its image, the groups
+    `_groups` makes of it, is 2s atoms per source atom, all of mass
+    mass/(2s).  An image inside J is read whole: its atoms increase when the
+    source group's least step exceeds the span of the stage-s offsets, and
+    they are charged to the budget at once.  An image that J cuts is read
+    group by group from `_groups`.
+    """
+    lo, hi = J
+    offsets = query.offsets(s)
+    first, last = offsets[0], offsets[-1]
+    seen = None
+    for group in source:
+        src, mass, kept = group
+        start, end = src + kept[0] + sh + first, src + kept[-1] + sh + last
+        if not (lo <= start and end <= hi):
+            for base, share, cut in _groups(s, sh, (group,), J, query):
+                yield base + cut[0], base + cut[-1], share
+            continue
+        if len(kept) > 1 and kept is not seen:  # the full groups of a block share one offset tuple
+            if _least_step(kept) <= last - first:
+                raise AssertionError(f"stage {s}: atom collision in the image of the source group"
+                                     f" at {Fraction(src + kept[0], query.D)}")
+            seen = kept
+        query.charge(2 * s * len(kept))
+        yield start, end, _share(s, mass)
+
+
+def _side_blocks(s: int, J: tuple[int, int], query: _Query) -> Iterator[_Group]:
     """The groups in the grid range J of the two blocks stage s adds around its copy of stage s-1."""
     for sh, source in _side_sources(s, J, query):
         yield from _groups(s, sh, source, J, query)
@@ -287,34 +337,37 @@ def _misses(s: int, J: tuple[int, int], query: _Query) -> bool:
     return max(lo, 1 - half) > min(hi, half - 1)
 
 
-def _stage_groups(t: int, floor: int, J: tuple[int, int], query: _Query
-                  ) -> Iterator[tuple[int, int, tuple[int, ...] | list[int]]]:
-    """The averaging groups (base, mass, kept offsets) of stage t in the grid range J, left to right.
+def _blocks(t: int, floor: int, J: tuple[int, int], query: _Query
+            ) -> Iterator[tuple[int, int, Iterator[_Group]] | None]:
+    """The blocks of stage t that can reach the grid range J, left to right.
 
     Stage t is, in position order, the left blocks of stages t..floor+1,
-    stage `floor`, and the right blocks of stages floor+1..t (see `_groups`;
-    a block's source streams from `_atoms_within`).  Stage 0 is the
-    origin's one group; a stage floor > 0 is not expanded but stands in as
-    one massless group spanning its closed window.  Stages whose window
-    misses J are pruned.  Strict increase is proved here, each group's end
-    against the next group's start; inside a group the offsets increase.
+    stage `floor`, and the right blocks of stages floor+1..t.  A side block
+    of stage k is (k, shift, source groups) (see `_side_sources`); stage
+    `floor` is None.  Stages whose window misses J are pruned.
     """
-    lo, hi = J
-    if floor:
-        half = query.half_width(floor)
-        middle = [(0, 0, (-half, half))]
-    else:
-        middle = [(0, query.M, (0,))] if lo <= 0 <= hi else []
     # each stage's sources yield its left block, then its right one
     sides = {k: _side_sources(k, J, query)
              for k in range(floor + 1, t + 1) if not _misses(k, J, query)}
-    last = None
     for k in (*reversed(sides), floor, *sides):
-        for group in middle if k == floor else _groups(k, *next(sides[k]), J, query):
+        yield None if k == floor else (k, *next(sides[k]))
+
+
+def _stage_groups(t: int, J: tuple[int, int], query: _Query) -> Iterator[_Group]:
+    """The averaging groups (base, mass, kept offsets) of stage t in the grid range J, left to right.
+
+    A side block's groups are `_groups` of its source; stage 0 is the
+    origin's one group.  Strict increase is proved here, each group's end
+    against the next group's start; inside a group the offsets increase.
+    """
+    lo, hi = J
+    origin = [(0, query.M, (0,))] if lo <= 0 <= hi else []
+    last = None
+    for block in _blocks(t, 0, J, query):
+        for group in origin if block is None else _groups(*block, J, query):
             base, _, kept = group
             if last is not None and not last < base + kept[0]:
-                raise AssertionError(f"stage {t}: atom collision at {Fraction(last, query.D)}"
-                                     f" / {Fraction(base + kept[0], query.D)}")
+                raise _collision(t, last, base + kept[0], query)
             last = base + kept[-1]
             yield group
 
@@ -327,7 +380,7 @@ def _atoms_within(s: int, J: tuple[int, int], query: _Query) -> Iterator[tuple[i
     It always expands from the origin, so what it yields and charges
     depends on s, J and the grid alone.
     """
-    for base, mass, kept in _stage_groups(s, 0, J, query):
+    for base, mass, kept in _stage_groups(s, J, query):
         for off in kept:
             yield base + off, mass
 
@@ -430,47 +483,66 @@ def verify_stage_scan(s: int, measure: DiscreteMeasure | None = None,
                       atom_cap: int = DEFAULT_ATOM_CAP) -> StageScan:
     """Count, total mass, support, unit mass per cell and least gap of stage s, in one pass.
 
-    With no `measure` the pass reads the expansion's stream of grid pairs
-    of stage s (`_stage_pairs`) and makes no `Atom`; a measure's atoms go
-    onto one grid first, positions over D = lcm(6, their denominators) and
-    masses over the lcm of theirs.  The 3^s cells are charged to the cap before the pass.
-    The atoms must strictly increase; an atom p/D lies in cell
-    n = floor(p/D + 1/2), strictly inside it when 3|p - n*D| < D.
+    With no `measure` the pass reads the expansion's averaging groups of
+    stage s (`_whole_stage`) and makes no `Atom`; a measure's atoms go onto
+    one grid first, positions over D = lcm(6, their denominators) and masses
+    over the lcm of theirs, and each is read as a group of one.  The 3^s
+    cells are charged to the cap before the pass.  The atoms must strictly
+    increase; an atom p/D lies in cell n = floor(p/D + 1/2), strictly inside
+    it when 3|p - n*D| < D.  A group's atoms share one mass and increase, so
+    when its two end atoms lie strictly inside one cell |n| <= the bound, so
+    does the whole group, inside the window; only a group that straddles a
+    cell boundary or the window is read atom by atom.  The least gap is the
+    least of the gaps between neighbouring groups and each group's least
+    offset step.
     """
     if measure is None:
-        query, pairs = _stage_pairs(s, atom_cap)
+        query, groups = _whole_stage(s, atom_cap)
         D, M = query.D, query.M
     else:
         D = math.lcm(6, common_denominator(a.position for a in measure.atoms))
         M = common_denominator(a.mass for a in measure.atoms)
-        pairs = ((on_grid(a.position, D), on_grid(a.mass, M)) for a in measure.atoms)
+        groups = ((on_grid(a.position, D), on_grid(a.mass, M), (0,)) for a in measure.atoms)
     half = on_grid(stage_window(s).hi, D)  # the open window is (-half, half); 6 | D
     bound = cell_center_bound(s)
     if 2 * bound + 1 > atom_cap:
         raise AtomBudgetError(f"stage {s} has 3^{s} lattice cells, cap is {atom_cap}")
     count = total = 0
-    offender = gap = last = None
+    offender = last = seen = None
+    gap = math.inf
     totals: dict[int, int] = {}
     strays = []
-    for p, m in pairs:
-        count += 1
-        total += m
-        if offender is None and not -half < p < half:
-            offender = p
-        if last is not None and (gap is None or p - last < gap):
-            gap = p - last
-        last = p
-        n = (2 * p + D) // (2 * D)
-        if 3 * abs(p - n * D) >= D or abs(n) > bound:
-            if len(strays) < 3:
-                strays.append(Fraction(p, D))
-        else:
-            totals[n] = totals.get(n, 0) + m
+    for base, m, kept in groups:
+        a, b, size = base + kept[0], base + kept[-1], len(kept)
+        count += size
+        total += m * size
+        if last is not None and a - last < gap:
+            gap = a - last
+        last = b
+        if size > 1:
+            if kept is not seen:  # the full groups of a block share one offset tuple
+                seen, step = kept, _least_step(kept)
+            if step < gap:
+                gap = step
+        n = (2 * a + D) // (2 * D)
+        center = n * D
+        if 3 * (center - a) < D and 3 * (b - center) < D and abs(n) <= bound:
+            totals[n] = totals.get(n, 0) + m * size
+            continue
+        for p in (base + off for off in kept):  # a group straddling a cell boundary or the window
+            if offender is None and not -half < p < half:
+                offender = p
+            n = (2 * p + D) // (2 * D)
+            if 3 * abs(p - n * D) >= D or abs(n) > bound:
+                if len(strays) < 3:
+                    strays.append(Fraction(p, D))
+            else:
+                totals[n] = totals.get(n, 0) + m
     bad = tuple(islice(((n, Fraction(totals.get(n, 0), M)) for n in range(-bound, bound + 1)
                         if totals.get(n, 0) != M), 3))
     return StageScan(s, count, Fraction(total, M),
                      None if offender is None else Fraction(offender, D), bad, tuple(strays),
-                     None if gap is None else Fraction(gap, D))
+                     None if gap == math.inf else Fraction(gap, D))
 
 
 @dataclass(frozen=True)
@@ -491,11 +563,13 @@ def verify_mass_decay(s: int, J: Interval, atom_cap: int = DEFAULT_ATOM_CAP) -> 
     J must strictly contain the stage window, so the check actually sees
     atoms created by later stages.  On J the limit is stage t, the smallest
     stage whose window contains J (that stage t+1 agrees with it there is
-    checked, as in `limit_window`).  The scan reads stage t's averaging
-    groups with stage s standing in, unread, as the closure of its window
-    (`_stage_groups`): one mass per group, and the witness is the first atom
-    of the first group reaching a new maximum.  `atom_cap` bounds the atoms
-    the groups stand for and their sources (`AtomBudgetError`).
+    checked, as in `limit_window`).  The scan reads the side blocks of
+    stages s+1..t image by image (`_images`: one mass per image), with stage
+    s standing in, unread, as the closure of its window; the witness is the
+    first atom of the first image reaching a new maximum.  Strict increase
+    is proved between images, each image's last atom against the next
+    one's first.  `atom_cap` bounds the atoms the images stand for and their
+    sources (`AtomBudgetError`).
     """
     if s < 1:
         raise ValueError("mass decay bound is undefined for stage 0")
@@ -505,11 +579,17 @@ def verify_mass_decay(s: int, J: Interval, atom_cap: int = DEFAULT_ATOM_CAP) -> 
     t = _covering_stage(J)
     query = _Query(t + 1, J, atom_cap)
     grid_J = query.window(J)
+    half = query.half_width(s)
     worst = 0
-    witness: int | None = None
-    for base, mass, kept in _stage_groups(t, s, grid_J, query):
-        if abs(mass) > worst:
-            worst, witness = abs(mass), base + kept[0]
+    witness = last = None
+    for block in _blocks(t, s, grid_J, query):
+        images = [(-half, half, 0)] if block is None else _images(*block, grid_J, query)
+        for start, end, mass in images:
+            if last is not None and not last < start:
+                raise _collision(t, last, start, query)
+            last = end
+            if abs(mass) > worst:
+                worst, witness = abs(mass), start
     _check_frozen(t, grid_J, query)
     worst_mass = Fraction(worst, query.M)
     bound = Fraction(1, 2 * s)

@@ -9,15 +9,16 @@ bit; no decimals ever enter a file.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 from itertools import islice
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Sequence
 
-from .construction import (DEFAULT_ATOM_CAP, _stage_pairs, projected_atom_count, provenance_digits,
+from .construction import (DEFAULT_ATOM_CAP, _whole_stage, projected_atom_count, provenance_digits,
                            provenance_step, stage_window)
 from .matching import FarFieldReport, LumpDecomposition, MatchReport
 from .measures import Atom, DiscreteMeasure, Interval, make_measure, rational
@@ -127,7 +128,7 @@ def measure_from_dict(d: dict[str, Any]) -> DiscreteMeasure:
     return make_measure(pairs, window)
 
 
-_BATCH = 4096
+_BATCH = 1024  # entries per write; the writer holds one batch and its joined text
 
 
 def _stream_list(path: Path, doc: dict[str, Any], key: str, entries: Iterator[str]) -> None:
@@ -177,45 +178,79 @@ def _step_fragments(k: int, sign: int, j: int) -> tuple[str, str, str]:
     return f"\n    {step.stage}", f'\n    "{step.shift!s}"', f'\n    "{step.offset!s}"'
 
 
-def _provenance_entries(s: int, positions: Iterable[Fraction]) -> Iterator[str]:
-    for i, position in enumerate(positions):
-        digits = provenance_digits(s, i)
-        columns = zip(*(_step_fragments(*digit) for digit in digits))
-        stages, shifts, offsets = ((",".join(column) + "\n   " for column in columns)
-                                   if digits else ("", "", ""))
-        yield (f'  {{\n   "pos": "{position!s}",\n   "stages": [{stages}],\n'
-               f'   "shifts": [{shifts}],\n   "offsets": [{offsets}]\n  }}')
+def _ratio(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for d > 0, by one gcd."""
+    g = math.gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
+def _provenance_entries(s: int, groups: Iterable[tuple[int, int, Sequence[int]]], D: int
+                        ) -> Iterator[str]:
+    """The sidecar entries of stage s, one per atom of its averaging groups, positions over D.
+
+    Atom i's passes are `provenance_digits(s, i)`.  If the last of them is
+    (k, sign, j), atoms i+1, ..., i+2k-1-j are the next copies of the same
+    source atom: they differ from atom i only in j, counting up.  So the
+    passes are decoded once per such run (one run per full group) and the
+    earlier passes are rendered once.
+    """
+    i = 0
+    for base, _, kept in groups:
+        r = 0
+        while r < len(kept):
+            digits = provenance_digits(s, i + r)
+            if not digits:  # the origin, made by no pass
+                yield (f'  {{\n   "pos": "{_ratio(base + kept[r], D)}",\n   "stages": [],\n'
+                       f'   "shifts": [],\n   "offsets": []\n  }}')
+                r += 1
+                continue
+            *earlier, (k, sign, j) = digits
+            heads = ["", "", ""]
+            for digit in earlier:
+                for c, fragment in enumerate(_step_fragments(*digit)):
+                    heads[c] += fragment + ","
+            stage, shift, _ = _step_fragments(k, sign, j)
+            middle = (f'",\n   "stages": [{heads[0]}{stage}\n   ],\n   "shifts": [{heads[1]}{shift}'
+                      f'\n   ],\n   "offsets": [{heads[2]}')
+            run = min(len(kept) - r, 2 * k - j)
+            for q in range(run):
+                yield ('  {\n   "pos": "' + _ratio(base + kept[r + q], D) + middle
+                       + _step_fragments(k, sign, j + q)[2] + '\n   ]\n  }')
+            r += run
+        i += len(kept)
 
 
 def save_stage(s: int, path: str | Path, atom_cap: int = DEFAULT_ATOM_CAP) -> Path:
     """Write the stage-s measure plus its provenance sidecar; returns the sidecar path.
 
-    Both files are streamed in batches from the expansion's grid pairs
-    (`_stage_pairs`, whose cap check runs before any file is opened), the
-    sidecar from a second walk of the same deterministic expansion, so no
-    `Atom` is made and neither file is ever in memory as one string.
-    Raises `AssertionError` unless the measure file got n_s atoms of mass 3^s.
+    Both files are streamed in batches from the expansion's averaging groups
+    (`_whole_stage`, whose cap check runs before any file is opened), the
+    sidecar from a second walk of the same deterministic expansion.  A
+    group's mass is rendered once, each position from its grid int, so no
+    `Atom` or `Fraction` is made and neither file is ever in memory as one
+    string.  Raises `AssertionError` unless the measure file got n_s atoms
+    of mass 3^s.
     """
-    query, pairs = _stage_pairs(s, atom_cap)
+    query, groups = _whole_stage(s, atom_cap)
     D, M = query.D, query.M
-    mass_text = cache(lambda m: str(Fraction(m, M)))
     count = total = 0
 
-    def atoms() -> Iterator[tuple[Fraction, str]]:
+    def atoms() -> Iterator[tuple[str, str]]:
         nonlocal count, total
-        for p, m in pairs:
-            count += 1
-            total += m
-            yield Fraction(p, D), mass_text(m)
+        for base, m, kept in groups:
+            count += len(kept)
+            total += m * len(kept)
+            mass = _ratio(m, M)
+            for off in kept:
+                yield _ratio(base + off, D), mass
 
     window = interval_to_dict(stage_window(s).closure())
     _stream_list(Path(path), {"window": window, "atoms": []}, "atoms", _atom_entries(atoms()))
     if count != projected_atom_count(s) or total != 3 ** s * M:
         raise AssertionError(f"stage {s} streamed {count} atoms of mass {Fraction(total, M)}")
     side = provenance_sidecar_path(path)
-    _, pairs = _stage_pairs(s, atom_cap)
-    _stream_list(side, {"stage": s, "atoms": []}, "atoms",
-                 _provenance_entries(s, (Fraction(p, D) for p, _ in pairs)))
+    _, groups = _whole_stage(s, atom_cap)
+    _stream_list(side, {"stage": s, "atoms": []}, "atoms", _provenance_entries(s, groups, D))
     return side
 
 

@@ -88,7 +88,7 @@ class TestBuild:
         def no_build(*args, **kwargs):
             raise AssertionError("the stage expansion started")
         monkeypatch.setattr(serialize, "save_stage", no_build)
-        monkeypatch.setattr(construction, "_stage_pairs", no_build)
+        monkeypatch.setattr(construction, "_whole_stage", no_build)
         out_path = tmp_path / "missing_dir" / "stage5.json"
         code, _, err = run(capsys, "build", "5", "--out", str(out_path))
         assert code == 2
@@ -535,13 +535,32 @@ class TestExitCodes:
                 offered.add(command)
         assert offered == {"ap", "match", "psi", "lump"}
 
+    @pytest.mark.parametrize("command", ["ap", "psi", "lump"])
+    def test_report_built_only_when_asked(self, command, capsys, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a report nobody asked for was built")
+        for name in ("ap_certificate_to_dict", "far_field_report_to_dict",
+                     "lump_decomposition_to_dict"):
+            monkeypatch.setattr(serialize, name, refuse)
+        mpath, npath = tmp_path / "mu.json", tmp_path / "nu.json"
+        save_measure(integer_comb(-30, 30), mpath)
+        save_measure(perturbed_comb(-30, 30), npath)
+        argv = {
+            "ap": ["ap", "1", "--epsilon", "1", "--range", "3"],
+            "psi": ["psi", "--mu", str(mpath), "--nu", str(npath), "--v", "1/32", "--u", "1/2",
+                    "--epsilon", "1/8", "--compact", "-10:10", "--samples", "12,20"],
+            "lump": ["lump", "--mu", str(mpath), "--nu", str(npath), "--v", "1/4"],
+        }[command]
+        code, _, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+
 
 def _no_work(monkeypatch):
     """Make the library calls that start the work of the commands below fail."""
     def fail(*args, **kwargs):
         raise AssertionError("the command started its work")
     for module, name in ((serialize, "load_measure"), (serialize, "save_stage"),
-                         (construction, "_stage_pairs"),
+                         (construction, "_whole_stage"),
                          (piecewise, "almost_period_certificate"), (piecewise, "convolution_rows"),
                          (matching, "match_close"), (matching, "lump_decompose")):
         monkeypatch.setattr(module, name, fail)

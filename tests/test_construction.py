@@ -219,23 +219,31 @@ def off_grid_measures(draw):
     return s, make_measure(pairs, widened(window, 1))
 
 
+def trimmed(scan):
+    """A literal scan as the stage scan reports it: the leftmost three bad cells and strays."""
+    return dataclasses.replace(scan, bad_cells=scan.bad_cells[:3], strays=scan.strays[:3])
+
+
+@pytest.mark.parametrize("s", range(6))
+def test_group_scan_matches_literal_scan(s):
+    assert verify_stage_scan(s) == trimmed(literal_scan(s, build_stage(s)))
+
+
 @given(perturbed_stages() | off_grid_measures())
 @example((0, make_measure([], Interval.closed(-1, 1))))
 @example((2, make_measure([(F(1, 7), F(1, 3))], Interval.closed(-1, 1))))
 @settings(max_examples=200, deadline=None)
 def test_certificates_match_literal_scans(case):
     s, mu = case
-    literal = literal_scan(s, mu)  # the scan keeps only the leftmost three bad cells and strays
-    assert verify_stage_scan(s, mu) == dataclasses.replace(
-        literal, bad_cells=literal.bad_cells[:3], strays=literal.strays[:3])
+    assert verify_stage_scan(s, mu) == trimmed(literal_scan(s, mu))
 
 
 @pytest.mark.parametrize("check", [lambda: verify_stage_scan(4),
                                    lambda: verify_mass_decay(4, stage_window(5))],
                          ids=["stage-scan", "mass-decay"])
 def test_expansion_streams(check):
-    # stage 4 has 9945 atoms and the decay scan reads stage 5's side blocks;
-    # neither is ever held as one list
+    # stage 4 has 9945 atoms, and the decay scan reads stage 5's side blocks as
+    # images of stage 4's groups; neither is ever held as one list
     tracemalloc.start()
     try:
         check()
@@ -277,14 +285,18 @@ class TestTailEstimate:
             verify_tail_estimate(0)
 
 
-# sources are (position, mass) pairs on the query's integer grid; grid.M is mass 1
+# sources are (base, mass, kept offsets) groups on the query's integer grid; grid.M is mass 1
 COLLIDING_SOURCES = pytest.mark.parametrize("alter", [
     # a source atom one radius right of the first: its group starts inside the first group
-    lambda source, grid: [source[0], (source[0][0] + grid.pos(averaging_radius(2)), grid.M),
-                          *source[1:]],
+    lambda source, grid: [source[0], (source[0][0] + source[0][2][0] + grid.pos(averaging_radius(2)),
+                                      grid.M, (0,)), *source[1:]],
     # a source atom that the shift -3 takes to the origin, inside the stage-1 window
-    lambda source, grid: [*source, (grid.pos(F(3)), grid.M)],
-], ids=["overlapping-groups", "group-inside-stage-window"])
+    lambda source, grid: [*source, (grid.pos(F(3)), grid.M, (0,))],
+    # the first source group's atoms one radius apart: their groups overlap inside its image
+    lambda source, grid: [(source[0][0], source[0][1],
+                           (source[0][2][0], source[0][2][0] + grid.pos(averaging_radius(2)))),
+                          *source[1:]],
+], ids=["overlapping-groups", "group-inside-stage-window", "overlapping-groups-in-one-image"])
 
 
 def alter_stage_two_source(monkeypatch, alter):
@@ -296,6 +308,19 @@ def alter_stage_two_source(monkeypatch, alter):
             yield sh, alter(list(source), budget) if s == 2 and sh < 0 else source
 
     monkeypatch.setattr(construction, "_side_sources", altered)
+
+
+def test_straddling_groups_match_literal_scan(monkeypatch):
+    # two source atoms of mass 1 added to stage 2's left block: the shift -3 centres
+    # one group of 4 atoms on the window end -13/3 (J keeps its right half) and one
+    # on the boundary -3 + 1/3 of cell -3, so it is read atom by atom
+    alter_stage_two_source(monkeypatch, lambda source, grid: [
+        (grid.pos(F(-4, 3)), grid.M, (0,)), *source[:2], (grid.pos(F(1, 3)), grid.M, (0,)),
+        *source[2:]])
+    scan = verify_stage_scan(2)
+    assert scan == trimmed(literal_scan(2, build_stage(2)))
+    assert scan.atoms == projected_atom_count(2) + 6 and len(scan.strays) == 2
+    assert scan.bad_cells == ((-4, F(3, 2)), (-3, F(3, 2)))
 
 
 class TestMassDecay:
@@ -312,6 +337,21 @@ class TestMassDecay:
     def test_cap_bounds_the_window(self):
         with pytest.raises(AtomBudgetError, match="cap is 100"):
             verify_mass_decay(2, Interval.closed(-14, 14), atom_cap=100)
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_charge_is_the_atoms_walked(self, s):
+        # the atoms of stage s+1's side blocks plus, for each block, the walk of
+        # stage s that is its source; at s = 6 this is verify 6's pinned cap
+        def walk(k):  # each side block of stage j <= k and its two source walks
+            return sum(4 * j * projected_atom_count(j - 1) + 2 * walk(j - 1) for j in range(1, k + 1))
+
+        def least(k):
+            return 4 * (k + 1) * projected_atom_count(k) + 2 * walk(k)
+
+        assert least(6) == 157615524
+        assert verify_mass_decay(s, stage_window(s + 1), atom_cap=least(s))
+        with pytest.raises(AtomBudgetError, match=f"cap is {least(s) - 1}$"):
+            verify_mass_decay(s, stage_window(s + 1), atom_cap=least(s) - 1)
 
     def test_stage0_rejected(self):
         with pytest.raises(ValueError):
@@ -374,6 +414,15 @@ def test_mass_decay_matches_literal_scan(s, literal_four):
         report = verify_mass_decay(s, J)
         assert (report.max_mass_outside, report.witness, report.holds) == \
             literal_decay(s, J, literal_four), J
+
+
+@pytest.mark.parametrize("kind", ["open", "closed", "cut"])
+def test_mass_decay_matches_literal_scan_of_stage_five(kind):
+    literal = atoms_of(build_stage(5))
+    J = {"open": stage_window(5), "closed": stage_window(5).closure(),
+         "cut": Interval.closed(literal[1][0], literal[-2][0])}[kind]
+    report = verify_mass_decay(4, J)
+    assert (report.max_mass_outside, report.witness, report.holds) == literal_decay(4, J, literal)
 
 
 class TestLimitWindow:

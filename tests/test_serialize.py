@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apmeasure import (Interval, PiecewiseLinearFn, build_stage, make_measure, match_close,
-                       triangle_test_function)
+                       projected_atom_count, provenance, triangle_test_function)
 from apmeasure import serialize
 from apmeasure.serialize import (
     load_measure,
@@ -53,6 +53,22 @@ def test_stage_files_are_json_dumps(s, tmp_path):
     measure, sidecar = stage_to_dicts(s)
     assert path.read_text() == dumped(measure)
     assert side.read_text() == dumped(sidecar)
+
+
+@pytest.mark.parametrize("s", range(5))
+def test_sidecar_rows_are_the_decoded_provenance(s, tmp_path):
+    # the writer decodes one index per run of copies of a source atom; `provenance`
+    # decodes every index afresh, and the passes sum to the atom's position
+    path = tmp_path / "stage.json"
+    rows = json.loads(save_stage(s, path).read_text())["atoms"]
+    atoms = json.loads(path.read_text())["atoms"]
+    assert len(rows) == len(atoms) == projected_atom_count(s)
+    for i, (row, atom) in enumerate(zip(rows, atoms)):
+        steps = provenance(s, i)
+        assert row == {"pos": atom["pos"], "stages": [step.stage for step in steps],
+                       "shifts": [str(step.shift) for step in steps],
+                       "offsets": [str(step.offset) for step in steps]}
+        assert F(row["pos"]) == sum((step.shift + step.offset for step in steps), F(0))
 
 
 def test_streamed_file_is_json_dumps(tmp_path):
