@@ -1,12 +1,13 @@
 """Command-line front end.
 
 Subcommands: build, verify, ap, conv, match, psi, lump.  All emitted
-numbers are exact fraction strings; --decimal K appends K-digit decimal
-approximations clearly marked as approximate.  Exit codes: 0 all checks
-pass, 1 a check failed (or a resource guard tripped), 2 usage or parse
-error.  The atom cap can be overridden with the APMEASURE_ATOM_CAP
-environment variable or --cap; either is checked when the arguments are
-parsed.
+numbers are exact fraction strings; --decimal K (all but build) appends
+K-digit decimal approximations clearly marked as approximate.  Exit codes:
+0 all checks pass, 1 a check failed (or a resource guard tripped), 2 usage
+or parse error.  --cap (build, verify, ap, match, psi), else the
+APMEASURE_ATOM_CAP variable, bounds the atoms of the averaging groups an
+expansion makes and the cells of a scan or a matching; it is checked when
+the arguments are parsed.
 """
 
 from __future__ import annotations
@@ -97,13 +98,16 @@ def _check(name: str, ok: bool, detail: str = "") -> bool:
 
 def cmd_verify(args) -> int:
     s = args.stage
-    mu = None
-    if args.measure:
-        mu = serialize.load_measure(args.measure)
-        print(f"verifying {args.measure} as stage {s}")
-    else:  # first: its closed-form caps refuse a run before the scan's work
+    mu = serialize.load_measure(args.measure) if args.measure else None
+    decay = None
+    # every check runs before any line prints, decay (the largest closed-form cap) first
+    if mu is None:
+        if s >= 1:
+            decay = construction.verify_mass_decay(s, construction.stage_window(s + 1), args.cap)
         stable = construction.verify_stage_stability(s, args.cap)
     scan = construction.verify_stage_scan(s, mu, args.cap)
+    if mu is not None:
+        print(f"verifying {args.measure} as stage {s}")
 
     ok = True
     expected_n = construction.projected_atom_count(s)
@@ -129,12 +133,11 @@ def cmd_verify(args) -> int:
         gap_ok = gap is not None and gap > 0 and gap >= floor
         ok &= _check(f"min_gap s={s}", gap_ok, f"gap={fmt(gap, args)} floor={fmt(floor, args)}")
 
-    if args.measure:
+    if mu is not None:
         print("stage_stability / mass_decay: skipped for external measure files")
     else:
         ok &= _check(f"stage_stability s={s}", stable)
-        if s >= 1:
-            decay = construction.verify_mass_decay(s, construction.stage_window(s + 1), args.cap)
+        if decay is not None:
             ok &= _check(f"mass_decay s={s}", decay.holds,
                          f"max_outside={fmt(decay.max_mass_outside, args)} "
                          f"bound={fmt(decay.bound, args)}")
@@ -268,12 +271,15 @@ def _int_at_least(k: int, what: str):
     return parse
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--decimal", type=_int_at_least(0, "digit count"), default=None, metavar="K",
-                   help="append K-digit decimal approximations (marked approximate)")
-    p.add_argument("--cap", type=_int_at_least(1, "atom cap"),
-                   default=os.environ.get("APMEASURE_ATOM_CAP", str(construction.DEFAULT_ATOM_CAP)),
-                   help="atom cap override (also APMEASURE_ATOM_CAP)")
+def _add_common(p: argparse.ArgumentParser, decimal: bool = True, cap: bool = True) -> None:
+    """--decimal on the commands that print fractions, --cap on those whose work it bounds."""
+    if decimal:
+        p.add_argument("--decimal", type=_int_at_least(0, "digit count"), default=None, metavar="K",
+                       help="append K-digit decimal approximations (marked approximate)")
+    if cap:
+        p.add_argument("--cap", type=_int_at_least(1, "atom cap"),
+                       default=os.environ.get("APMEASURE_ATOM_CAP", str(construction.DEFAULT_ATOM_CAP)),
+                       help="atom cap override (also APMEASURE_ATOM_CAP)")
 
 
 def _add_report(p: argparse.ArgumentParser) -> None:
@@ -291,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="build a construction stage and write it with provenance")
     p.add_argument("stage", type=int)
     p.add_argument("--out", required=True, help="measure output path (JSON)")
-    _add_common(p)
+    _add_common(p, decimal=False)
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("verify", help="run the certificate suite for a stage")
@@ -320,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", default=None, help="write (x, value) rows to this CSV file")
     p.add_argument("--samples", type=_int_at_least(0, "sample count"), default=0,
                    help="add this many uniform sample points to the output")
-    _add_common(p)
+    _add_common(p, cap=False)
     p.set_defaults(func=cmd_conv)
 
     p = sub.add_parser("match", help="match two measure files and profile their closeness")
@@ -355,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", required=True)
     p.add_argument("--v", required=True, help="linking distance (fraction)")
     p.add_argument("--u", default=None, help="lump-count radius (default: v)")
-    _add_common(p)
+    _add_common(p, cap=False)
     _add_report(p)
     p.set_defaults(func=cmd_lump)
 

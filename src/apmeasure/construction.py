@@ -91,35 +91,32 @@ class ProvenanceStep:
     offset: Fraction
 
 
-def _check_stage_cap(s: int, atom_cap: int) -> None:
-    """Raise `AtomBudgetError` if n_s = prod(1+4k) exceeds the cap.
+def _check_walks(s: int, walks: int, atom_cap: int) -> None:
+    """Raise `AtomBudgetError` if `walks` whole walks of stage s make more atoms than the cap.
 
-    The product stops at the first k whose running product passes the cap.
+    A whole walk of stage s makes w_s = 3*w_{s-1} + 4s*n_{s-1} atoms (w_0 = 0):
+    its stages below s, the 4s*n_{s-1} atoms of stage s's two side blocks and
+    the two walks of stage s-1 that are their sources.  The recurrence stops
+    at the first k whose total passes the cap.
     """
-    if s < 0:
-        raise ValueError(f"stage must be >= 0, got {s}")
-    if atom_cap < 1:
-        raise ValueError("atom cap must be >= 1")
-    count = 1
+    w = 0
     for k in range(1, s + 1):
-        count *= 1 + 4 * k
-        if count > atom_cap:
-            raise AtomBudgetError(f"stage {s} needs {'' if k == s else 'at least '}{count} "
-                                  f"atoms, cap is {atom_cap}")
+        w = 3 * w + 4 * k * projected_atom_count(k - 1)
+        if walks * w > atom_cap:
+            raise AtomBudgetError(f"walking stage {s}{' twice' if walks == 2 else ''} makes "
+                                  f"{'' if k == s else 'at least '}{walks * w} atoms, cap is {atom_cap}")
 
 
 def _whole_stage(s: int, atom_cap: int) -> tuple[_Query, Iterator[_Group]]:
     """The averaging groups of stage s as a stream (`_stage_groups`), and their query.
 
-    Raises `AtomBudgetError` before any work if n_s exceeds the cap.  The
-    expansion runs from the origin over the whole stage window and asserts
-    strict increase, so an atom collision fails loudly.
+    The walk runs unclipped from the origin, so an atom outside the stage
+    window is kept, and its total charge w_s (`_check_walks`) is checked
+    before any work.  It asserts strict increase, so a collision fails loudly.
     """
-    _check_stage_cap(s, atom_cap)
-    window = stage_window(s)
-    # the closed-form count bounds this expansion; it was checked above
-    query = _Query(s, window, math.inf)
-    return query, _stage_groups(s, query.window(window), query)
+    _check_walks(s, 1, atom_cap)
+    query = _Query(s, stage_window(s), atom_cap)
+    return query, _stage_groups(s, (-math.inf, math.inf), query)
 
 
 def build_stage(s: int, atom_cap: int = DEFAULT_ATOM_CAP) -> DiscreteMeasure:
@@ -300,9 +297,9 @@ def _images(s: int, sh: int, source: Iterable[_Group], J: tuple[int, int],
     A source group's atoms share one mass, so its image, the groups
     `_groups` makes of it, is 2s atoms per source atom, all of mass
     mass/(2s).  An image inside J is read whole: its atoms increase when the
-    source group's least step exceeds the span of the stage-s offsets, and
-    they are charged to the budget at once.  An image that J cuts is read
-    group by group from `_groups`.
+    source group's least step exceeds the span of the stage-s offsets.  It is
+    no group, so it charges nothing: its source group was charged when made.
+    An image that J cuts is read group by group from `_groups`.
     """
     lo, hi = J
     offsets = query.offsets(s)
@@ -320,7 +317,6 @@ def _images(s: int, sh: int, source: Iterable[_Group], J: tuple[int, int],
                 raise AssertionError(f"stage {s}: atom collision in the image of the source group"
                                      f" at {Fraction(src + kept[0], query.D)}")
             seen = kept
-        query.charge(2 * s * len(kept))
         yield start, end, _share(s, mass)
 
 
@@ -393,14 +389,14 @@ def _covering_stage(J: Interval) -> int:
     return s
 
 
-def _check_frozen(s: int, J: tuple[int, int], query: _Query) -> None:
-    """Raise `StageStabilityError` unless stage s+1 agrees with stage s on the grid range J.
+def _frozen(s: int, J: tuple[int, int], query: _Query) -> bool:
+    """Whether stage s+1 agrees with stage s on the grid range J.
 
     Stage s+1 is stage s flanked by two new blocks, so the two stages agree
-    on J exactly when both new blocks miss J.
+    on J exactly when both new blocks miss J; the pruned expansion shows
+    that without building stage s+1.
     """
-    if any(_side_blocks(s + 1, J, query)):
-        raise StageStabilityError(f"stage {s + 1} disagrees with stage {s} on {query.J}")
+    return not any(_side_blocks(s + 1, J, query))
 
 
 def limit_window(J: Interval, atom_cap: int = DEFAULT_ATOM_CAP) -> DiscreteMeasure:
@@ -415,7 +411,8 @@ def limit_window(J: Interval, atom_cap: int = DEFAULT_ATOM_CAP) -> DiscreteMeasu
     query = _Query(s + 1, J, atom_cap)
     grid_J = query.window(J)
     out = DiscreteMeasure(query.atoms(_atoms_within(s, grid_J, query)), J)
-    _check_frozen(s, grid_J, query)
+    if not _frozen(s, grid_J, query):
+        raise StageStabilityError(f"stage {s + 1} disagrees with stage {s} on {J}")
     return out
 
 
@@ -568,14 +565,17 @@ def verify_mass_decay(s: int, J: Interval, atom_cap: int = DEFAULT_ATOM_CAP) -> 
     s standing in, unread, as the closure of its window; the witness is the
     first atom of the first image reaching a new maximum.  Strict increase
     is proved between images, each image's last atom against the next
-    one's first.  `atom_cap` bounds the atoms the images stand for and their
-    sources (`AtomBudgetError`).
+    one's first.  `atom_cap` bounds the atoms of the groups the walk makes
+    (`AtomBudgetError`); when J contains the stage-(s+1) window, the two walks
+    of stage s its side blocks read (`_check_walks`) are checked first.
     """
     if s < 1:
         raise ValueError("mass decay bound is undefined for stage 0")
     inner = stage_window(s)
     if not J.contains_interval(inner) or (J.lo == inner.lo and J.hi == inner.hi):
         raise ValueError(f"window {J} must strictly contain the stage window {inner}")
+    if J.contains_interval(stage_window(s + 1)):
+        _check_walks(s, 2, atom_cap)
     t = _covering_stage(J)
     query = _Query(t + 1, J, atom_cap)
     grid_J = query.window(J)
@@ -590,7 +590,8 @@ def verify_mass_decay(s: int, J: Interval, atom_cap: int = DEFAULT_ATOM_CAP) -> 
             last = end
             if abs(mass) > worst:
                 worst, witness = abs(mass), start
-    _check_frozen(t, grid_J, query)
+    if not _frozen(t, grid_J, query):
+        raise StageStabilityError(f"stage {t + 1} disagrees with stage {t} on {J}")
     worst_mass = Fraction(worst, query.M)
     bound = Fraction(1, 2 * s)
     return MassDecayCheck(s, worst_mass, bound, worst_mass < bound,
@@ -598,18 +599,11 @@ def verify_mass_decay(s: int, J: Interval, atom_cap: int = DEFAULT_ATOM_CAP) -> 
 
 
 def verify_stage_stability(s: int, atom_cap: int = DEFAULT_ATOM_CAP) -> bool:
-    """Whether stage s+1 equals stage s on the closure of the stage-s window.
-
-    Stage s+1 is a left block, stage s, then a right block, so the two agree
-    there exactly when both side blocks miss the closed window; the pruned
-    expansion shows that without building stage s+1.  `atom_cap` is still
-    checked against the closed-form counts n_s, then n_{s+1} (`AtomBudgetError`).
-    """
-    _check_stage_cap(s, atom_cap)
-    _check_stage_cap(s + 1, atom_cap)
+    """Whether stage s+1 equals stage s on the closure of the stage-s window (`_frozen`);
+    `atom_cap` bounds the atoms of the groups the expansion makes (`AtomBudgetError`)."""
     window = stage_window(s).closure()
     query = _Query(s + 1, window, atom_cap)
-    return not any(_side_blocks(s + 1, query.window(window), query))
+    return _frozen(s, query.window(window), query)
 
 
 @dataclass(frozen=True)

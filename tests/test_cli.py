@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -7,10 +8,10 @@ from fractions import Fraction as F
 import pytest
 
 from apmeasure import (Interval, build_stage, combine, construction, make_measure, matching, measures,
-                       piecewise, serialize)
-from apmeasure.cli import main, parse_window, parse_windows
+                       piecewise, projected_atom_count, serialize)
+from apmeasure.cli import build_parser, main, parse_window, parse_windows
 from apmeasure.serialize import load_measure, provenance_sidecar_path, save_measure
-from helpers import integer_comb, perturbed_comb
+from helpers import integer_comb, perturbed_comb, whole_walk_atoms
 
 
 def run(capsys, *argv):
@@ -41,6 +42,24 @@ class TestParsing:
     def test_half_open_windows(self):
         assert parse_window("[0:1)") == Interval(F(0), F(1), False, True)
         assert parse_window("(-1/2:1/2]") == Interval(F(-1, 2), F(1, 2), True, False)
+
+    def test_each_command_takes_only_the_options_it_reads(self):
+        # build prints no fraction, and conv and lump run no expansion or matching
+        commands = next(a for a in build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        options = {name: {opt for action in sub._actions for opt in action.option_strings
+                          if opt not in ("-h", "--help")}
+                   for name, sub in commands.items()}
+        assert options == {
+            "build": {"--out", "--cap"},
+            "verify": {"--measure", "--tail-max", "--decimal", "--cap"},
+            "ap": {"--epsilon", "--range", "--fn", "--window", "--decimal", "--cap", "--out-report"},
+            "conv": {"--measure", "--window", "--fn", "--csv", "--samples", "--decimal"},
+            "match": {"--windows", "--decimal", "--cap", "--out-report"},
+            "psi": {"--mu", "--nu", "--v", "--u", "--epsilon", "--compact", "--n", "--samples",
+                    "--zero-identity", "--decimal", "--cap", "--out-report"},
+            "lump": {"--mu", "--nu", "--v", "--u", "--decimal", "--out-report"},
+        }
 
 
 class TestBuild:
@@ -78,6 +97,18 @@ class TestBuild:
         assert code == 0 and out == "atoms=585 mass=27\n"
         monkeypatch.undo()
         assert load_measure(out_path) == build_stage(3)
+
+    @pytest.mark.parametrize("s", range(1, 6))
+    def test_least_cap_is_the_walk(self, s, tmp_path, capsys):
+        # each stage file is one unclipped walk of w_s atoms; one less is refused first
+        code, _, err = run(capsys, "build", str(s), "--cap", str(whole_walk_atoms(s) - 1),
+                           "--out", str(tmp_path / "s.json"))
+        assert code == 1 and err.endswith(f"makes {whole_walk_atoms(s)} atoms, "
+                                          f"cap is {whole_walk_atoms(s) - 1}\n")
+        assert list(tmp_path.iterdir()) == []
+        code, out, _ = run(capsys, "build", str(s), "--cap", str(whole_walk_atoms(s)),
+                           "--out", str(tmp_path / "s.json"))
+        assert code == 0 and out == f"atoms={projected_atom_count(s)} mass={3 ** s}\n"
 
     def test_env_cap(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("APMEASURE_ATOM_CAP", "3")
@@ -120,7 +151,8 @@ class TestVerify:
         assert "overall: FAIL" in out
 
     def test_cap_covers_the_next_stage(self, capsys):
-        # stage 4 fits in 10k atoms; the stability check's stage 5 does not
+        # stage 4's walk makes 11,448 atoms; the decay scan's two walks of it, the
+        # sources of stage 5's side blocks, make 22,896
         code, _, err = run(capsys, "verify", "4", "--cap", "10000")
         assert code == 1 and "cap" in err
 
@@ -164,26 +196,36 @@ class TestVerify:
     @pytest.mark.parametrize("argv", [("build", "1500", "--out", "unused.json"),
                                       ("verify", "100000")], ids=["build", "verify"])
     def test_huge_stage_trips_the_cap_quickly(self, capsys, argv):
-        # the closed-form count stops at the first stage past the cap
+        # the closed-form walk total stops at the first stage past the cap: w_7 for
+        # build's walk, 2*w_6 for verify's two decay walks
         start = time.perf_counter()
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
-        assert err == f"error: stage {argv[1]} needs at least 151412625 atoms, cap is 10000000\n"
+        assert err == {"build": "error: walking stage 1500 makes at least 163327536 atoms, "
+                                "cap is 10000000\n",
+                       "verify": "error: walking stage 100000 twice makes at least 11424024 "
+                                 "atoms, cap is 10000000\n"}[argv[0]]
         assert time.perf_counter() - start < 1.0
 
-    def test_next_stage_cap_refuses_before_the_scan(self, capsys):
-        # n_6 passes the default cap and n_7 does not: no atom of stage 6 is scanned
-        start = time.perf_counter()
-        code, out, err = run(capsys, "verify", "6")
-        assert code == 1 and out == ""
-        assert err == "error: stage 7 needs 151412625 atoms, cap is 10000000\n"
-        assert time.perf_counter() - start < 1.0
+    def test_next_stage_cap_refuses_before_the_scan(self, capsys, monkeypatch):
+        # stage 7's side blocks read stage 6 twice, 2*w_6 = 11,424,024 atoms: at the
+        # default cap and one below that total, no walk starts and no line prints
+        def no_walk(*args, **kwargs):
+            raise AssertionError("a walk started")
+
+        monkeypatch.setattr(construction, "_stage_groups", no_walk)
+        for extra, cap in (((), 10000000), (("--cap", "11424023"), 11424023)):
+            start = time.perf_counter()
+            code, out, err = run(capsys, "verify", "6", *extra)
+            assert code == 1 and out == ""
+            assert err == f"error: walking stage 6 twice makes 11424024 atoms, cap is {cap}\n"
+            assert time.perf_counter() - start < 1.0
 
     def test_next_stage_cap_message(self, capsys):
-        # a count that passes the cap only at the stage asked for is printed whole
-        code, _, err = run(capsys, "verify", "3", "--cap", "9944")
-        assert code == 1
-        assert err == "error: stage 4 needs 9945 atoms, cap is 9944\n"
+        # a total that passes the cap only at the stage asked for is printed whole
+        code, out, err = run(capsys, "verify", "3", "--cap", "1391")
+        assert code == 1 and out == ""
+        assert err == "error: walking stage 3 twice makes 1392 atoms, cap is 1391\n"
 
     def test_decimal_flag(self, capsys):
         code, out, _ = run(capsys, "verify", "1", "--tail-max", "2", "--decimal", "4")
@@ -592,11 +634,10 @@ class TestRefusedBeforeWork:
         assert "No such file or directory" in err and missing in err
 
     @pytest.mark.parametrize("cap", ["0", "-3", "x", None])
-    @pytest.mark.parametrize("command", ["lump", "build"])
+    @pytest.mark.parametrize("command", ["match", "build"])
     def test_invalid_cap(self, command, cap, files, tmp_path, capsys, monkeypatch):
-        # lump never reads the cap; it is still refused when the arguments are parsed
         mpath, npath = files
-        argv = (["lump", "--mu", mpath, "--nu", npath, "--v", "1/4"] if command == "lump"
+        argv = (["match", mpath, npath, "--windows", "-1:1"] if command == "match"
                 else ["build", "2", "--out", str(tmp_path / "s2.json")])
         if cap is None:
             monkeypatch.setenv("APMEASURE_ATOM_CAP", "0")
@@ -606,6 +647,19 @@ class TestRefusedBeforeWork:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert f"atom cap must be an int >= 1, got '{cap or 0}'" in err
+
+    @pytest.mark.parametrize("command", ["build", "conv", "lump"])
+    def test_option_a_command_never_reads(self, command, files, tmp_path, capsys, monkeypatch):
+        mpath, npath = files
+        argv, option = {
+            "build": (["build", "2", "--out", str(tmp_path / "s2.json")], "--decimal"),
+            "conv": (["conv", "--measure", mpath, "--window", "-1:1"], "--cap"),
+            "lump": (["lump", "--mu", mpath, "--nu", npath, "--v", "1/4"], "--cap"),
+        }[command]
+        _no_work(monkeypatch)
+        code, out, err = run(capsys, *argv, option, "5")
+        assert code == 2 and out == ""
+        assert f"unrecognized arguments: {option} 5" in err
 
     def test_valid_cap_overrides_an_invalid_env_cap(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("APMEASURE_ATOM_CAP", "x")

@@ -29,7 +29,7 @@ from apmeasure import (
 from apmeasure import construction
 from apmeasure.construction import cell_center_bound
 from apmeasure.measures import make_measure
-from helpers import literal_scan, literal_stage, widened
+from helpers import literal_scan, literal_stage, whole_walk_atoms, widened
 
 
 def atoms_of(mu):
@@ -147,7 +147,7 @@ class TestSupportAndCells:
             assert (scan.atoms, scan.total_mass) == (projected_atom_count(s), 3 ** s)
 
     def test_stage_cap(self):
-        with pytest.raises(AtomBudgetError, match="stage 3 needs 585 atoms, cap is 100$"):
+        with pytest.raises(AtomBudgetError, match="walking stage 3 makes 696 atoms, cap is 100$"):
             verify_stage_scan(3, atom_cap=100)
 
     def test_cell_budget(self):
@@ -312,15 +312,25 @@ def alter_stage_two_source(monkeypatch, alter):
 
 def test_straddling_groups_match_literal_scan(monkeypatch):
     # two source atoms of mass 1 added to stage 2's left block: the shift -3 centres
-    # one group of 4 atoms on the window end -13/3 (J keeps its right half) and one
-    # on the boundary -3 + 1/3 of cell -3, so it is read atom by atom
+    # one group of 4 atoms on the window end -13/3 and one on the boundary -3 + 1/3
+    # of cell -3, so both are read atom by atom; the unclipped walk keeps the two
+    # atoms past the window end, and the first of them is the support's offender
     alter_stage_two_source(monkeypatch, lambda source, grid: [
         (grid.pos(F(-4, 3)), grid.M, (0,)), *source[:2], (grid.pos(F(1, 3)), grid.M, (0,)),
         *source[2:]])
     scan = verify_stage_scan(2)
     assert scan == trimmed(literal_scan(2, build_stage(2)))
-    assert scan.atoms == projected_atom_count(2) + 6 and len(scan.strays) == 2
+    assert scan.atoms == projected_atom_count(2) + 8 and scan.offender == F(-6659, 1536)
+    assert scan.strays == (F(-6659, 1536), F(-13315, 3072), F(-8189, 3072))
     assert scan.bad_cells == ((-4, F(3, 2)), (-3, F(3, 2)))
+
+
+@pytest.mark.parametrize("s", range(6))
+def test_whole_stage_charges_its_closed_form(s):
+    # the unclipped walk of stage s ends its running charge at exactly w_s
+    query, groups = construction._whole_stage(s, whole_walk_atoms(s) or 1)
+    assert sum(len(kept) for _, _, kept in groups) == projected_atom_count(s)
+    assert query.used == whole_walk_atoms(s)
 
 
 class TestMassDecay:
@@ -340,15 +350,13 @@ class TestMassDecay:
 
     @pytest.mark.parametrize("s", [1, 2, 3, 4])
     def test_charge_is_the_atoms_walked(self, s):
-        # the atoms of stage s+1's side blocks plus, for each block, the walk of
-        # stage s that is its source; at s = 6 this is verify 6's pinned cap
-        def walk(k):  # each side block of stage j <= k and its two source walks
-            return sum(4 * j * projected_atom_count(j - 1) + 2 * walk(j - 1) for j in range(1, k + 1))
-
+        # the two walks of stage s that are the sources of stage s+1's side blocks;
+        # their images are read whole and charge nothing.  At s = 6 this is verify
+        # 6's pinned cap
         def least(k):
-            return 4 * (k + 1) * projected_atom_count(k) + 2 * walk(k)
+            return 2 * whole_walk_atoms(k)
 
-        assert least(6) == 157615524
+        assert least(6) == 11424024
         assert verify_mass_decay(s, stage_window(s + 1), atom_cap=least(s))
         with pytest.raises(AtomBudgetError, match=f"cap is {least(s) - 1}$"):
             verify_mass_decay(s, stage_window(s + 1), atom_cap=least(s) - 1)
@@ -475,8 +483,8 @@ class TestLimitWindow:
         # a new block of stage s+1 that lands in J means stage s was not frozen there
         side_blocks = construction._side_blocks
 
-        def stray_stage_two_atom(s, J, budget):
-            return ([(F(0), F(1))], []) if s == 2 else side_blocks(s, J, budget)
+        def stray_stage_two_atom(s, J, query):  # one group of stage 2 at the origin
+            return iter([(0, query.M, (0,))]) if s == 2 else side_blocks(s, J, query)
 
         monkeypatch.setattr(construction, "_side_blocks", stray_stage_two_atom)
         with pytest.raises(StageStabilityError, match="stage 2 disagrees with stage 1"):
@@ -526,17 +534,27 @@ class TestStability:
     def test_stray_side_block_atom_is_reported(self, monkeypatch):
         side_blocks = construction._side_blocks
 
-        def stray_stage_three_atom(s, J, budget):
-            return ([], [(F(4), F(1))]) if s == 3 else side_blocks(s, J, budget)
+        def stray_stage_three_atom(s, J, query):  # one group of stage 3 at 4
+            return iter([(query.pos(F(4)), query.M, (0,))]) if s == 3 else side_blocks(s, J, query)
 
         monkeypatch.setattr(construction, "_side_blocks", stray_stage_three_atom)
         assert not verify_stage_stability(2)
         assert verify_stage_stability(1)
 
-    def test_cap_covers_the_next_stage(self):
-        # stage 3 has 585 atoms, stage 4 has 9945
-        with pytest.raises(AtomBudgetError, match="stage 4"):
-            verify_stage_stability(3, atom_cap=1000)
+    def test_cap_covers_the_next_stage(self, monkeypatch):
+        # stage 4's side blocks read no atom of stage 3, so they make none in its window ...
+        assert verify_stage_stability(3, atom_cap=1)
+        # ... and a group they did make there, here the 8 stage-4 copies of the
+        # origin, would be charged
+        side_sources = construction._side_sources
+
+        def origin_source(s, J, query):
+            return iter([(0, iter([(0, query.M, (0,))]))]) if s == 4 else side_sources(s, J, query)
+
+        monkeypatch.setattr(construction, "_side_sources", origin_source)
+        with pytest.raises(AtomBudgetError, match="produced 8 atoms, cap is 7$"):
+            verify_stage_stability(3, atom_cap=7)
+        assert not verify_stage_stability(3, atom_cap=8)
 
 
 class TestClusterCertificate:

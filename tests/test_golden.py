@@ -41,10 +41,9 @@ STDOUT = {
         "d58056596fd3d8dc127d1aa2c5f5dedaa58bad2d7e5474401d7826161ef4a3cd",
     ("verify", "5"):
         "e6f12c3df1769db641f438b9917e5236f72e77e015e108c7f256e9dafa396621",
-    # the least cap that passes (157615523 exits 1): the decay scan charges the
-    # 146,191,500 atoms of stage 7's side blocks and, for each block's source,
-    # the 5,712,012 atoms of the walk of stage 6
-    ("verify", "6", "--cap", "157615524", "--tail-max", "2"):
+    # the least cap that passes (11424023 exits 1): the decay scan's two walks
+    # of stage 6, the sources of stage 7's side blocks, make 2 * 5,712,012 atoms
+    ("verify", "6", "--cap", "11424024", "--tail-max", "2"):
         "a4cc91e413bc0b3c79e4baa604611bc204991ebdc251d4d03e48f9929144087b",
 }
 
