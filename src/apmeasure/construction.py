@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .measures import (
     Atom,
@@ -105,26 +106,6 @@ def _check_walks(s: int, walks: int, atom_cap: int) -> None:
         if walks * w > atom_cap:
             raise AtomBudgetError(f"walking stage {s}{' twice' if walks == 2 else ''} makes "
                                   f"{'' if k == s else 'at least '}{walks * w} atoms, cap is {atom_cap}")
-
-
-def _whole_stage(s: int, atom_cap: int) -> tuple[_Query, Iterator[_Group]]:
-    """The averaging groups of stage s as a stream (`_stage_groups`), and their query.
-
-    The walk runs unclipped from the origin, so an atom outside the stage
-    window is kept, and its total charge w_s (`_check_walks`) is checked
-    before any work.  It asserts strict increase, so a collision fails loudly.
-    """
-    _check_walks(s, 1, atom_cap)
-    query = _Query(s, stage_window(s), atom_cap)
-    return query, _stage_groups(s, (-math.inf, math.inf), query)
-
-
-def build_stage(s: int, atom_cap: int = DEFAULT_ATOM_CAP) -> DiscreteMeasure:
-    """The stage-s measure on the closed stage window, as `Atom`s, afresh on
-    every call (see `_whole_stage`); atom i's provenance is `provenance(s, i)`."""
-    query, groups = _whole_stage(s, atom_cap)
-    pairs = ((base + off, mass) for base, mass, kept in groups for off in kept)
-    return DiscreteMeasure(query.atoms(pairs), stage_window(s).closure())
 
 
 @cache
@@ -223,10 +204,10 @@ class _Query:
             self._offsets[k] = offsets
         return self._offsets[k]
 
-    def atoms(self, pairs: Iterable[tuple[int, int]]) -> tuple[Atom, ...]:
-        """(position, mass) grid pairs as `Atom`s; atoms of one mass share its `Fraction`."""
+    def atoms(self, groups: Iterable[_Group]) -> tuple[Atom, ...]:
+        """The atoms of grid groups as `Atom`s; atoms of one mass share its `Fraction`."""
         D, mass = self.D, cache(partial(Fraction, denominator=self.M))
-        return tuple(Atom(Fraction(p, D), mass(m)) for p, m in pairs)
+        return tuple(Atom(Fraction(base + off, D), mass(m)) for base, m, kept in groups for off in kept)
 
 
 def _least_step(xs: Sequence[int]) -> int:
@@ -291,15 +272,16 @@ def _groups(s: int, sh: int, source: Iterable[_Group], J: tuple[int, int],
 
 
 def _images(s: int, sh: int, source: Iterable[_Group], J: tuple[int, int],
-            query: _Query) -> Iterator[tuple[int, int, int]]:
-    """(first atom, last atom, mass) of the image in J of each group of one shifted source block.
+            query: _Query) -> Iterator[_Group]:
+    """The groups in J of one shifted source block, one per source group whose image J holds whole.
 
     A source group's atoms share one mass, so its image, the groups
-    `_groups` makes of it, is 2s atoms per source atom, all of mass
-    mass/(2s).  An image inside J is read whole: its atoms increase when the
-    source group's least step exceeds the span of the stage-s offsets.  It is
-    no group, so it charges nothing: its source group was charged when made.
-    An image that J cuts is read group by group from `_groups`.
+    `_groups` makes of it, is one group: (source base + sh, mass/(2s), the
+    sums p + off of its kept offsets p and the stage-s offsets off,
+    source-major).  The sums are built and checked increasing once per
+    shared source tuple.  A whole image charges nothing: its source group
+    was charged when made.  An image that J cuts is read group by group
+    from `_groups`.
     """
     lo, hi = J
     offsets = query.offsets(s)
@@ -307,17 +289,15 @@ def _images(s: int, sh: int, source: Iterable[_Group], J: tuple[int, int],
     seen = None
     for group in source:
         src, mass, kept = group
-        start, end = src + kept[0] + sh + first, src + kept[-1] + sh + last
-        if not (lo <= start and end <= hi):
-            for base, share, cut in _groups(s, sh, (group,), J, query):
-                yield base + cut[0], base + cut[-1], share
+        if not (lo <= src + kept[0] + sh + first and src + kept[-1] + sh + last <= hi):
+            yield from _groups(s, sh, (group,), J, query)
             continue
-        if len(kept) > 1 and kept is not seen:  # the full groups of a block share one offset tuple
-            if _least_step(kept) <= last - first:
+        if kept is not seen:  # the full groups of a block share one offset tuple
+            seen, sums = kept, tuple(p + off for p in kept for off in offsets)
+            if not all(a < b for a, b in zip(sums, sums[1:])):
                 raise AssertionError(f"stage {s}: atom collision in the image of the source group"
                                      f" at {Fraction(src + kept[0], query.D)}")
-            seen = kept
-        yield start, end, _share(s, mass)
+        yield src + sh, _share(s, mass), sums
 
 
 def _side_blocks(s: int, J: tuple[int, int], query: _Query) -> Iterator[_Group]:
@@ -333,34 +313,36 @@ def _misses(s: int, J: tuple[int, int], query: _Query) -> bool:
     return max(lo, 1 - half) > min(hi, half - 1)
 
 
-def _blocks(t: int, floor: int, J: tuple[int, int], query: _Query
-            ) -> Iterator[tuple[int, int, Iterator[_Group]] | None]:
-    """The blocks of stage t that can reach the grid range J, left to right.
+# a block reader: (stage, shift, source groups, grid range J, query) -> the block's groups in J
+_Reader = Callable[[int, int, Iterable[_Group], tuple[int, int], _Query], Iterator[_Group]]
+
+
+def _stage_groups(t: int, J: tuple[int, int], query: _Query, floor: int = 0,
+                  read: _Reader = _groups) -> Iterator[_Group]:
+    """The groups (base, mass, kept offsets) of stage t in the grid range J, left to right.
 
     Stage t is, in position order, the left blocks of stages t..floor+1,
-    stage `floor`, and the right blocks of stages floor+1..t.  A side block
-    of stage k is (k, shift, source groups) (see `_side_sources`); stage
-    `floor` is None.  Stages whose window misses J are pruned.
+    stage `floor`, and the right blocks of stages floor+1..t; stages whose
+    window misses J are pruned.  A side block is `read` of its stage, shift
+    and source (`_side_sources`): `_groups` makes one group per source atom,
+    `_images` one per source group whose image J holds whole.  Stage 0 is
+    the origin's one group; a higher floor stands in, unread, as one group
+    of mass 0 whose two atoms are the ends of its open window.  Strict
+    increase is proved here, each group's end against the next group's
+    start; inside a group the offsets increase.
     """
+    lo, hi = J
+    if floor:
+        half = query.half_width(floor)
+        core = [(0, 0, (-half, half))]
+    else:
+        core = [(0, query.M, (0,))] if lo <= 0 <= hi else []
     # each stage's sources yield its left block, then its right one
     sides = {k: _side_sources(k, J, query)
              for k in range(floor + 1, t + 1) if not _misses(k, J, query)}
-    for k in (*reversed(sides), floor, *sides):
-        yield None if k == floor else (k, *next(sides[k]))
-
-
-def _stage_groups(t: int, J: tuple[int, int], query: _Query) -> Iterator[_Group]:
-    """The averaging groups (base, mass, kept offsets) of stage t in the grid range J, left to right.
-
-    A side block's groups are `_groups` of its source; stage 0 is the
-    origin's one group.  Strict increase is proved here, each group's end
-    against the next group's start; inside a group the offsets increase.
-    """
-    lo, hi = J
-    origin = [(0, query.M, (0,))] if lo <= 0 <= hi else []
     last = None
-    for block in _blocks(t, 0, J, query):
-        for group in origin if block is None else _groups(*block, J, query):
+    for k in (*reversed(sides), floor, *sides):
+        for group in core if k == floor else read(k, *next(sides[k]), J, query):
             base, _, kept = group
             if last is not None and not last < base + kept[0]:
                 raise _collision(t, last, base + kept[0], query)
@@ -368,17 +350,27 @@ def _stage_groups(t: int, J: tuple[int, int], query: _Query) -> Iterator[_Group]
             yield group
 
 
-def _atoms_within(s: int, J: tuple[int, int], query: _Query) -> Iterator[tuple[int, int]]:
-    """(position, mass) grid pairs of the stage-s measure in the closed grid
-    range J, streamed left to right, without materializing the stage:
-    branches that cannot land in J are pruned (see `_stage_groups`).
+def _whole_stage(s: int, atom_cap: int, read: _Reader = _groups
+                 ) -> tuple[_Query, Iterator[_Group]]:
+    """The groups of stage s as a stream (`_stage_groups` with block reader `read`), and their query.
 
-    It always expands from the origin, so what it yields and charges
-    depends on s, J and the grid alone.
+    The walk runs unclipped from the origin, so an atom outside the stage
+    window is kept, and the most it can charge, w_s (`_check_walks`, the
+    charge of the `_groups` read; `_images` charges only its source walks),
+    is checked before any work.  It asserts strict increase, so a collision
+    fails loudly.
     """
-    for base, mass, kept in _stage_groups(s, J, query):
-        for off in kept:
-            yield base + off, mass
+    _check_walks(s, 1, atom_cap)
+    query = _Query(s, stage_window(s), atom_cap)
+    return query, _stage_groups(s, (-math.inf, math.inf), query, read=read)
+
+
+def build_stage(s: int, atom_cap: int = DEFAULT_ATOM_CAP) -> DiscreteMeasure:
+    """The stage-s measure on the closed stage window, as `Atom`s, afresh on
+    every call (see `_whole_stage`); atom i's provenance is `provenance(s, i)`.
+    The library calls it nowhere: it serves the tests and demos."""
+    query, groups = _whole_stage(s, atom_cap)
+    return DiscreteMeasure(query.atoms(groups), stage_window(s).closure())
 
 
 def _covering_stage(J: Interval) -> int:
@@ -410,7 +402,7 @@ def limit_window(J: Interval, atom_cap: int = DEFAULT_ATOM_CAP) -> DiscreteMeasu
     s = _covering_stage(J)
     query = _Query(s + 1, J, atom_cap)
     grid_J = query.window(J)
-    out = DiscreteMeasure(query.atoms(_atoms_within(s, grid_J, query)), J)
+    out = DiscreteMeasure(query.atoms(_stage_groups(s, grid_J, query)), J)
     if not _frozen(s, grid_J, query):
         raise StageStabilityError(f"stage {s + 1} disagrees with stage {s} on {J}")
     return out
@@ -480,8 +472,9 @@ def verify_stage_scan(s: int, measure: DiscreteMeasure | None = None,
                       atom_cap: int = DEFAULT_ATOM_CAP) -> StageScan:
     """Count, total mass, support, unit mass per cell and least gap of stage s, in one pass.
 
-    With no `measure` the pass reads the expansion's averaging groups of
-    stage s (`_whole_stage`) and makes no `Atom`; a measure's atoms go onto
+    With no `measure` the pass reads stage s image by image (`_whole_stage`
+    with `_images`: one group per source group, whose walks are all it
+    charges) and makes no `Atom`; a measure's atoms go onto
     one grid first, positions over D = lcm(6, their denominators) and masses
     over the lcm of theirs, and each is read as a group of one.  The 3^s
     cells are charged to the cap before the pass.  The atoms must strictly
@@ -491,10 +484,10 @@ def verify_stage_scan(s: int, measure: DiscreteMeasure | None = None,
     does the whole group, inside the window; only a group that straddles a
     cell boundary or the window is read atom by atom.  The least gap is the
     least of the gaps between neighbouring groups and each group's least
-    offset step.
+    step.
     """
     if measure is None:
-        query, groups = _whole_stage(s, atom_cap)
+        query, groups = _whole_stage(s, atom_cap, _images)
         D, M = query.D, query.M
     else:
         D = math.lcm(6, common_denominator(a.position for a in measure.atoms))
@@ -560,14 +553,15 @@ def verify_mass_decay(s: int, J: Interval, atom_cap: int = DEFAULT_ATOM_CAP) -> 
     J must strictly contain the stage window, so the check actually sees
     atoms created by later stages.  On J the limit is stage t, the smallest
     stage whose window contains J (that stage t+1 agrees with it there is
-    checked, as in `limit_window`).  The scan reads the side blocks of
-    stages s+1..t image by image (`_images`: one mass per image), with stage
-    s standing in, unread, as the closure of its window; the witness is the
-    first atom of the first image reaching a new maximum.  Strict increase
-    is proved between images, each image's last atom against the next
-    one's first.  `atom_cap` bounds the atoms of the groups the walk makes
-    (`AtomBudgetError`); when J contains the stage-(s+1) window, the two walks
-    of stage s its side blocks read (`_check_walks`) are checked first.
+    checked, as in `limit_window`).  The maximum runs over stage t's groups
+    above floor s read image by image (`_stage_groups` with `_images`: one
+    mass per image), where stage s stands in, unread, as a group of mass 0
+    spanning its window, so the walk's one strictness proof covers it; the
+    kernel's masses are positive, and the witness is the first atom of the
+    first group of the largest mass.  `atom_cap` bounds the atoms of the
+    groups the walk makes (`AtomBudgetError`); when J contains the
+    stage-(s+1) window, the two walks of stage s its side blocks read
+    (`_check_walks`) are checked first.
     """
     if s < 1:
         raise ValueError("mass decay bound is undefined for stage 0")
@@ -579,23 +573,13 @@ def verify_mass_decay(s: int, J: Interval, atom_cap: int = DEFAULT_ATOM_CAP) -> 
     t = _covering_stage(J)
     query = _Query(t + 1, J, atom_cap)
     grid_J = query.window(J)
-    half = query.half_width(s)
-    worst = 0
-    witness = last = None
-    for block in _blocks(t, s, grid_J, query):
-        images = [(-half, half, 0)] if block is None else _images(*block, grid_J, query)
-        for start, end, mass in images:
-            if last is not None and not last < start:
-                raise _collision(t, last, start, query)
-            last = end
-            if abs(mass) > worst:
-                worst, witness = abs(mass), start
+    base, worst, kept = max(_stage_groups(t, grid_J, query, s, _images), key=itemgetter(1))
     if not _frozen(t, grid_J, query):
         raise StageStabilityError(f"stage {t + 1} disagrees with stage {t} on {J}")
     worst_mass = Fraction(worst, query.M)
     bound = Fraction(1, 2 * s)
     return MassDecayCheck(s, worst_mass, bound, worst_mass < bound,
-                          None if witness is None else Fraction(witness, query.D))
+                          Fraction(base + kept[0], query.D) if worst else None)
 
 
 def verify_stage_stability(s: int, atom_cap: int = DEFAULT_ATOM_CAP) -> bool:

@@ -33,6 +33,11 @@ def parse_frac(text: str) -> Fraction:
     return rational(str(text))
 
 
+def _inexact(text: str) -> Any:
+    """`json.loads`' parse_float: a JSON number with a fraction or exponent is no exact rational."""
+    raise ValueError(f"JSON number {text} is not exact: write it as a fraction string")
+
+
 _PLAIN = re.compile(r"-?[0-9]+(?:/[0-9]+)?").fullmatch
 
 
@@ -163,7 +168,7 @@ def save_measure(mu: DiscreteMeasure, path: str | Path) -> None:
 
 
 def load_measure(path: str | Path) -> DiscreteMeasure:
-    return measure_from_dict(json.loads(Path(path).read_text()))
+    return measure_from_dict(json.loads(Path(path).read_text(), parse_float=_inexact))
 
 
 def provenance_sidecar_path(measure_path: str | Path) -> Path:
@@ -278,7 +283,7 @@ def save_plf(f: PiecewiseLinearFn, path: str | Path) -> None:
 
 
 def load_plf(path: str | Path) -> PiecewiseLinearFn:
-    return plf_from_dict(json.loads(Path(path).read_text()))
+    return plf_from_dict(json.loads(Path(path).read_text(), parse_float=_inexact))
 
 
 # ---------------------------------------------------------------------------

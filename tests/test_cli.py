@@ -282,9 +282,9 @@ class TestAp:
 
     def test_far_table_builds_no_stage(self, capsys, ap3_table, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("ap must not build a stage")
+            raise AssertionError("ap must not walk a whole stage")
 
-        monkeypatch.setattr(construction, "build_stage", refuse)
+        monkeypatch.setattr(construction, "_whole_stage", refuse)
         code, out, _ = run(capsys, *AP3_FAR)
         assert code == 0 and out == ap3_table
 
@@ -547,6 +547,22 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("case", ["measure", "test-function"])
+    def test_json_float_in_a_file_is_usage(self, case, capsys, tmp_path):
+        # a JSON float is no exact rational: it is refused, never rounded to 3333333333333333/10^16
+        third = "0.3333333333333333333"
+        path, measure = tmp_path / "f.json", tmp_path / "m.json"
+        measure.write_text('{"window": {"lo": "-1", "hi": "1"}, "atoms": [{"pos": 0, "mass": 1}]}')
+        if case == "measure":
+            path.write_text(measure.read_text().replace('"mass": 1', f'"mass": {third}'))
+            argv = ["verify", "0", "--measure", str(path)]
+        else:
+            path.write_text(f'{{"breakpoints": ["-1", "0", "1"], "values": [0, {third}, 0]}}')
+            argv = ["conv", "--fn", str(path), "--measure", str(measure), "--window", "-1:1"]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: JSON number {third} is not exact: write it as a fraction string\n"
 
     @pytest.mark.parametrize("command", ["conv", "ap"])
     def test_window_function_file_is_usage(self, command, tmp_path, capsys):

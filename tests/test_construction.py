@@ -333,6 +333,36 @@ def test_whole_stage_charges_its_closed_form(s):
     assert query.used == whole_walk_atoms(s)
 
 
+def read_stage(s, J, read):
+    """(query, groups, atoms) of stage s read by `read` over the grid points of J (the
+    whole grid range when J is None); atoms are (position, mass) grid pairs."""
+    query = construction._Query(s, J or stage_window(s), 10 ** 12)
+    grid_J = (-math.inf, math.inf) if J is None else query.window(J)
+    groups = list(construction._stage_groups(s, grid_J, query, read=read))
+    return query, groups, [(base + off, m) for base, m, kept in groups for off in kept]
+
+
+@pytest.mark.parametrize("s", range(6))
+def test_image_read_is_the_group_read(s):
+    # one group per source group whose image J holds whole: the same atoms and masses
+    # in order, from fewer groups, charging only the walks of the side blocks' sources
+    query, _, atoms = read_stage(s, None, construction._groups)
+    windows = [None, stage_window(s).closure(), Interval.closed(F(-1, 2), stage_window(s).hi)]
+    if s:  # half-open, and cutting the outermost clusters and a cluster of each half
+        a, b, c, d = (F(atoms[i][0], query.D) for i in (1, len(atoms) // 3, 2 * len(atoms) // 3, -2))
+        windows += [Interval(b, c, lo_open=True), Interval.closed(a, d)]
+    for J in windows:
+        query, groups, atoms = read_stage(s, J, construction._groups)
+        image_query, images, image_atoms = read_stage(s, J, construction._images)
+        assert image_atoms == atoms, J
+        # the group read charges the source walks and every atom it makes but the origin
+        sources = query.used - len(atoms) + ((0, query.M) in atoms)
+        assert sources <= image_query.used <= query.used and len(images) <= len(groups), J
+        if J is None:
+            assert image_query.used == sources == sum(2 * whole_walk_atoms(k - 1) for k in range(1, s + 1))
+            assert len(images) < len(groups) or s < 2
+
+
 class TestMassDecay:
     def test_stage1(self):
         report = verify_mass_decay(1, Interval.closed(-5, 5))

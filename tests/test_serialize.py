@@ -266,6 +266,22 @@ def test_save_stage_checks_what_it_wrote(tmp_path, monkeypatch):
         save_stage(2, tmp_path / "stage2.json")
 
 
+@pytest.mark.parametrize("load", [load_measure, load_plf])
+def test_json_floats_are_refused_and_ints_load(load, tmp_path):
+    # a JSON float would load through str(float), rounded; a JSON int is exact
+    path = tmp_path / "f.json"
+    text = ('{"window": {"lo": -1, "hi": "1"}, "atoms": [{"pos": 0, "mass": MASS}]}'
+            if load is load_measure else '{"breakpoints": [-1, "0", 1], "values": [0, MASS, 0]}')
+    path.write_text(text.replace("MASS", "1"))
+    loaded = load(path)
+    path.write_text(text.replace("MASS", '"1"'))
+    assert loaded == load(path)
+    for number in ("0.3333333333333333333", "1.0", "1e3"):
+        path.write_text(text.replace("MASS", number))
+        with pytest.raises(ValueError, match=f"^JSON number {number} is not exact"):
+            load(path)
+
+
 def test_plf_round_trip(tmp_path):
     for fn in (triangle_test_function(),
                PiecewiseLinearFn((0, F(1, 3), 1, F(5, 2)), (0, 2, F(-1, 4), 0))):
