@@ -48,7 +48,9 @@ def parse_window(text: str) -> Interval:
     if raw.startswith(("(", "[")) and raw.endswith((")", "]")):
         lo_open, hi_open = raw[0] == "(", raw[-1] == ")"
         raw = raw[1:-1]
-    lo_s, hi_s = raw.split(":")
+    lo_s, sep, hi_s = raw.partition(":")
+    if not sep or ":" in hi_s:
+        raise ValueError(f"window {text!r} is not LO:HI")
     return Interval(rational(lo_s.strip()), rational(hi_s.strip()), lo_open, hi_open)
 
 
@@ -100,12 +102,12 @@ def cmd_verify(args) -> int:
     s = args.stage
     mu = serialize.load_measure(args.measure) if args.measure else None
     decay = None
-    # every check runs before any line prints, decay (the largest closed-form cap) first
+    # every check runs before any line prints, the scan (w_s, the largest pre-check for s >= 2) first
+    scan = construction.verify_stage_scan(s, mu, args.cap)
     if mu is None:
         if s >= 1:
             decay = construction.verify_mass_decay(s, construction.stage_window(s + 1), args.cap)
         stable = construction.verify_stage_stability(s, args.cap)
-    scan = construction.verify_stage_scan(s, mu, args.cap)
     if mu is not None:
         print(f"verifying {args.measure} as stage {s}")
 

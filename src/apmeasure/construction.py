@@ -24,8 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 from itertools import islice
-from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .measures import (
     Atom,
@@ -43,6 +42,8 @@ DEFAULT_ATOM_CAP = 10_000_000
 
 # an averaging group: (base, mass, kept offsets), the atoms base + offset of one mass
 _Group = tuple[int, int, Sequence[int]]
+# a lattice cell: (first atom, last atom, least step inside, largest mass, first atom of that mass)
+_Cell = tuple[int, int, float, int, int]
 
 
 class AtomBudgetError(RuntimeError):
@@ -73,10 +74,7 @@ def cell_center_bound(s: int) -> int:
 @cache
 def projected_atom_count(s: int) -> int:
     """Closed-form atom count n_s = prod_{k<=s} (1+4k) before building."""
-    count = 1
-    for k in range(1, s + 1):
-        count *= 1 + 4 * k
-    return count
+    return math.prod(1 + 4 * k for k in range(1, s + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -92,20 +90,20 @@ class ProvenanceStep:
     offset: Fraction
 
 
-def _check_walks(s: int, walks: int, atom_cap: int) -> None:
-    """Raise `AtomBudgetError` if `walks` whole walks of stage s make more atoms than the cap.
+def _check_walks(s: int, atom_cap: int, cells: bool = False) -> None:
+    """Raise `AtomBudgetError` if a whole walk of stage s makes more atoms (or cells) than the cap.
 
     A whole walk of stage s makes w_s = 3*w_{s-1} + 4s*n_{s-1} atoms (w_0 = 0):
     its stages below s, the 4s*n_{s-1} atoms of stage s's two side blocks and
-    the two walks of stage s-1 that are their sources.  The recurrence stops
-    at the first k whose total passes the cap.
+    the two walks of stage s-1 that are their sources; the cell walk (`_cells`)
+    makes c_s = 3*c_{s-1} + 3 = 3 + ... + 3^s cells.  It stops at the first k past the cap.
     """
     w = 0
     for k in range(1, s + 1):
-        w = 3 * w + 4 * k * projected_atom_count(k - 1)
-        if walks * w > atom_cap:
-            raise AtomBudgetError(f"walking stage {s}{' twice' if walks == 2 else ''} makes "
-                                  f"{'' if k == s else 'at least '}{walks * w} atoms, cap is {atom_cap}")
+        w = 3 * w + (3 if cells else 4 * k * projected_atom_count(k - 1))
+        if w > atom_cap:
+            raise AtomBudgetError(f"walking stage {s} makes {'' if k == s else 'at least '}{w} "
+                                  f"{'cells' if cells else 'atoms'}, cap is {atom_cap}")
 
 
 @cache
@@ -271,35 +269,6 @@ def _groups(s: int, sh: int, source: Iterable[_Group], J: tuple[int, int],
             yield base, mass, kept
 
 
-def _images(s: int, sh: int, source: Iterable[_Group], J: tuple[int, int],
-            query: _Query) -> Iterator[_Group]:
-    """The groups in J of one shifted source block, one per source group whose image J holds whole.
-
-    A source group's atoms share one mass, so its image, the groups
-    `_groups` makes of it, is one group: (source base + sh, mass/(2s), the
-    sums p + off of its kept offsets p and the stage-s offsets off,
-    source-major).  The sums are built and checked increasing once per
-    shared source tuple.  A whole image charges nothing: its source group
-    was charged when made.  An image that J cuts is read group by group
-    from `_groups`.
-    """
-    lo, hi = J
-    offsets = query.offsets(s)
-    first, last = offsets[0], offsets[-1]
-    seen = None
-    for group in source:
-        src, mass, kept = group
-        if not (lo <= src + kept[0] + sh + first and src + kept[-1] + sh + last <= hi):
-            yield from _groups(s, sh, (group,), J, query)
-            continue
-        if kept is not seen:  # the full groups of a block share one offset tuple
-            seen, sums = kept, tuple(p + off for p in kept for off in offsets)
-            if not all(a < b for a, b in zip(sums, sums[1:])):
-                raise AssertionError(f"stage {s}: atom collision in the image of the source group"
-                                     f" at {Fraction(src + kept[0], query.D)}")
-        yield src + sh, _share(s, mass), sums
-
-
 def _side_blocks(s: int, J: tuple[int, int], query: _Query) -> Iterator[_Group]:
     """The groups in the grid range J of the two blocks stage s adds around its copy of stage s-1."""
     for sh, source in _side_sources(s, J, query):
@@ -313,36 +282,23 @@ def _misses(s: int, J: tuple[int, int], query: _Query) -> bool:
     return max(lo, 1 - half) > min(hi, half - 1)
 
 
-# a block reader: (stage, shift, source groups, grid range J, query) -> the block's groups in J
-_Reader = Callable[[int, int, Iterable[_Group], tuple[int, int], _Query], Iterator[_Group]]
-
-
-def _stage_groups(t: int, J: tuple[int, int], query: _Query, floor: int = 0,
-                  read: _Reader = _groups) -> Iterator[_Group]:
+def _stage_groups(t: int, J: tuple[int, int], query: _Query) -> Iterator[_Group]:
     """The groups (base, mass, kept offsets) of stage t in the grid range J, left to right.
 
-    Stage t is, in position order, the left blocks of stages t..floor+1,
-    stage `floor`, and the right blocks of stages floor+1..t; stages whose
-    window misses J are pruned.  A side block is `read` of its stage, shift
-    and source (`_side_sources`): `_groups` makes one group per source atom,
-    `_images` one per source group whose image J holds whole.  Stage 0 is
-    the origin's one group; a higher floor stands in, unread, as one group
-    of mass 0 whose two atoms are the ends of its open window.  Strict
+    Stage t is, in position order, the left blocks of stages t..1, the
+    origin's one group and the right blocks of stages 1..t; stages whose
+    window misses J are pruned.  A side block is `_groups` of its stage,
+    shift and source (`_side_sources`), one group per source atom.  Strict
     increase is proved here, each group's end against the next group's
     start; inside a group the offsets increase.
     """
     lo, hi = J
-    if floor:
-        half = query.half_width(floor)
-        core = [(0, 0, (-half, half))]
-    else:
-        core = [(0, query.M, (0,))] if lo <= 0 <= hi else []
+    origin = [(0, query.M, (0,))] if lo <= 0 <= hi else []
     # each stage's sources yield its left block, then its right one
-    sides = {k: _side_sources(k, J, query)
-             for k in range(floor + 1, t + 1) if not _misses(k, J, query)}
+    sides = {k: _side_sources(k, J, query) for k in range(1, t + 1) if not _misses(k, J, query)}
     last = None
-    for k in (*reversed(sides), floor, *sides):
-        for group in core if k == floor else read(k, *next(sides[k]), J, query):
+    for k in (*reversed(sides), 0, *sides):
+        for group in _groups(k, *next(sides[k]), J, query) if k else origin:
             base, _, kept = group
             if last is not None and not last < base + kept[0]:
                 raise _collision(t, last, base + kept[0], query)
@@ -350,19 +306,54 @@ def _stage_groups(t: int, J: tuple[int, int], query: _Query, floor: int = 0,
             yield group
 
 
-def _whole_stage(s: int, atom_cap: int, read: _Reader = _groups
-                 ) -> tuple[_Query, Iterator[_Group]]:
-    """The groups of stage s as a stream (`_stage_groups` with block reader `read`), and their query.
+def _whole_stage(s: int, atom_cap: int) -> tuple[_Query, Iterator[_Group]]:
+    """The groups of stage s as a stream (`_stage_groups`), and their query.
 
     The walk runs unclipped from the origin, so an atom outside the stage
-    window is kept, and the most it can charge, w_s (`_check_walks`, the
-    charge of the `_groups` read; `_images` charges only its source walks),
-    is checked before any work.  It asserts strict increase, so a collision
-    fails loudly.
+    window is kept, and what it charges, w_s (`_check_walks`), is checked
+    before any work.  It asserts strict increase, so a collision fails
+    loudly.
     """
-    _check_walks(s, 1, atom_cap)
+    _check_walks(s, atom_cap)
     query = _Query(s, stage_window(s), atom_cap)
-    return query, _stage_groups(s, (-math.inf, math.inf), query, read=read)
+    return query, _stage_groups(s, (-math.inf, math.inf), query)
+
+
+def _cell_block(k: int, sh: int, cells: Sequence[_Cell], query: _Query) -> list[_Cell]:
+    """The cells of the block stage k adds at grid shift sh: the image of each stage-(k-1) cell.
+
+    Atoms x_1 < ... < x_m of a cell become x_i + sh + o_j, source atom first,
+    for the increasing stage-k offsets o_1 < ... < o_2k, of mass over 2k.  So
+    the image's least step is min(least step - span, the offsets' least step),
+    span = o_2k - o_1, and a least step of at most the span is a collision.
+    """
+    offsets = query.offsets(k)
+    first, last = offsets[0], offsets[-1]
+    span, step = last - first, _least_step(offsets)
+    for a, _, gap, _, _ in cells:
+        if gap <= span:
+            raise AssertionError(f"stage {k}: atom collision imaging the cell at {Fraction(a, query.D)}")
+    return [(a + sh + first, b + sh + last, min(gap - span, step), _share(k, mass), at + sh + first)
+            for a, b, gap, mass, at in cells]
+
+
+def _cells(t: int, query: _Query) -> list[_Cell]:
+    """The lattice cells of stage t on the query's grid, left to right: the layout recurrence at cell grain.
+
+    Stage 0 is the origin's one cell.  Stage k is its left block's cells
+    (`_cell_block` of stage k-1's at the shift -3^(k-1)), stage k-1's, then
+    its right block's.  Each stage's 3^k cells are charged as made, and must
+    strictly increase, each cell's last atom before the next cell's first.
+    """
+    cells = [(0, 0, math.inf, query.M, 0)]
+    for k in range(1, t + 1):
+        sh = 3 ** (k - 1) * query.D
+        cells = [*_cell_block(k, -sh, cells, query), *cells, *_cell_block(k, sh, cells, query)]
+        query.charge(len(cells))
+        for (_, last, *_), (start, *_) in zip(cells, cells[1:]):
+            if not last < start:
+                raise _collision(k, last, start, query)
+    return cells
 
 
 def build_stage(s: int, atom_cap: int = DEFAULT_ATOM_CAP) -> DiscreteMeasure:
@@ -472,10 +463,9 @@ def verify_stage_scan(s: int, measure: DiscreteMeasure | None = None,
                       atom_cap: int = DEFAULT_ATOM_CAP) -> StageScan:
     """Count, total mass, support, unit mass per cell and least gap of stage s, in one pass.
 
-    With no `measure` the pass reads stage s image by image (`_whole_stage`
-    with `_images`: one group per source group, whose walks are all it
-    charges) and makes no `Atom`; a measure's atoms go onto
-    one grid first, positions over D = lcm(6, their denominators) and masses
+    With no `measure` the pass reads stage s group by group (`_whole_stage`,
+    whose pre-check w_s is exactly what it charges) and makes no `Atom`; a
+    measure's atoms go onto one grid first, positions over D = lcm(6, their denominators) and masses
     over the lcm of theirs, and each is read as a group of one.  The 3^s
     cells are charged to the cap before the pass.  The atoms must strictly
     increase; an atom p/D lies in cell n = floor(p/D + 1/2), strictly inside
@@ -487,7 +477,7 @@ def verify_stage_scan(s: int, measure: DiscreteMeasure | None = None,
     step.
     """
     if measure is None:
-        query, groups = _whole_stage(s, atom_cap, _images)
+        query, groups = _whole_stage(s, atom_cap)
         D, M = query.D, query.M
     else:
         D = math.lcm(6, common_denominator(a.position for a in measure.atoms))
@@ -553,33 +543,40 @@ def verify_mass_decay(s: int, J: Interval, atom_cap: int = DEFAULT_ATOM_CAP) -> 
     J must strictly contain the stage window, so the check actually sees
     atoms created by later stages.  On J the limit is stage t, the smallest
     stage whose window contains J (that stage t+1 agrees with it there is
-    checked, as in `limit_window`).  The maximum runs over stage t's groups
-    above floor s read image by image (`_stage_groups` with `_images`: one
-    mass per image), where stage s stands in, unread, as a group of mass 0
-    spanning its window, so the walk's one strictness proof covers it; the
-    kernel's masses are positive, and the witness is the first atom of the
-    first group of the largest mass.  `atom_cap` bounds the atoms of the
-    groups the walk makes (`AtomBudgetError`); when J contains the
-    stage-(s+1) window, the two walks of stage s its side blocks read
-    (`_check_walks`) are checked first.
+    checked, as in `limit_window`), and t > s.  The maximum runs over stage
+    t's cells (`_cells`) inside J and outside the stage-s window; a cell
+    that J or that window cuts is read atom by atom (`_stage_groups` over
+    the cell's range within J).  The witness is the first atom of the
+    largest mass.  `atom_cap` bounds the cells made and the atoms of the
+    reads' groups (`AtomBudgetError`); the cells of stages 1..s+1, which
+    every such J makes, are checked first.
     """
     if s < 1:
         raise ValueError("mass decay bound is undefined for stage 0")
     inner = stage_window(s)
     if not J.contains_interval(inner) or (J.lo == inner.lo and J.hi == inner.hi):
         raise ValueError(f"window {J} must strictly contain the stage window {inner}")
-    if J.contains_interval(stage_window(s + 1)):
-        _check_walks(s, 2, atom_cap)
+    _check_walks(s + 1, atom_cap, cells=True)
     t = _covering_stage(J)
     query = _Query(t + 1, J, atom_cap)
-    grid_J = query.window(J)
-    base, worst, kept = max(_stage_groups(t, grid_J, query, s, _images), key=itemgetter(1))
-    if not _frozen(t, grid_J, query):
+    lo, hi = query.window(J)
+    half = query.half_width(s)  # the stage-s window is the open range (-half, half)
+    worst, witness = 0, None
+    for a, b, _, mass, at in _cells(t, query):
+        if mass <= worst or b < lo or hi < a or -half < a and b < half:
+            continue  # no heavier atom, or none in J outside the stage-s window
+        if lo <= a and b <= hi and (b <= -half or half <= a):
+            worst, witness = mass, at
+        else:  # a cell that J or the stage-s window cuts
+            groups = _stage_groups(t, (max(lo, a), min(hi, b)), query)
+            for p, m in ((base + off, m) for base, m, kept in groups for off in kept):
+                if m > worst and not -half < p < half:
+                    worst, witness = m, p
+    if not _frozen(t, (lo, hi), query):
         raise StageStabilityError(f"stage {t + 1} disagrees with stage {t} on {J}")
-    worst_mass = Fraction(worst, query.M)
-    bound = Fraction(1, 2 * s)
-    return MassDecayCheck(s, worst_mass, bound, worst_mass < bound,
-                          Fraction(base + kept[0], query.D) if worst else None)
+    worst, bound = Fraction(worst, query.M), Fraction(1, 2 * s)
+    return MassDecayCheck(s, worst, bound, worst < bound,
+                          None if witness is None else Fraction(witness, query.D))
 
 
 def verify_stage_stability(s: int, atom_cap: int = DEFAULT_ATOM_CAP) -> bool:

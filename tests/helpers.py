@@ -267,6 +267,26 @@ def literal_stage(s: int):
     return entries
 
 
+def literal_cells(s: int) -> list[tuple[Fraction, Fraction, Fraction | None, Fraction, Fraction]]:
+    """Stage s's lattice cells by a scan of `literal_stage(s)`, left to right.
+
+    An atom p lies in cell n = floor(p + 1/2).  Each cell holding an atom is
+    (first atom, last atom, least step between neighbours in it (None for
+    one atom), largest mass, first atom of that mass).
+    """
+    by_cell: dict[int, list[tuple[Fraction, Fraction]]] = {}
+    for p, m, _ in sorted(literal_stage(s), key=lambda entry: entry[0]):
+        by_cell.setdefault(math.floor(p + Fraction(1, 2)), []).append((p, m))
+    cells = []
+    for n in sorted(by_cell):
+        positions = [p for p, _ in by_cell[n]]
+        top = max(m for _, m in by_cell[n])
+        cells.append((positions[0], positions[-1],
+                      min((b - a for a, b in zip(positions, positions[1:])), default=None),
+                      top, next(p for p, m in by_cell[n] if m == top)))
+    return cells
+
+
 def whole_walk_atoms(s: int) -> int:
     """w_s, the atoms a whole walk of stage s makes, summed block by block: for
     each stage k <= s, the 2k*n_{k-1} atoms of each of its two side blocks and

@@ -151,8 +151,7 @@ class TestVerify:
         assert "overall: FAIL" in out
 
     def test_cap_covers_the_next_stage(self, capsys):
-        # stage 4's walk makes 11,448 atoms; the decay scan's two walks of it, the
-        # sources of stage 5's side blocks, make 22,896
+        # the scan's walk of stage 4 makes w_4 = 11,448 atoms
         code, _, err = run(capsys, "verify", "4", "--cap", "10000")
         assert code == 1 and "cap" in err
 
@@ -197,35 +196,36 @@ class TestVerify:
                                       ("verify", "100000")], ids=["build", "verify"])
     def test_huge_stage_trips_the_cap_quickly(self, capsys, argv):
         # the closed-form walk total stops at the first stage past the cap: w_7 for
-        # build's walk, 2*w_6 for verify's two decay walks
+        # build's walk and for verify's scan, which runs first
         start = time.perf_counter()
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert err == {"build": "error: walking stage 1500 makes at least 163327536 atoms, "
                                 "cap is 10000000\n",
-                       "verify": "error: walking stage 100000 twice makes at least 11424024 "
+                       "verify": "error: walking stage 100000 makes at least 163327536 "
                                  "atoms, cap is 10000000\n"}[argv[0]]
         assert time.perf_counter() - start < 1.0
 
     def test_next_stage_cap_refuses_before_the_scan(self, capsys, monkeypatch):
-        # stage 7's side blocks read stage 6 twice, 2*w_6 = 11,424,024 atoms: at the
-        # default cap and one below that total, no walk starts and no line prints
+        # the scan's walk of stage 6 makes w_6 = 5,712,012 atoms, the largest total
+        # verify 6 checks (the decay's cells of stages 1..7 are 3279): one below it,
+        # no walk starts and no line prints
         def no_walk(*args, **kwargs):
             raise AssertionError("a walk started")
 
         monkeypatch.setattr(construction, "_stage_groups", no_walk)
-        for extra, cap in (((), 10000000), (("--cap", "11424023"), 11424023)):
-            start = time.perf_counter()
-            code, out, err = run(capsys, "verify", "6", *extra)
-            assert code == 1 and out == ""
-            assert err == f"error: walking stage 6 twice makes 11424024 atoms, cap is {cap}\n"
-            assert time.perf_counter() - start < 1.0
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "6", "--cap", "5712011")
+        assert code == 1 and out == ""
+        assert err == "error: walking stage 6 makes 5712012 atoms, cap is 5712011\n"
+        assert time.perf_counter() - start < 1.0
 
     def test_next_stage_cap_message(self, capsys):
-        # a total that passes the cap only at the stage asked for is printed whole
-        code, out, err = run(capsys, "verify", "3", "--cap", "1391")
+        # a total that passes the cap only at the stage asked for is printed whole:
+        # the scan's walk of stage 1 makes 4 atoms, the decay's cells of stages 1..2 are 12
+        code, out, err = run(capsys, "verify", "1", "--cap", "11")
         assert code == 1 and out == ""
-        assert err == "error: walking stage 3 twice makes 1392 atoms, cap is 1391\n"
+        assert err == "error: walking stage 2 makes 12 cells, cap is 11\n"
 
     def test_decimal_flag(self, capsys):
         code, out, _ = run(capsys, "verify", "1", "--tail-max", "2", "--decimal", "4")
@@ -275,6 +275,12 @@ class TestAp:
         assert "ap_certificate: PASS" in out
         max_line = next(l for l in out.splitlines() if l.startswith("max_defect="))
         assert F(max_line.split("=")[1].split()[0]) <= F(3, 512)
+
+    @pytest.mark.parametrize("window", ["1", "1:2:3", "(1)"])
+    def test_malformed_window_is_named(self, capsys, window):
+        code, out, err = run(capsys, "ap", "1", "--epsilon", "1", "--range", "3", "--window", window)
+        assert code == 2 and out == ""
+        assert err == f"error: window {window!r} is not LO:HI\n"
 
     def test_far_table_within_small_cap(self, capsys, ap3_table):
         code, out, _ = run(capsys, *AP3_FAR, "--cap", "10000")
@@ -374,6 +380,13 @@ class TestMatch:
         code, out, _ = run(capsys, "match", str(path), str(path), "--windows", "-4/3:4/3")
         assert code == 0
         assert "coincide: yes" in out
+
+    def test_malformed_window_is_named(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        save_measure(build_stage(1), path)
+        code, out, err = run(capsys, "match", str(path), str(path), "--windows", "-4/3:4/3;2")
+        assert code == 2 and out == ""
+        assert err == "error: window '2' is not LO:HI\n"
 
     def test_partial_match_cap(self, tmp_path, capsys):
         # 10_000 atoms into 10_001 fill a band of 2 * 10_000 DP cells

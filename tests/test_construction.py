@@ -29,7 +29,7 @@ from apmeasure import (
 from apmeasure import construction
 from apmeasure.construction import cell_center_bound
 from apmeasure.measures import make_measure
-from helpers import literal_scan, literal_stage, whole_walk_atoms, widened
+from helpers import literal_cells, literal_scan, literal_stage, whole_walk_atoms, widened
 
 
 def atoms_of(mu):
@@ -242,8 +242,8 @@ def test_certificates_match_literal_scans(case):
                                    lambda: verify_mass_decay(4, stage_window(5))],
                          ids=["stage-scan", "mass-decay"])
 def test_expansion_streams(check):
-    # stage 4 has 9945 atoms, and the decay scan reads stage 5's side blocks as
-    # images of stage 4's groups; neither is ever held as one list
+    # stage 4 has 9945 atoms, never held as one list; the decay scan holds the
+    # 243 cells of stage 5
     tracemalloc.start()
     try:
         check()
@@ -333,34 +333,56 @@ def test_whole_stage_charges_its_closed_form(s):
     assert query.used == whole_walk_atoms(s)
 
 
-def read_stage(s, J, read):
-    """(query, groups, atoms) of stage s read by `read` over the grid points of J (the
-    whole grid range when J is None); atoms are (position, mass) grid pairs."""
-    query = construction._Query(s, J or stage_window(s), 10 ** 12)
-    grid_J = (-math.inf, math.inf) if J is None else query.window(J)
-    groups = list(construction._stage_groups(s, grid_J, query, read=read))
-    return query, groups, [(base + off, m) for base, m, kept in groups for off in kept]
+@pytest.mark.parametrize("s", range(1, 6))
+def test_scan_least_cap_is_the_walk(s):
+    # the scan reads stage s group by group, so it charges exactly its pre-check w_s
+    assert verify_stage_scan(s, atom_cap=whole_walk_atoms(s)).atoms == projected_atom_count(s)
+    with pytest.raises(AtomBudgetError, match=f"makes {whole_walk_atoms(s)} atoms, "
+                                              f"cap is {whole_walk_atoms(s) - 1}$"):
+        verify_stage_scan(s, atom_cap=whole_walk_atoms(s) - 1)
+
+
+def cells_walked(s):
+    """The cells of stages 1..s, 3 + 9 + ... + 3^s."""
+    return (3 ** (s + 1) - 3) // 2
 
 
 @pytest.mark.parametrize("s", range(6))
-def test_image_read_is_the_group_read(s):
-    # one group per source group whose image J holds whole: the same atoms and masses
-    # in order, from fewer groups, charging only the walks of the side blocks' sources
-    query, _, atoms = read_stage(s, None, construction._groups)
-    windows = [None, stage_window(s).closure(), Interval.closed(F(-1, 2), stage_window(s).hi)]
-    if s:  # half-open, and cutting the outermost clusters and a cluster of each half
-        a, b, c, d = (F(atoms[i][0], query.D) for i in (1, len(atoms) // 3, 2 * len(atoms) // 3, -2))
-        windows += [Interval(b, c, lo_open=True), Interval.closed(a, d)]
-    for J in windows:
-        query, groups, atoms = read_stage(s, J, construction._groups)
-        image_query, images, image_atoms = read_stage(s, J, construction._images)
-        assert image_atoms == atoms, J
-        # the group read charges the source walks and every atom it makes but the origin
-        sources = query.used - len(atoms) + ((0, query.M) in atoms)
-        assert sources <= image_query.used <= query.used and len(images) <= len(groups), J
-        if J is None:
-            assert image_query.used == sources == sum(2 * whole_walk_atoms(k - 1) for k in range(1, s + 1))
-            assert len(images) < len(groups) or s < 2
+def test_cells_match_literal_cells(s):
+    # every field of every cell, on the grid of a query up to stage s, and the charge
+    query = construction._Query(s, stage_window(s), cells_walked(s) or 1)
+    cells = [(F(a, query.D), F(b, query.D), None if gap == math.inf else F(gap, query.D),
+              F(mass, query.M), F(at, query.D))
+             for a, b, gap, mass, at in construction._cells(s, query)]
+    assert cells == literal_cells(s)
+    assert query.used == cells_walked(s)
+
+
+def one_atom_cell(x, grid):
+    return x, x, math.inf, grid.M, x
+
+
+# cells are (first, last, least step, largest mass, its first atom) on the query's grid
+COLLIDING_CELLS = pytest.mark.parametrize("alter", [
+    # a source cell one radius right of the first cell's first atom: its image starts
+    # inside the first cell's image
+    lambda cells, grid: [cells[0], one_atom_cell(cells[0][0] + grid.pos(averaging_radius(2)), grid),
+                         *cells[1:]],
+    # a source cell that the shift -3 takes to the origin, inside the stage-1 window
+    lambda cells, grid: [*cells, one_atom_cell(grid.pos(F(3)), grid)],
+    # the first source cell's atoms one radius apart: their groups overlap inside its image
+    lambda cells, grid: [(*cells[0][:2], grid.pos(averaging_radius(2)), *cells[0][3:]), *cells[1:]],
+], ids=["overlapping-groups", "group-inside-stage-window", "overlapping-groups-in-one-image"])
+
+
+def alter_stage_two_cells(monkeypatch, alter):
+    """Make `alter` rewrite the source cells of stage 2's left block."""
+    cell_block = construction._cell_block
+
+    def altered(k, sh, cells, query):
+        return cell_block(k, sh, alter(list(cells), query) if k == 2 and sh < 0 else cells, query)
+
+    monkeypatch.setattr(construction, "_cell_block", altered)
 
 
 class TestMassDecay:
@@ -380,16 +402,33 @@ class TestMassDecay:
 
     @pytest.mark.parametrize("s", [1, 2, 3, 4])
     def test_charge_is_the_atoms_walked(self, s):
-        # the two walks of stage s that are the sources of stage s+1's side blocks;
-        # their images are read whole and charge nothing.  At s = 6 this is verify
-        # 6's pinned cap
-        def least(k):
-            return 2 * whole_walk_atoms(k)
+        # the cells of stages 1..s+1, checked before any walk: W_{s+1} cuts no cell
+        # of stage s+1, so nothing is read atom by atom.  At s = 6 this is 3279
+        assert cells_walked(7) == 3279
+        assert verify_mass_decay(s, stage_window(s + 1), atom_cap=cells_walked(s + 1))
+        with pytest.raises(AtomBudgetError, match=f"walking stage {s + 1} makes "
+                                                  f"{cells_walked(s + 1)} cells, cap is "
+                                                  f"{cells_walked(s + 1) - 1}$"):
+            verify_mass_decay(s, stage_window(s + 1), atom_cap=cells_walked(s + 1) - 1)
 
-        assert least(6) == 11424024
-        assert verify_mass_decay(s, stage_window(s + 1), atom_cap=least(s))
-        with pytest.raises(AtomBudgetError, match=f"cap is {least(s) - 1}$"):
-            verify_mass_decay(s, stage_window(s + 1), atom_cap=least(s) - 1)
+    def test_a_step_near_the_span_collides_a_stage_later(self, monkeypatch):
+        # a stage-1 cell whose least step is one grid point above stage 2's offset span:
+        # its stage-2 image holds, with least step 1, and that image's stage-3 image collides
+        alter_stage_two_cells(monkeypatch, lambda cells, grid: [
+            (*cells[0][:2], grid.offsets(2)[-1] - grid.offsets(2)[0] + 1, *cells[0][3:]), *cells[1:]])
+        assert verify_mass_decay(1, stage_window(2))
+        with pytest.raises(AssertionError, match="stage 3: atom collision imaging the cell"):
+            verify_mass_decay(2, stage_window(3))
+
+    def test_huge_stage_refuses_at_once(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the decay started a query")
+
+        monkeypatch.setattr(construction, "_covering_stage", refuse)
+        monkeypatch.setattr(construction, "_Query", refuse)
+        with pytest.raises(AtomBudgetError, match="^walking stage 100001 makes at least 21523359 "
+                                                  "cells, cap is 10000000$"):
+            verify_mass_decay(100000, stage_window(100001))
 
     def test_stage0_rejected(self):
         with pytest.raises(ValueError):
@@ -399,9 +438,9 @@ class TestMassDecay:
         with pytest.raises(ValueError):
             verify_mass_decay(1, stage_window(1))
 
-    @COLLIDING_SOURCES
+    @COLLIDING_CELLS
     def test_collisions_are_reported(self, monkeypatch, alter):
-        alter_stage_two_source(monkeypatch, alter)
+        alter_stage_two_cells(monkeypatch, alter)
         with pytest.raises(AssertionError, match="collision"):
             verify_mass_decay(1, stage_window(2))
 
@@ -488,9 +527,9 @@ class TestLimitWindow:
 
     def test_builds_no_stage(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("limit_window must not build a stage")
+            raise AssertionError("limit_window must not walk a whole stage")
 
-        monkeypatch.setattr(construction, "build_stage", refuse)
+        monkeypatch.setattr(construction, "_whole_stage", refuse)
         # the window needs stage 10: the whole cell at 3^9 and half of each neighbour
         out = limit_window(Interval.closed(3 ** 9 - 1, 3 ** 9 + 1))
         assert out.total_mass == 2
@@ -629,9 +668,9 @@ class TestClusterCertificate:
 
     def test_builds_no_stage(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("cluster_certificate must not build a stage")
+            raise AssertionError("cluster_certificate must not walk a whole stage")
 
-        monkeypatch.setattr(construction, "build_stage", refuse)
+        monkeypatch.setattr(construction, "_whole_stage", refuse)
         cert = cluster_certificate(5, 1, F(-17, 16), [(3, 9), (5, -81)])
         assert cert.q == 60 and cert.member_mass == F(1, 120)
         assert cert.center == F(-17, 16) - 72
