@@ -7,13 +7,15 @@ K-digit decimal approximations clearly marked as approximate.  Exit codes:
 or parse error.  --cap (build, verify, ap, match, psi), else the
 APMEASURE_ATOM_CAP variable, bounds the atoms of the averaging groups an
 expansion makes and the cells of a scan or a matching; it is checked when
-the arguments are parsed.
+the arguments are parsed.  The library modules are registered lazily: each
+runs on a command's first use of it, so --help and a usage error run none.
 """
 
 from __future__ import annotations
 
 import argparse
 import errno
+import importlib.util
 import json
 import os
 import re
@@ -21,11 +23,22 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import construction, matching, measures, piecewise, serialize
-from .construction import AtomBudgetError, StageStabilityError
-from .matching import HarnessConfigError
-from .measures import Interval, WindowError, rational
-from .piecewise import FaithfulnessError
+
+def _lazy(name: str):
+    """The submodule `name`, put in `sys.modules` now but run on its first attribute access
+    (`importlib.util.LazyLoader`), so a command compiles and runs only the modules it uses."""
+    full = f"{__package__}.{name}"
+    if full not in sys.modules:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        sys.modules[full] = module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return sys.modules[full]
+
+
+construction, matching, measures, piecewise, serialize = map(
+    _lazy, ["construction", "matching", "measures", "piecewise", "serialize"])
 
 
 def decimal_approx(x: Fraction, digits: int) -> str:
@@ -41,7 +54,7 @@ def fmt(x, args) -> str:
     return str(x)
 
 
-def parse_window(text: str) -> Interval:
+def parse_window(text: str) -> measures.Interval:
     """'LO:HI' (closed) or bracketed: '[LO:HI]', '(LO:HI)', '[LO:HI)', '(LO:HI]'."""
     raw = text.strip()
     lo_open = hi_open = False
@@ -51,10 +64,11 @@ def parse_window(text: str) -> Interval:
     lo_s, sep, hi_s = raw.partition(":")
     if not sep or ":" in hi_s:
         raise ValueError(f"window {text!r} is not LO:HI")
-    return Interval(rational(lo_s.strip()), rational(hi_s.strip()), lo_open, hi_open)
+    return measures.Interval(measures.rational(lo_s.strip()), measures.rational(hi_s.strip()),
+                             lo_open, hi_open)
 
 
-def parse_windows(text: str) -> list[Interval]:
+def parse_windows(text: str) -> list[measures.Interval]:
     return [parse_window(part) for part in text.split(";") if part.strip()]
 
 
@@ -155,14 +169,15 @@ def cmd_ap(args) -> int:
     f = _load_test_function(args.fn)
     window = parse_window(args.window)
     source = lambda region: construction.limit_window(region, args.cap)
-    cert = piecewise.almost_period_certificate(
-        f, rational(args.epsilon), rational(args.range), args.stage, source, window)
+    epsilon, tau_range = measures.rational(args.epsilon), measures.rational(args.range)
+    cert = piecewise.almost_period_certificate(f, epsilon, tau_range, args.stage, source, window)
     for row in cert.rows:
         print(f"tau={row.tau} defect={fmt(row.defect, args)} witness={fmt(row.witness, args)}")
     print(f"max_defect={fmt(cert.max_defect, args)} epsilon={fmt(cert.epsilon, args)} "
           f"density_gap={cert.density_gap}")
     print(f"ap_certificate: {'PASS' if cert.all_within else 'FAIL'}")
-    _write_report(args, serialize.ap_certificate_to_dict, cert)
+    if args.out_report:  # only a report loads serialize
+        _write_report(args, serialize.ap_certificate_to_dict, cert)
     return 0 if cert.all_within else 1
 
 
@@ -210,10 +225,10 @@ def cmd_match(args) -> int:
 def cmd_psi(args) -> int:
     mu = serialize.load_measure(args.mu)
     nu = serialize.load_measure(args.nu)
-    u = rational(args.u)
+    u = measures.rational(args.u)
     n = args.n if args.n is not None else matching.sparsity_bound(mu, nu, u)
     hc = matching.HarnessConfig(
-        v=rational(args.v), n=n, epsilon=rational(args.epsilon),
+        v=measures.rational(args.v), n=n, epsilon=measures.rational(args.epsilon),
         compact=parse_window(args.compact), u=u)
     print(f"harness: n={hc.n} v={hc.v} u={hc.u} epsilon={hc.epsilon} compact={hc.compact}")
     ok = True
@@ -226,7 +241,7 @@ def cmd_psi(args) -> int:
                      ident.holds, f"value={fmt(ident.value, args)} "
                                   f"expected={fmt(ident.expected, args)}{flag}")
     if args.samples:
-        samples = [rational(b.strip()) for b in args.samples.split(",") if b.strip()]
+        samples = [measures.rational(b.strip()) for b in args.samples.split(",") if b.strip()]
         report = matching.far_field_check(mu, nu, hc, samples, args.cap, diff)
         print(f"examined={report.examined} C={fmt(report.c_bound, args)}")
         _check("matching_hypothesis", report.hypothesis_ok, report.hypothesis_note)
@@ -242,8 +257,8 @@ def cmd_psi(args) -> int:
 def cmd_lump(args) -> int:
     mu = serialize.load_measure(args.mu)
     nu = serialize.load_measure(args.nu)
-    dec = matching.lump_decompose(mu, nu, rational(args.v),
-                                  rational(args.u) if args.u else None)
+    dec = matching.lump_decompose(mu, nu, measures.rational(args.v),
+                                  measures.rational(args.u) if args.u else None)
     print(f"lumps={len(dec.lumps)} link={dec.link} "
           f"max_per_neighborhood={dec.max_lumps_per_neighborhood} "
           f"witness={fmt(dec.count_witness, args)}")
@@ -279,8 +294,9 @@ def _add_common(p: argparse.ArgumentParser, decimal: bool = True, cap: bool = Tr
         p.add_argument("--decimal", type=_int_at_least(0, "digit count"), default=None, metavar="K",
                        help="append K-digit decimal approximations (marked approximate)")
     if cap:
+        # unset, the default is `construction.DEFAULT_ATOM_CAP`, read in `main` after parsing
         p.add_argument("--cap", type=_int_at_least(1, "atom cap"),
-                       default=os.environ.get("APMEASURE_ATOM_CAP", str(construction.DEFAULT_ATOM_CAP)),
+                       default=os.environ.get("APMEASURE_ATOM_CAP"),
                        help="atom cap override (also APMEASURE_ATOM_CAP)")
 
 
@@ -381,14 +397,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    if getattr(args, "cap", 0) is None:
+        args.cap = construction.DEFAULT_ATOM_CAP
     try:
         _check_out_dirs(args)
         return args.func(args)
-    except (AtomBudgetError, StageStabilityError) as exc:
+    except (construction.AtomBudgetError, construction.StageStabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (HarnessConfigError, FaithfulnessError, WindowError, ValueError,
-            KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:  # the library's usage errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

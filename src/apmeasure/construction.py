@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, Iterator, Sequence
 
 from .measures import (
@@ -177,7 +177,7 @@ class _Query:
         self.used += n
         if self.used > self.cap:
             raise AtomBudgetError(
-                f"expanding window {self.J} produced {self.used} atoms, cap is {self.cap}")
+                f"expanding window {self.J} made {self.used} atoms and cells, cap is {self.cap}")
 
     def pos(self, x: Fraction) -> int:
         scale, rem = divmod(self.D, x.denominator)
@@ -319,7 +319,7 @@ def _whole_stage(s: int, atom_cap: int) -> tuple[_Query, Iterator[_Group]]:
     return query, _stage_groups(s, (-math.inf, math.inf), query)
 
 
-def _cell_block(k: int, sh: int, cells: Sequence[_Cell], query: _Query) -> list[_Cell]:
+def _cell_block(k: int, sh: int, cells: Iterable[_Cell], query: _Query) -> Iterator[_Cell]:
     """The cells of the block stage k adds at grid shift sh: the image of each stage-(k-1) cell.
 
     Atoms x_1 < ... < x_m of a cell become x_i + sh + o_j, source atom first,
@@ -330,30 +330,40 @@ def _cell_block(k: int, sh: int, cells: Sequence[_Cell], query: _Query) -> list[
     offsets = query.offsets(k)
     first, last = offsets[0], offsets[-1]
     span, step = last - first, _least_step(offsets)
-    for a, _, gap, _, _ in cells:
+    for a, b, gap, mass, at in cells:
         if gap <= span:
             raise AssertionError(f"stage {k}: atom collision imaging the cell at {Fraction(a, query.D)}")
-    return [(a + sh + first, b + sh + last, min(gap - span, step), _share(k, mass), at + sh + first)
-            for a, b, gap, mass, at in cells]
+        yield a + sh + first, b + sh + last, min(gap - span, step), _share(k, mass), at + sh + first
 
 
-def _cells(t: int, query: _Query) -> list[_Cell]:
+def _cells(t: int, query: _Query) -> Iterator[_Cell]:
     """The lattice cells of stage t on the query's grid, left to right: the layout recurrence at cell grain.
 
     Stage 0 is the origin's one cell.  Stage k is its left block's cells
     (`_cell_block` of stage k-1's at the shift -3^(k-1)), stage k-1's, then
-    its right block's.  Each stage's 3^k cells are charged as made, and must
-    strictly increase, each cell's last atom before the next cell's first.
+    its right block's.  Stages below t are held as lists and stage t is
+    streamed.  Each stage's 3^k cells are charged before it is made, all of
+    them before this returns, and must strictly increase, each cell's last
+    atom before the next cell's first.
     """
-    cells = [(0, 0, math.inf, query.M, 0)]
+    cells: Iterable[_Cell] = [(0, 0, math.inf, query.M, 0)]
     for k in range(1, t + 1):
+        below = list(cells)
+        query.charge(3 * len(below))
         sh = 3 ** (k - 1) * query.D
-        cells = [*_cell_block(k, -sh, cells, query), *cells, *_cell_block(k, sh, cells, query)]
-        query.charge(len(cells))
-        for (_, last, *_), (start, *_) in zip(cells, cells[1:]):
-            if not last < start:
-                raise _collision(k, last, start, query)
-    return cells
+        cells = _increasing(k, chain(_cell_block(k, -sh, below, query), below,
+                                     _cell_block(k, sh, below, query)), query)
+    return iter(cells)
+
+
+def _increasing(k: int, cells: Iterable[_Cell], query: _Query) -> Iterator[_Cell]:
+    """`cells` of stage k, checked to increase strictly as they pass."""
+    last = -math.inf
+    for cell in cells:
+        if not last < cell[0]:
+            raise _collision(k, last, cell[0], query)
+        last = cell[1]
+        yield cell
 
 
 def build_stage(s: int, atom_cap: int = DEFAULT_ATOM_CAP) -> DiscreteMeasure:

@@ -11,18 +11,21 @@ from __future__ import annotations
 import json
 import math
 import re
+from contextlib import ExitStack
 from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 from itertools import islice
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
 from .construction import (DEFAULT_ATOM_CAP, _whole_stage, projected_atom_count, provenance_digits,
                            provenance_step, stage_window)
-from .matching import FarFieldReport, LumpDecomposition, MatchReport
 from .measures import Atom, DiscreteMeasure, Interval, make_measure, rational
-from .piecewise import AlmostPeriodCertificate, PiecewiseLinearFn
+
+if TYPE_CHECKING:  # annotations only: a command that writes no report loads neither module
+    from .matching import FarFieldReport, LumpDecomposition, MatchReport
+    from .piecewise import AlmostPeriodCertificate, PiecewiseLinearFn
 
 
 def frac(x: Fraction) -> str:
@@ -133,28 +136,41 @@ def measure_from_dict(d: dict[str, Any]) -> DiscreteMeasure:
     return make_measure(pairs, window)
 
 
-_BATCH = 1024  # entries per write; the writer holds one batch and its joined text
+_BATCH = 1024  # rows per write; the writer holds one batch of rows and one file's joined text
 
 
-def _stream_list(path: Path, doc: dict[str, Any], key: str, entries: Iterator[str]) -> None:
-    """Write `doc` with its top-level list doc[key] (left empty in `doc`) made
-    of `entries`, byte for byte as `json.dumps(indent=1)` would, from entries
-    already rendered at their final depth, a batch at a time, so the whole
-    list is never in memory as one string.
+def _stream_lists(files: Sequence[tuple[Path, dict[str, Any], str]],
+                  rows: Iterator[Sequence[str]]) -> None:
+    """Write each (path, doc, key) of `files`: `doc` with its top-level list
+    doc[key] (left empty in `doc`) made of one column of `rows`, entry i of
+    each row going to file i, byte for byte as `json.dumps(indent=1)` would,
+    from entries already rendered at their final depth, a batch of rows at a
+    time, so no list is ever in memory as one string and the rows are made once.
 
     Fraction strings hold only digits, '-' and '/', which JSON never escapes,
     so an entry can be rendered by a template.
     """
-    text = json.dumps(doc, indent=1)
-    opening = f'\n "{key}": ['
-    cut = text.index(opening + "]") + len(opening)  # text[cut:] starts with the "]"
-    with path.open("w") as fh:
-        fh.write(text[:cut])
+    with ExitStack() as stack:
+        handles, tails = [], []
+        for path, doc, key in files:
+            text = json.dumps(doc, indent=1)
+            opening = f'\n "{key}": ['
+            cut = text.index(opening + "]") + len(opening)  # text[cut:] starts with the "]"
+            handles.append(stack.enter_context(path.open("w")))
+            handles[-1].write(text[:cut])
+            tails.append(text[cut:])
         sep = "\n"
-        while chunk := list(islice(entries, _BATCH)):
-            fh.write(sep + ",\n".join(chunk))
+        while chunk := list(islice(rows, _BATCH)):
+            for fh, column in zip(handles, zip(*chunk)):
+                fh.write(sep + ",\n".join(column))
             sep = ",\n"
-        fh.write(("" if sep == "\n" else "\n ") + text[cut:] + "\n")
+        for fh, tail in zip(handles, tails):
+            fh.write(("" if sep == "\n" else "\n ") + tail + "\n")
+
+
+def _stream_list(path: Path, doc: dict[str, Any], key: str, entries: Iterator[str]) -> None:
+    """`_stream_lists` of one file."""
+    _stream_lists([(path, doc, key)], zip(entries))
 
 
 def _atom_entries(pairs: Iterable[tuple[Any, Any]]) -> Iterator[str]:
@@ -189,9 +205,11 @@ def _ratio(n: int, d: int) -> str:
     return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
-def _provenance_entries(s: int, groups: Iterable[tuple[int, int, Sequence[int]]], D: int
-                        ) -> Iterator[str]:
-    """The sidecar entries of stage s, one per atom of its averaging groups, positions over D.
+def _stage_entries(s: int, groups: Iterable[tuple[int, int, Sequence[int]]], D: int, M: int
+                   ) -> Iterator[tuple[str, str]]:
+    """The (measure file entry, sidecar entry) of each atom of stage s's averaging groups,
+    positions over D and masses over M; each position is rendered once, for both.
+    Raises `AssertionError` at the end unless the groups held n_s atoms of mass 3^s.
 
     Atom i's passes are `provenance_digits(s, i)`.  If the last of them is
     (k, sign, j), atoms i+1, ..., i+2k-1-j are the next copies of the same
@@ -199,14 +217,17 @@ def _provenance_entries(s: int, groups: Iterable[tuple[int, int, Sequence[int]]]
     passes are decoded once per such run (one run per full group) and the
     earlier passes are rendered once.
     """
-    i = 0
-    for base, _, kept in groups:
+    i = total = 0
+    for base, m, kept in groups:
+        total += m * len(kept)
+        mass = f'",\n   "mass": "{_ratio(m, M)}"\n  }}'
         r = 0
         while r < len(kept):
             digits = provenance_digits(s, i + r)
             if not digits:  # the origin, made by no pass
-                yield (f'  {{\n   "pos": "{_ratio(base + kept[r], D)}",\n   "stages": [],\n'
-                       f'   "shifts": [],\n   "offsets": []\n  }}')
+                head = '  {\n   "pos": "' + _ratio(base + kept[r], D)
+                yield head + mass, (head + '",\n   "stages": [],\n   "shifts": [],\n'
+                                    '   "offsets": []\n  }')
                 r += 1
                 continue
             *earlier, (k, sign, j) = digits
@@ -219,43 +240,30 @@ def _provenance_entries(s: int, groups: Iterable[tuple[int, int, Sequence[int]]]
                       f'\n   ],\n   "offsets": [{heads[2]}')
             run = min(len(kept) - r, 2 * k - j)
             for q in range(run):
-                yield ('  {\n   "pos": "' + _ratio(base + kept[r + q], D) + middle
-                       + _step_fragments(k, sign, j + q)[2] + '\n   ]\n  }')
+                head = '  {\n   "pos": "' + _ratio(base + kept[r + q], D)
+                yield head + mass, head + middle + _step_fragments(k, sign, j + q)[2] + '\n   ]\n  }'
             r += run
         i += len(kept)
+    if i != projected_atom_count(s) or total != 3 ** s * M:
+        raise AssertionError(f"stage {s} streamed {i} atoms of mass {Fraction(total, M)}")
 
 
 def save_stage(s: int, path: str | Path, atom_cap: int = DEFAULT_ATOM_CAP) -> Path:
     """Write the stage-s measure plus its provenance sidecar; returns the sidecar path.
 
-    Both files are streamed in batches from the expansion's averaging groups
-    (`_whole_stage`, whose cap check runs before any file is opened), the
-    sidecar from a second walk of the same deterministic expansion.  A
-    group's mass is rendered once, each position from its grid int, so no
-    `Atom` or `Fraction` is made and neither file is ever in memory as one
-    string.  Raises `AssertionError` unless the measure file got n_s atoms
-    of mass 3^s.
+    Both files are streamed together in batches from one walk of the
+    expansion's averaging groups (`_whole_stage`, whose cap check runs
+    before any file is opened).  A group's mass is rendered once, each
+    position once from its grid int, so no `Atom` or `Fraction` is made and
+    neither file is ever in memory as one string.  Raises `AssertionError`
+    unless the walk gave n_s atoms of mass 3^s (`_stage_entries`).
     """
     query, groups = _whole_stage(s, atom_cap)
-    D, M = query.D, query.M
-    count = total = 0
-
-    def atoms() -> Iterator[tuple[str, str]]:
-        nonlocal count, total
-        for base, m, kept in groups:
-            count += len(kept)
-            total += m * len(kept)
-            mass = _ratio(m, M)
-            for off in kept:
-                yield _ratio(base + off, D), mass
-
-    window = interval_to_dict(stage_window(s).closure())
-    _stream_list(Path(path), {"window": window, "atoms": []}, "atoms", _atom_entries(atoms()))
-    if count != projected_atom_count(s) or total != 3 ** s * M:
-        raise AssertionError(f"stage {s} streamed {count} atoms of mass {Fraction(total, M)}")
     side = provenance_sidecar_path(path)
-    _, groups = _whole_stage(s, atom_cap)
-    _stream_list(side, {"stage": s, "atoms": []}, "atoms", _provenance_entries(s, groups, D))
+    window = interval_to_dict(stage_window(s).closure())
+    _stream_lists([(Path(path), {"window": window, "atoms": []}, "atoms"),
+                   (side, {"stage": s, "atoms": []}, "atoms")],
+                  _stage_entries(s, groups, query.D, query.M))
     return side
 
 
@@ -269,6 +277,7 @@ def plf_to_dict(f: PiecewiseLinearFn) -> dict[str, Any]:
 def plf_from_dict(d: dict[str, Any]) -> PiecewiseLinearFn:
     """A test function; an optional "zero_outside" key must be true, as every
     test function is compactly supported."""
+    from .piecewise import PiecewiseLinearFn
     _json(d, dict, "a test-function file")
     if not _flag(d, "zero_outside", True):
         raise ValueError("a test function must be compactly supported (zero_outside true)")

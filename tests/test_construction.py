@@ -621,7 +621,7 @@ class TestStability:
             return iter([(0, iter([(0, query.M, (0,))]))]) if s == 4 else side_sources(s, J, query)
 
         monkeypatch.setattr(construction, "_side_sources", origin_source)
-        with pytest.raises(AtomBudgetError, match="produced 8 atoms, cap is 7$"):
+        with pytest.raises(AtomBudgetError, match="made 8 atoms and cells, cap is 7$"):
             verify_stage_stability(3, atom_cap=7)
         assert not verify_stage_stability(3, atom_cap=8)
 

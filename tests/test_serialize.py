@@ -297,3 +297,20 @@ def test_window_function_file_is_refused():
         serialize.plf_from_dict(d)
     d = {**d, "values": ["0", "0"], "zero_outside": True}
     assert serialize.plf_from_dict(d) == PiecewiseLinearFn((0, 1), (0, 0))
+
+
+def test_save_stage_walks_the_stage_once(tmp_path, monkeypatch):
+    # both files are written from one walk, so each position is rendered once
+    walks = []
+    whole_stage = serialize._whole_stage
+
+    def counted(*args):
+        walks.append(args)
+        return whole_stage(*args)
+
+    monkeypatch.setattr(serialize, "_whole_stage", counted)
+    side = save_stage(3, tmp_path / "stage3.json")
+    assert len(walks) == 1
+    monkeypatch.undo()
+    assert load_measure(tmp_path / "stage3.json") == build_stage(3)
+    assert len(json.loads(side.read_text())["atoms"]) == projected_atom_count(3)
