@@ -5,9 +5,9 @@ numbers are exact fraction strings; --decimal K (all but build) appends
 K-digit decimal approximations clearly marked as approximate.  Exit codes:
 0 all checks pass, 1 a check failed (or a resource guard tripped), 2 usage
 or parse error.  --cap (build, verify, ap, match, psi), else the
-APMEASURE_ATOM_CAP variable, bounds the atoms of the averaging groups an
-expansion makes and the cells of a scan or a matching; it is checked when
-the arguments are parsed.  The library modules are registered lazily: each
+APMEASURE_ATOM_CAP variable, bounds the atoms of the groups that build and
+the window queries make and the cells verify walks or a matching fills; it
+is checked at parse time.  The library modules are registered lazily: each
 runs on a command's first use of it, so --help and a usage error run none.
 """
 
@@ -115,12 +115,11 @@ def _check(name: str, ok: bool, detail: str = "") -> bool:
 def cmd_verify(args) -> int:
     s = args.stage
     mu = serialize.load_measure(args.measure) if args.measure else None
-    decay = None
-    # every check runs before any line prints, the scan (w_s, the largest pre-check for s >= 2) first
+    # every check runs before any line prints, the decay (c_{s+1} cells, the largest pre-check) first
+    decay = (construction.verify_mass_decay(s, construction.stage_window(s + 1), args.cap)
+             if mu is None and s >= 1 else None)
     scan = construction.verify_stage_scan(s, mu, args.cap)
     if mu is None:
-        if s >= 1:
-            decay = construction.verify_mass_decay(s, construction.stage_window(s + 1), args.cap)
         stable = construction.verify_stage_stability(s, args.cap)
     if mu is not None:
         print(f"verifying {args.measure} as stage {s}")

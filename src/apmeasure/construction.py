@@ -23,8 +23,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
-from itertools import chain, islice
-from typing import Iterable, Iterator, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .measures import (
     Atom,
@@ -42,8 +42,8 @@ DEFAULT_ATOM_CAP = 10_000_000
 
 # an averaging group: (base, mass, kept offsets), the atoms base + offset of one mass
 _Group = tuple[int, int, Sequence[int]]
-# a lattice cell: (first atom, last atom, least step inside, largest mass, first atom of that mass)
-_Cell = tuple[int, int, float, int, int]
+# a lattice cell: (first atom, last atom, least step inside, largest mass, its first atom, count, total mass)
+_Cell = tuple[int, int, float, int, int, int, int]
 
 
 class AtomBudgetError(RuntimeError):
@@ -93,9 +93,9 @@ class ProvenanceStep:
 def _check_walks(s: int, atom_cap: int, cells: bool = False) -> None:
     """Raise `AtomBudgetError` if a whole walk of stage s makes more atoms (or cells) than the cap.
 
-    A whole walk of stage s makes w_s = 3*w_{s-1} + 4s*n_{s-1} atoms (w_0 = 0):
+    A whole walk of stage s (`build`'s) makes w_s = 3*w_{s-1} + 4s*n_{s-1} atoms (w_0 = 0):
     its stages below s, the 4s*n_{s-1} atoms of stage s's two side blocks and
-    the two walks of stage s-1 that are their sources; the cell walk (`_cells`)
+    the two walks of stage s-1 that are their sources; the cell walk (`_cells`, `verify`'s)
     makes c_s = 3*c_{s-1} + 3 = 3 + ... + 3^s cells.  It stops at the first k past the cap.
     """
     w = 0
@@ -322,44 +322,45 @@ def _whole_stage(s: int, atom_cap: int) -> tuple[_Query, Iterator[_Group]]:
 def _cell_block(k: int, sh: int, cells: Iterable[_Cell], query: _Query) -> Iterator[_Cell]:
     """The cells of the block stage k adds at grid shift sh: the image of each stage-(k-1) cell.
 
-    Atoms x_1 < ... < x_m of a cell become x_i + sh + o_j, source atom first,
-    for the increasing stage-k offsets o_1 < ... < o_2k, of mass over 2k.  So
-    the image's least step is min(least step - span, the offsets' least step),
+    Atoms x_1 < ... < x_m of a cell become the 2k*m atoms x_i + sh + o_j, source atom first,
+    for the increasing stage-k offsets o_1 < ... < o_2k, of mass over 2k (the same total).
+    So the image's least step is min(least step - span, the offsets' least step),
     span = o_2k - o_1, and a least step of at most the span is a collision.
     """
     offsets = query.offsets(k)
     first, last = offsets[0], offsets[-1]
     span, step = last - first, _least_step(offsets)
-    for a, b, gap, mass, at in cells:
+    for a, b, gap, mass, at, count, total in cells:
         if gap <= span:
             raise AssertionError(f"stage {k}: atom collision imaging the cell at {Fraction(a, query.D)}")
-        yield a + sh + first, b + sh + last, min(gap - span, step), _share(k, mass), at + sh + first
+        yield (a + sh + first, b + sh + last, min(gap - span, step), _share(k, mass), at + sh + first,
+               2 * k * count, total)
 
 
 def _cells(t: int, query: _Query) -> Iterator[_Cell]:
     """The lattice cells of stage t on the query's grid, left to right: the layout recurrence at cell grain.
 
-    Stage 0 is the origin's one cell.  Stage k is its left block's cells
-    (`_cell_block` of stage k-1's at the shift -3^(k-1)), stage k-1's, then
-    its right block's.  Stages below t are held as lists and stage t is
-    streamed.  Each stage's 3^k cells are charged before it is made, all of
-    them before this returns, and must strictly increase, each cell's last
-    atom before the next cell's first.
+    Stage 0 is the origin's one cell, and stage k is `_stage_cells` of stage k-1's.
+    Stages below t-1 are held as lists; stages t-1 and t stream, each of their passes a
+    fresh pass over the stage below.  Each stage's 3^k cells are charged before it is
+    made, all of them before this returns.
     """
-    cells: Iterable[_Cell] = [(0, 0, math.inf, query.M, 0)]
+    passes: Callable[[], Iterator[_Cell]] = partial(iter, [(0, 0, math.inf, query.M, 0, 1, query.M)])
     for k in range(1, t + 1):
-        below = list(cells)
-        query.charge(3 * len(below))
-        sh = 3 ** (k - 1) * query.D
-        cells = _increasing(k, chain(_cell_block(k, -sh, below, query), below,
-                                     _cell_block(k, sh, below, query)), query)
-    return iter(cells)
+        query.charge(3 ** k)
+        passes = partial(_stage_cells, k, passes, query)
+        if k < t - 1:
+            passes = partial(iter, list(passes()))
+    return passes()
 
 
-def _increasing(k: int, cells: Iterable[_Cell], query: _Query) -> Iterator[_Cell]:
-    """`cells` of stage k, checked to increase strictly as they pass."""
+def _stage_cells(k: int, below: Callable[[], Iterator[_Cell]], query: _Query) -> Iterator[_Cell]:
+    """Stage k's cells from three passes `below()` over stage k-1's: its left block's (`_cell_block`
+    at the shift -3^(k-1)), stage k-1's, then its right block's, checked to increase strictly as
+    they pass, each cell's last atom before the next cell's first."""
+    sh = 3 ** (k - 1) * query.D
     last = -math.inf
-    for cell in cells:
+    for cell in chain(_cell_block(k, -sh, below(), query), below(), _cell_block(k, sh, below(), query)):
         if not last < cell[0]:
             raise _collision(k, last, cell[0], query)
         last = cell[1]
@@ -471,55 +472,56 @@ class StageScan:
 
 def verify_stage_scan(s: int, measure: DiscreteMeasure | None = None,
                       atom_cap: int = DEFAULT_ATOM_CAP) -> StageScan:
-    """Count, total mass, support, unit mass per cell and least gap of stage s, in one pass.
+    """Count, total mass, support, unit mass per cell and least gap of stage s, in one pass over cells.
 
-    With no `measure` the pass reads stage s group by group (`_whole_stage`,
-    whose pre-check w_s is exactly what it charges) and makes no `Atom`; a
-    measure's atoms go onto one grid first, positions over D = lcm(6, their denominators) and masses
-    over the lcm of theirs, and each is read as a group of one.  The 3^s
-    cells are charged to the cap before the pass.  The atoms must strictly
-    increase; an atom p/D lies in cell n = floor(p/D + 1/2), strictly inside
-    it when 3|p - n*D| < D.  A group's atoms share one mass and increase, so
-    when its two end atoms lie strictly inside one cell |n| <= the bound, so
-    does the whole group, inside the window; only a group that straddles a
-    cell boundary or the window is read atom by atom.  The least gap is the
-    least of the gaps between neighbouring groups and each group's least
-    step.
+    With no `measure` the pass reads stage s's cells (`_cells`, charging exactly its pre-check
+    c_s) and makes no `Atom`; a measure's atoms go onto one grid first (positions over
+    D = lcm(6, their denominators), masses over the lcm of theirs), each a cell of one atom,
+    and its 3^s lattice cells are charged first.  An atom p/D lies in lattice cell
+    n = floor(p/D + 1/2), strictly inside it when 3|p - n*D| < D.  A cell whose two ends lie
+    strictly inside one lattice cell |n| <= the bound counts its atoms, mass and least step at
+    once; a cell that straddles a lattice cell's boundary or the window is read atom by atom,
+    a stage's through `_stage_groups` over its range, which must give all its atoms.
     """
+    bound = cell_center_bound(s)
     if measure is None:
-        query, groups = _whole_stage(s, atom_cap)
-        D, M = query.D, query.M
+        _check_walks(s, atom_cap, cells=True)  # c_s is at least the 3^s lattice cells
+        query = _Query(s, stage_window(s), atom_cap)
+        D, M, cells = query.D, query.M, _cells(s, query)
     else:
+        if 2 * bound + 1 > atom_cap:
+            raise AtomBudgetError(f"stage {s} has 3^{s} lattice cells, cap is {atom_cap}")
         D = math.lcm(6, common_denominator(a.position for a in measure.atoms))
         M = common_denominator(a.mass for a in measure.atoms)
-        groups = ((on_grid(a.position, D), on_grid(a.mass, M), (0,)) for a in measure.atoms)
+        cells = ((p, p, math.inf, m, p, 1, m) for p, m in
+                 ((on_grid(a.position, D), on_grid(a.mass, M)) for a in measure.atoms))
     half = on_grid(stage_window(s).hi, D)  # the open window is (-half, half); 6 | D
-    bound = cell_center_bound(s)
-    if 2 * bound + 1 > atom_cap:
-        raise AtomBudgetError(f"stage {s} has 3^{s} lattice cells, cap is {atom_cap}")
     count = total = 0
-    offender = last = seen = None
-    gap = math.inf
-    totals: dict[int, int] = {}
-    strays = []
-    for base, m, kept in groups:
-        a, b, size = base + kept[0], base + kept[-1], len(kept)
+    offender, last, gap = None, -math.inf, math.inf
+    strays, bad = [], []  # the leftmost three stray atoms and (n, mass) of bad cells
+    at, run = -bound, 0  # the lattice cell being summed and its mass so far
+
+    def add(n: int, m: int) -> None:  # n never decreases, so the cells before it are settled
+        nonlocal at, run
+        while at < n and len(bad) < 3:
+            if run != M:
+                bad.append((at, Fraction(run, M)))
+            at, run = at + 1, 0
+        run += m
+
+    for a, b, step, _, _, size, mass in cells:
         count += size
-        total += m * size
-        if last is not None and a - last < gap:
-            gap = a - last
-        last = b
-        if size > 1:
-            if kept is not seen:  # the full groups of a block share one offset tuple
-                seen, step = kept, _least_step(kept)
-            if step < gap:
-                gap = step
+        total += mass
+        gap, last = min(gap, step, a - last), b
         n = (2 * a + D) // (2 * D)
-        center = n * D
-        if 3 * (center - a) < D and 3 * (b - center) < D and abs(n) <= bound:
-            totals[n] = totals.get(n, 0) + m * size
+        if 3 * (n * D - a) < D and 3 * (b - n * D) < D and abs(n) <= bound:
+            add(n, mass)
             continue
-        for p in (base + off for off in kept):  # a group straddling a cell boundary or the window
+        atoms = ([(base + off, m) for base, m, kept in _stage_groups(s, (a, b), query) for off in kept]
+                 if measure is None else [(a, mass)])
+        if len(atoms) != size:  # short when the kernel prunes a stage whose window misses the range
+            raise AssertionError(f"stage {s}: kernel reads {len(atoms)} of {size} atoms at {Fraction(a, D)}")
+        for p, m in atoms:  # a cell straddling a lattice cell's boundary or the window
             if offender is None and not -half < p < half:
                 offender = p
             n = (2 * p + D) // (2 * D)
@@ -527,11 +529,10 @@ def verify_stage_scan(s: int, measure: DiscreteMeasure | None = None,
                 if len(strays) < 3:
                     strays.append(Fraction(p, D))
             else:
-                totals[n] = totals.get(n, 0) + m
-    bad = tuple(islice(((n, Fraction(totals.get(n, 0), M)) for n in range(-bound, bound + 1)
-                        if totals.get(n, 0) != M), 3))
+                add(n, m)
+    add(bound + 1, 0)
     return StageScan(s, count, Fraction(total, M),
-                     None if offender is None else Fraction(offender, D), bad, tuple(strays),
+                     None if offender is None else Fraction(offender, D), tuple(bad), tuple(strays),
                      None if gap == math.inf else Fraction(gap, D))
 
 
@@ -572,7 +573,7 @@ def verify_mass_decay(s: int, J: Interval, atom_cap: int = DEFAULT_ATOM_CAP) -> 
     lo, hi = query.window(J)
     half = query.half_width(s)  # the stage-s window is the open range (-half, half)
     worst, witness = 0, None
-    for a, b, _, mass, at in _cells(t, query):
+    for a, b, _, mass, at, _, _ in _cells(t, query):
         if mass <= worst or b < lo or hi < a or -half < a and b < half:
             continue  # no heavier atom, or none in J outside the stage-s window
         if lo <= a and b <= hi and (b <= -half or half <= a):

@@ -267,12 +267,13 @@ def literal_stage(s: int):
     return entries
 
 
-def literal_cells(s: int) -> list[tuple[Fraction, Fraction, Fraction | None, Fraction, Fraction]]:
+def literal_cells(s: int) -> list[tuple[Fraction, Fraction, Fraction | None, Fraction, Fraction,
+                                         int, Fraction]]:
     """Stage s's lattice cells by a scan of `literal_stage(s)`, left to right.
 
     An atom p lies in cell n = floor(p + 1/2).  Each cell holding an atom is
     (first atom, last atom, least step between neighbours in it (None for
-    one atom), largest mass, first atom of that mass).
+    one atom), largest mass, first atom of that mass, atom count, total mass).
     """
     by_cell: dict[int, list[tuple[Fraction, Fraction]]] = {}
     for p, m, _ in sorted(literal_stage(s), key=lambda entry: entry[0]):
@@ -283,7 +284,8 @@ def literal_cells(s: int) -> list[tuple[Fraction, Fraction, Fraction | None, Fra
         top = max(m for _, m in by_cell[n])
         cells.append((positions[0], positions[-1],
                       min((b - a for a, b in zip(positions, positions[1:])), default=None),
-                      top, next(p for p, m in by_cell[n] if m == top)))
+                      top, next(p for p, m in by_cell[n] if m == top),
+                      len(positions), sum((m for _, m in by_cell[n]), Fraction(0))))
     return cells
 
 

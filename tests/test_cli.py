@@ -126,6 +126,14 @@ class TestBuild:
         assert "No such file or directory" in err and str(out_path) in err
 
 
+def _no_cells(monkeypatch):
+    """Make the walk of a stage's cells fail as it starts."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cell walk started")
+
+    monkeypatch.setattr(construction, "_cell_block", refuse)
+
+
 class TestVerify:
     def test_stage2_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "2")
@@ -151,9 +159,11 @@ class TestVerify:
         assert "overall: FAIL" in out
 
     def test_cap_covers_the_next_stage(self, capsys):
-        # the scan's walk of stage 4 makes w_4 = 11,448 atoms
-        code, _, err = run(capsys, "verify", "4", "--cap", "10000")
-        assert code == 1 and "cap" in err
+        # the decay walks the cells of stages 1..5, 363, the most any check of verify 4 makes
+        code, _, err = run(capsys, "verify", "4", "--cap", "362")
+        assert code == 1 and err == "error: walking stage 5 makes 363 cells, cap is 362\n"
+        code, out, _ = run(capsys, "verify", "4", "--cap", "363")
+        assert code == 0 and out.endswith("overall: PASS\n")
 
     def test_builds_no_stage(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "s2.json"
@@ -196,33 +206,40 @@ class TestVerify:
                                       ("verify", "100000")], ids=["build", "verify"])
     def test_huge_stage_trips_the_cap_quickly(self, capsys, argv):
         # the closed-form walk total stops at the first stage past the cap: w_7 for
-        # build's walk and for verify's scan, which runs first
+        # build's walk, and c_15 for the cells of verify's decay, which runs first
         start = time.perf_counter()
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert err == {"build": "error: walking stage 1500 makes at least 163327536 atoms, "
                                 "cap is 10000000\n",
-                       "verify": "error: walking stage 100000 makes at least 163327536 "
-                                 "atoms, cap is 10000000\n"}[argv[0]]
+                       "verify": "error: walking stage 100001 makes at least 21523359 "
+                                 "cells, cap is 10000000\n"}[argv[0]]
         assert time.perf_counter() - start < 1.0
 
     def test_next_stage_cap_refuses_before_the_scan(self, capsys, monkeypatch):
-        # the scan's walk of stage 6 makes w_6 = 5,712,012 atoms, the largest total
-        # verify 6 checks (the decay's cells of stages 1..7 are 3279): one below it,
-        # no walk starts and no line prints
-        def no_walk(*args, **kwargs):
-            raise AssertionError("a walk started")
-
-        monkeypatch.setattr(construction, "_stage_groups", no_walk)
+        # the decay's cells of stages 1..7, c_7 = 3279, are the largest total verify 6
+        # checks (the scan's cells of stages 1..6 are 1092): one below it, no cell is
+        # made and no line prints
+        _no_cells(monkeypatch)
         start = time.perf_counter()
-        code, out, err = run(capsys, "verify", "6", "--cap", "5712011")
+        code, out, err = run(capsys, "verify", "6", "--cap", "3278")
         assert code == 1 and out == ""
-        assert err == "error: walking stage 6 makes 5712012 atoms, cap is 5712011\n"
+        assert err == "error: walking stage 7 makes 3279 cells, cap is 3278\n"
+        assert time.perf_counter() - start < 1.0
+
+    def test_first_stage_past_the_default_cap_refuses_at_once(self, capsys, monkeypatch):
+        # verify 13 passes at the default cap; the cells of stages 1..15 that verify 14's
+        # decay would walk are 21,523,359
+        _no_cells(monkeypatch)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "14")
+        assert code == 1 and out == ""
+        assert err == "error: walking stage 15 makes 21523359 cells, cap is 10000000\n"
         assert time.perf_counter() - start < 1.0
 
     def test_next_stage_cap_message(self, capsys):
         # a total that passes the cap only at the stage asked for is printed whole:
-        # the scan's walk of stage 1 makes 4 atoms, the decay's cells of stages 1..2 are 12
+        # the decay's cells of stages 1..2 are 12
         code, out, err = run(capsys, "verify", "1", "--cap", "11")
         assert code == 1 and out == ""
         assert err == "error: walking stage 2 makes 12 cells, cap is 11\n"

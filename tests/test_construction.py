@@ -147,8 +147,9 @@ class TestSupportAndCells:
             assert (scan.atoms, scan.total_mass) == (projected_atom_count(s), 3 ** s)
 
     def test_stage_cap(self):
-        with pytest.raises(AtomBudgetError, match="walking stage 3 makes 696 atoms, cap is 100$"):
-            verify_stage_scan(3, atom_cap=100)
+        # the scan reads the cells of stages 1..3, 3 + 9 + 27
+        with pytest.raises(AtomBudgetError, match="walking stage 3 makes 39 cells, cap is 38$"):
+            verify_stage_scan(3, atom_cap=38)
 
     def test_cell_budget(self):
         # stage 5 has 243 cells: a file is charged its cells, not its atoms
@@ -238,12 +239,25 @@ def test_certificates_match_literal_scans(case):
     assert verify_stage_scan(s, mu) == trimmed(literal_scan(s, mu))
 
 
+def test_real_cells_are_clean(monkeypatch):
+    # every cell of a real stage lies strictly inside one lattice cell of the window,
+    # so the scan reads no cell atom by atom
+    def refuse(*args, **kwargs):
+        raise AssertionError("the scan read a cell atom by atom")
+
+    monkeypatch.setattr(construction, "_stage_groups", refuse)
+    for s in range(9):
+        scan = verify_stage_scan(s)
+        assert scan.atoms == projected_atom_count(s) and scan.total_mass == 3 ** s
+        assert scan.offender is None and not scan.bad_cells and not scan.strays
+
+
 @pytest.mark.parametrize("check", [lambda: verify_stage_scan(4),
                                    lambda: verify_mass_decay(4, stage_window(5))],
                          ids=["stage-scan", "mass-decay"])
 def test_expansion_streams(check):
-    # stage 4 has 9945 atoms, never held as one list; the decay scan holds the
-    # 243 cells of stage 5
+    # stage 4 has 9945 atoms, never held as one list; the scan holds stage 2's 9
+    # cells and the decay, walking stage 5's, stage 3's 27
     tracemalloc.start()
     try:
         check()
@@ -251,6 +265,18 @@ def test_expansion_streams(check):
     finally:
         tracemalloc.stop()
     assert peak < 256 * 1024
+
+
+def test_cells_hold_two_stages_below():
+    # the decay walks stage 9's cells holding stage 7's 2,187 as a list and streaming
+    # stages 8 and 9; a list of stage 8's 6,561 cells would pass 1 MB
+    tracemalloc.start()
+    try:
+        assert verify_mass_decay(8, stage_window(9))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024
 
 
 class TestTailEstimate:
@@ -310,21 +336,6 @@ def alter_stage_two_source(monkeypatch, alter):
     monkeypatch.setattr(construction, "_side_sources", altered)
 
 
-def test_straddling_groups_match_literal_scan(monkeypatch):
-    # two source atoms of mass 1 added to stage 2's left block: the shift -3 centres
-    # one group of 4 atoms on the window end -13/3 and one on the boundary -3 + 1/3
-    # of cell -3, so both are read atom by atom; the unclipped walk keeps the two
-    # atoms past the window end, and the first of them is the support's offender
-    alter_stage_two_source(monkeypatch, lambda source, grid: [
-        (grid.pos(F(-4, 3)), grid.M, (0,)), *source[:2], (grid.pos(F(1, 3)), grid.M, (0,)),
-        *source[2:]])
-    scan = verify_stage_scan(2)
-    assert scan == trimmed(literal_scan(2, build_stage(2)))
-    assert scan.atoms == projected_atom_count(2) + 8 and scan.offender == F(-6659, 1536)
-    assert scan.strays == (F(-6659, 1536), F(-13315, 3072), F(-8189, 3072))
-    assert scan.bad_cells == ((-4, F(3, 2)), (-3, F(3, 2)))
-
-
 @pytest.mark.parametrize("s", range(6))
 def test_whole_stage_charges_its_closed_form(s):
     # the unclipped walk of stage s ends its running charge at exactly w_s
@@ -333,18 +344,18 @@ def test_whole_stage_charges_its_closed_form(s):
     assert query.used == whole_walk_atoms(s)
 
 
-@pytest.mark.parametrize("s", range(1, 6))
-def test_scan_least_cap_is_the_walk(s):
-    # the scan reads stage s group by group, so it charges exactly its pre-check w_s
-    assert verify_stage_scan(s, atom_cap=whole_walk_atoms(s)).atoms == projected_atom_count(s)
-    with pytest.raises(AtomBudgetError, match=f"makes {whole_walk_atoms(s)} atoms, "
-                                              f"cap is {whole_walk_atoms(s) - 1}$"):
-        verify_stage_scan(s, atom_cap=whole_walk_atoms(s) - 1)
-
-
 def cells_walked(s):
     """The cells of stages 1..s, 3 + 9 + ... + 3^s."""
     return (3 ** (s + 1) - 3) // 2
+
+
+@pytest.mark.parametrize("s", range(1, 6))
+def test_scan_least_cap_is_the_walk(s):
+    # the scan reads the cells of stages 1..s, so it charges exactly its pre-check c_s
+    assert verify_stage_scan(s, atom_cap=cells_walked(s)).atoms == projected_atom_count(s)
+    with pytest.raises(AtomBudgetError, match=f"makes {cells_walked(s)} cells, "
+                                              f"cap is {cells_walked(s) - 1}$"):
+        verify_stage_scan(s, atom_cap=cells_walked(s) - 1)
 
 
 @pytest.mark.parametrize("s", range(6))
@@ -352,17 +363,18 @@ def test_cells_match_literal_cells(s):
     # every field of every cell, on the grid of a query up to stage s, and the charge
     query = construction._Query(s, stage_window(s), cells_walked(s) or 1)
     cells = [(F(a, query.D), F(b, query.D), None if gap == math.inf else F(gap, query.D),
-              F(mass, query.M), F(at, query.D))
-             for a, b, gap, mass, at in construction._cells(s, query)]
+              F(mass, query.M), F(at, query.D), count, F(total, query.M))
+             for a, b, gap, mass, at, count, total in construction._cells(s, query)]
     assert cells == literal_cells(s)
     assert query.used == cells_walked(s)
 
 
 def one_atom_cell(x, grid):
-    return x, x, math.inf, grid.M, x
+    return x, x, math.inf, grid.M, x, 1, grid.M
 
 
-# cells are (first, last, least step, largest mass, its first atom) on the query's grid
+# cells are (first, last, least step, largest mass, its first atom, atom count, total mass)
+# on the query's grid
 COLLIDING_CELLS = pytest.mark.parametrize("alter", [
     # a source cell one radius right of the first cell's first atom: its image starts
     # inside the first cell's image
@@ -383,6 +395,42 @@ def alter_stage_two_cells(monkeypatch, alter):
         return cell_block(k, sh, alter(list(cells), query) if k == 2 and sh < 0 else cells, query)
 
     monkeypatch.setattr(construction, "_cell_block", altered)
+
+
+@COLLIDING_CELLS
+def test_scan_collisions_are_reported(monkeypatch, alter):
+    alter_stage_two_cells(monkeypatch, alter)
+    with pytest.raises(AssertionError, match="collision"):
+        verify_stage_scan(2)
+
+
+def test_straddling_groups_match_literal_scan(monkeypatch):
+    # two source atoms of mass 1 added to stage 2's left block, as groups and as cells:
+    # the shift -3 centres one image of 4 atoms on the window end -13/3 and one on the
+    # boundary -3 + 1/3 of cell -3, so the scan reads both atom by atom through the
+    # groups; the two atoms past the window end are kept, and the first is the offender
+    def add(source, item):
+        return [item(F(-4, 3)), *source[:2], item(F(1, 3)), *source[2:]]
+
+    alter_stage_two_source(monkeypatch, lambda source, grid: add(
+        source, lambda x: (grid.pos(x), grid.M, (0,))))
+    alter_stage_two_cells(monkeypatch, lambda cells, grid: add(
+        cells, lambda x: one_atom_cell(grid.pos(x), grid)))
+    scan = verify_stage_scan(2)
+    assert scan == trimmed(literal_scan(2, build_stage(2)))
+    assert scan.atoms == projected_atom_count(2) + 8 and scan.offender == F(-6659, 1536)
+    assert scan.strays == (F(-6659, 1536), F(-13315, 3072), F(-8189, 3072))
+    assert scan.bad_cells == ((-4, F(3, 2)), (-3, F(3, 2)))
+
+
+def test_cell_outside_the_window_fails_loudly(monkeypatch):
+    # a source atom of mass 1 at -5 added to stage 2's left block, as a group and as a cell:
+    # its image, 4 atoms near -8, lies wholly outside the stage-2 window, where the kernel
+    # prunes stage 2, so the kernel's read of the cell comes back short
+    alter_stage_two_source(monkeypatch, lambda source, grid: [(grid.pos(F(-5)), grid.M, (0,)), *source])
+    alter_stage_two_cells(monkeypatch, lambda cells, grid: [one_atom_cell(grid.pos(F(-5)), grid), *cells])
+    with pytest.raises(AssertionError, match="^stage 2: kernel reads 0 of 4 atoms at -4097/512$"):
+        verify_stage_scan(2)
 
 
 class TestMassDecay:
@@ -449,7 +497,7 @@ class TestMassDecay:
 def test_expansion_collisions_are_reported(monkeypatch, alter):
     alter_stage_two_source(monkeypatch, alter)
     with pytest.raises(AssertionError, match="collision"):
-        verify_stage_scan(2)
+        build_stage(2)
 
 
 @pytest.fixture(scope="module")

@@ -41,17 +41,31 @@ STDOUT = {
         "d58056596fd3d8dc127d1aa2c5f5dedaa58bad2d7e5474401d7826161ef4a3cd",
     ("verify", "5"):
         "e6f12c3df1769db641f438b9917e5236f72e77e015e108c7f256e9dafa396621",
-    # at the default cap: the least cap that passes is the scan's walk total
-    # w_6 = 5,712,012 (5712011 exits 1)
+    # each at the default cap: the least cap that passes is the decay's cell total
+    # c_{s+1} = (3^(s+2) - 3)/2, 3279 for verify 6
     ("verify", "6", "--tail-max", "2"):
         "a4cc91e413bc0b3c79e4baa604611bc204991ebdc251d4d03e48f9929144087b",
+    ("verify", "7", "--tail-max", "2"):
+        "ffcd7f2d07f457f8a037d3ed96591e7b4c4e73744dbfa72073fe1cde497b4eb1",
+    # the stdout of the earlier stage scan, an atom-by-atom group walk that took about
+    # 430 s at --cap 5335186608 (2-CPU host, CPython 3.11); the cell scan prints the same bytes
+    ("verify", "8", "--tail-max", "2"):
+        "1f51b80de57ba9ad77e79d81b497f00c051de8352e3546322dfa4ec7fcc3bb17",
+    ("verify", "9", "--tail-max", "2"):
+        "e1b781591ef9ff0d7755c26f6651d8bd6a7a6df35717fdc2ec6351625daa9270",
+    ("verify", "10", "--tail-max", "2"):
+        "15c6f6e732bba84e1e2813a220de721e34a3fc944ff2c692166bc25040bf78c9",
+    ("verify", "11", "--tail-max", "2"):
+        "2862e1e7f2e53dd52eb4fbc4640d3346f4d891c52fce00a58ad35e4127ed5230",
 }
 
-# `verify 7` at its least cap, the scan's walk total w_7: about 15 s, so it runs
-# only when asked for (`python -m pytest -m slow`)
+# `verify 12` and `verify 13`: about 3 s and 9 s, so they run only when asked for
+# (`python -m pytest -m slow`)
 SLOW_STDOUT = {
-    ("verify", "7", "--cap", "163327536", "--tail-max", "2"):
-        "ffcd7f2d07f457f8a037d3ed96591e7b4c4e73744dbfa72073fe1cde497b4eb1",
+    ("verify", "12", "--tail-max", "2"):
+        "2b34ce2c5344a0bdd6ffc6a4f174e4468c06dcce75a2daf9fbe5e07940f4ffff",
+    ("verify", "13", "--tail-max", "2"):
+        "b6f9ef41d1f013071440a307f51caa3161152974a3c5ab3f9f7f0cfb277b1349",
 }
 
 # `verify --measure` on a stage file: the stage-4 file, all PASS, and a
