@@ -6,9 +6,10 @@ K-digit decimal approximations clearly marked as approximate.  Exit codes:
 0 all checks pass, 1 a check failed (or a resource guard tripped), 2 usage
 or parse error.  --cap (build, verify, ap, match, psi), else the
 APMEASURE_ATOM_CAP variable, bounds the atoms of the groups that build and
-the window queries make and the cells verify walks or a matching fills; it
-is checked at parse time.  The library modules are registered lazily: each
-runs on a command's first use of it, so --help and a usage error run none.
+the window queries make, the cells verify walks or a matching fills and
+the rows ap makes; it is checked at parse time.  The library modules are
+registered lazily: each runs on a command's first use of it, so --help
+and a usage error run none.
 """
 
 from __future__ import annotations
@@ -169,7 +170,8 @@ def cmd_ap(args) -> int:
     window = parse_window(args.window)
     source = lambda region: construction.limit_window(region, args.cap)
     epsilon, tau_range = measures.rational(args.epsilon), measures.rational(args.range)
-    cert = piecewise.almost_period_certificate(f, epsilon, tau_range, args.stage, source, window)
+    cert = piecewise.almost_period_certificate(f, epsilon, tau_range, args.stage, source, window,
+                                               args.cap)
     for row in cert.rows:
         print(f"tau={row.tau} defect={fmt(row.defect, args)} witness={fmt(row.witness, args)}")
     print(f"max_defect={fmt(cert.max_defect, args)} epsilon={fmt(cert.epsilon, args)} "

@@ -27,7 +27,9 @@ from itertools import chain
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .measures import (
+    DEFAULT_ATOM_CAP,
     Atom,
+    AtomBudgetError,
     DiscreteMeasure,
     Interval,
     RationalLike,
@@ -38,16 +40,10 @@ from .measures import (
     rational,
 )
 
-DEFAULT_ATOM_CAP = 10_000_000
-
 # an averaging group: (base, mass, kept offsets), the atoms base + offset of one mass
 _Group = tuple[int, int, Sequence[int]]
-# a lattice cell: (first atom, last atom, least step inside, largest mass, its first atom, count, total mass)
-_Cell = tuple[int, int, float, int, int, int, int]
-
-
-class AtomBudgetError(RuntimeError):
-    """Projected atom count exceeds the configured cap."""
+# a lattice cell: (first atom, last atom, least step inside, atom count, total mass), atoms of mass total/count
+_Cell = tuple[int, int, float, int, int]
 
 
 class StageStabilityError(RuntimeError):
@@ -213,11 +209,11 @@ def _least_step(xs: Sequence[int]) -> int:
     return min(b - a for a, b in zip(xs, xs[1:]))
 
 
-def _share(s: int, mass: int) -> int:
-    """mass/(2s), the mass of each stage-s averaged copy of an atom of mass `mass`."""
-    share, rem = divmod(mass, 2 * s)
+def _share(s: int, mass: int, parts: int) -> int:
+    """mass/parts, each of `parts` equal shares of a stage-s mass (2s averaged copies, a cell's atoms)."""
+    share, rem = divmod(mass, parts)
     if rem:
-        raise AssertionError(f"stage {s}: a source mass is not divisible by {2 * s}")
+        raise AssertionError(f"stage {s}: a mass is not divisible by {parts}")
     return share
 
 
@@ -257,7 +253,7 @@ def _groups(s: int, sh: int, source: Iterable[_Group], J: tuple[int, int],
     offsets = query.offsets(s)
     first, last = offsets[0], offsets[-1]
     for src, mass, src_kept in source:
-        mass = _share(s, mass)
+        mass = _share(s, mass, 2 * s)
         for p in src_kept:
             base = src + p + sh
             kept = offsets
@@ -330,11 +326,10 @@ def _cell_block(k: int, sh: int, cells: Iterable[_Cell], query: _Query) -> Itera
     offsets = query.offsets(k)
     first, last = offsets[0], offsets[-1]
     span, step = last - first, _least_step(offsets)
-    for a, b, gap, mass, at, count, total in cells:
+    for a, b, gap, count, total in cells:
         if gap <= span:
             raise AssertionError(f"stage {k}: atom collision imaging the cell at {Fraction(a, query.D)}")
-        yield (a + sh + first, b + sh + last, min(gap - span, step), _share(k, mass), at + sh + first,
-               2 * k * count, total)
+        yield a + sh + first, b + sh + last, min(gap - span, step), 2 * k * count, total
 
 
 def _cells(t: int, query: _Query) -> Iterator[_Cell]:
@@ -345,7 +340,7 @@ def _cells(t: int, query: _Query) -> Iterator[_Cell]:
     fresh pass over the stage below.  Each stage's 3^k cells are charged before it is
     made, all of them before this returns.
     """
-    passes: Callable[[], Iterator[_Cell]] = partial(iter, [(0, 0, math.inf, query.M, 0, 1, query.M)])
+    passes: Callable[[], Iterator[_Cell]] = partial(iter, [(0, 0, math.inf, 1, query.M)])
     for k in range(1, t + 1):
         query.charge(3 ** k)
         passes = partial(_stage_cells, k, passes, query)
@@ -493,7 +488,7 @@ def verify_stage_scan(s: int, measure: DiscreteMeasure | None = None,
             raise AtomBudgetError(f"stage {s} has 3^{s} lattice cells, cap is {atom_cap}")
         D = math.lcm(6, common_denominator(a.position for a in measure.atoms))
         M = common_denominator(a.mass for a in measure.atoms)
-        cells = ((p, p, math.inf, m, p, 1, m) for p, m in
+        cells = ((p, p, math.inf, 1, m) for p, m in
                  ((on_grid(a.position, D), on_grid(a.mass, M)) for a in measure.atoms))
     half = on_grid(stage_window(s).hi, D)  # the open window is (-half, half); 6 | D
     count = total = 0
@@ -509,7 +504,7 @@ def verify_stage_scan(s: int, measure: DiscreteMeasure | None = None,
             at, run = at + 1, 0
         run += m
 
-    for a, b, step, _, _, size, mass in cells:
+    for a, b, step, size, mass in cells:
         count += size
         total += mass
         gap, last = min(gap, step, a - last), b
@@ -555,10 +550,10 @@ def verify_mass_decay(s: int, J: Interval, atom_cap: int = DEFAULT_ATOM_CAP) -> 
     atoms created by later stages.  On J the limit is stage t, the smallest
     stage whose window contains J (that stage t+1 agrees with it there is
     checked, as in `limit_window`), and t > s.  The maximum runs over stage
-    t's cells (`_cells`) inside J and outside the stage-s window; a cell
-    that J or that window cuts is read atom by atom (`_stage_groups` over
-    the cell's range within J).  The witness is the first atom of the
-    largest mass.  `atom_cap` bounds the cells made and the atoms of the
+    t's cells (`_cells`) inside J and outside the stage-s window, each read
+    as its one mass total/count at its first atom, the witness; a cell that
+    J or that window cuts is read atom by atom (`_stage_groups` over the
+    cell's range within J).  `atom_cap` bounds the cells made and the atoms of the
     reads' groups (`AtomBudgetError`); the cells of stages 1..s+1, which
     every such J makes, are checked first.
     """
@@ -573,11 +568,11 @@ def verify_mass_decay(s: int, J: Interval, atom_cap: int = DEFAULT_ATOM_CAP) -> 
     lo, hi = query.window(J)
     half = query.half_width(s)  # the stage-s window is the open range (-half, half)
     worst, witness = 0, None
-    for a, b, _, mass, at, _, _ in _cells(t, query):
-        if mass <= worst or b < lo or hi < a or -half < a and b < half:
-            continue  # no heavier atom, or none in J outside the stage-s window
+    for a, b, _, count, total in _cells(t, query):
+        if b < lo or hi < a or -half < a and b < half or (mass := _share(t, total, count)) <= worst:
+            continue  # no atom in J outside the stage-s window, or no heavier one
         if lo <= a and b <= hi and (b <= -half or half <= a):
-            worst, witness = mass, at
+            worst, witness = mass, a
         else:  # a cell that J or the stage-s window cuts
             groups = _stage_groups(t, (max(lo, a), min(hi, b)), query)
             for p, m in ((base + off, m) for base, m, kept in groups for off in kept):

@@ -15,7 +15,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
-from heapq import merge
 from itertools import accumulate, chain, islice
 from typing import Sequence
 
@@ -25,6 +24,7 @@ from .measures import (
     DiscreteMeasure,
     Interval,
     RationalLike,
+    _densest_run,
     combine,
     common_denominator,
     on_grid,
@@ -274,7 +274,7 @@ def lump_decompose(mu: DiscreteMeasure, nu: DiscreteMeasure, v: RationalLike,
     if radius <= 0:
         raise ValueError("count radius must be positive")
     # Positions, v and the radius on one grid, masses on one unit: the
-    # linking, the lump masses and the sweep below are integer work.
+    # linking, the lump masses and the lump count below are integer work.
     sides = (mu.atoms, nu.atoms)
     grid = common_denominator([v, radius, *(a.position for atoms in sides for a in atoms)])
     unit = common_denominator(a.mass for atoms in sides for a in atoms)
@@ -308,21 +308,11 @@ def lump_decompose(mu: DiscreteMeasure, nu: DiscreteMeasure, v: RationalLike,
         ))
         i, k = j, m
 
-    # Sliding sup of lumps meeting (x - radius, x + radius): sweep the open
-    # cover intervals (lo - radius, hi + radius); at equal positions an end
-    # (-1) is processed before a start (1), since open intervals do not share
-    # their boundary point.  The lumps are disjoint and in order, so starts
-    # and ends are each increasing and one merge sorts them.
-    events = list(merge([(lo_x - reach, 1) for lo_x, _ in spans],
-                        [(hi_x + reach, -1) for _, hi_x in spans]))
-    best, cur = 0, 0
-    witness = lumps[0].lo if lumps else Fraction(0)
-    for idx, (pos, delta) in enumerate(events):
-        cur += delta
-        nxt = events[idx + 1][0] if idx + 1 < len(events) else pos + grid
-        if cur > best and nxt > pos:
-            best = cur
-            witness = Fraction(pos + nxt, 2 * grid)
+    # lumps i..j (disjoint, in order) all meet (x - radius, x + radius) exactly when
+    # lo_j - hi_i < 2*radius, for lo_j - radius < x < hi_i + radius; the witness is the midpoint
+    best, first, last = _densest_run([hi_x for _, hi_x in spans], [lo_x for lo_x, _ in spans],
+                                     2 * reach, [1] * len(spans))
+    witness = Fraction(spans[first][1] + spans[last][0], 2 * grid) if spans else Fraction(0)
     return LumpDecomposition(
         link=v,
         count_radius=radius,

@@ -24,6 +24,12 @@ from typing import Callable, Iterable, Sequence, TypeVar, Union
 RationalLike = Union[Fraction, int, str]
 T = TypeVar("T")
 
+DEFAULT_ATOM_CAP = 10_000_000
+
+
+class AtomBudgetError(RuntimeError):
+    """Projected atom count exceeds the configured cap."""
+
 
 class WindowError(ValueError):
     """An operation needed data outside a measure's faithfulness window."""
@@ -199,16 +205,16 @@ def make_measure(pairs: Iterable[tuple[RationalLike, RationalLike]],
     for p, m in items[:1] + items[-1:]:
         if not window.contains(p):
             raise WindowError(f"atom at {p} (mass {m}) lies outside window {window}")
-    atoms: list[Atom] = []
-    for p, m in items:
-        if atoms and atoms[-1].position == p:
-            merged = atoms[-1].mass + m
-            if merged == 0:
-                atoms.pop()
-            else:
-                atoms[-1] = Atom(p, merged)
-        elif m != 0:
-            atoms.append(Atom(p, m))
+    return _merged(items, window)
+
+
+def _merged(items: Iterable[tuple[Fraction, Fraction]], window: Interval) -> DiscreteMeasure:
+    """Sorted (position, mass) pairs as a measure on `window`: equal positions add, zero masses drop."""
+    atoms = []
+    for p, group in groupby(items, key=itemgetter(0)):
+        mass = sum(m for _, m in group)
+        if mass:
+            atoms.append(Atom(p, mass))
     return DiscreteMeasure(tuple(atoms), window)
 
 
@@ -235,7 +241,7 @@ def combine(c1: RationalLike, mu: DiscreteMeasure,
     raise `WindowError`.
 
     Both operands' atoms in the window are already sorted and inside it, so
-    they are merged in one pass; equal positions add, zero masses drop.
+    they are merged in one pass (`_merged`, as in `make_measure`).
     """
     c1, c2 = rational(c1), rational(c2)
     window = mu.window.intersect(nu.window)
@@ -243,12 +249,7 @@ def combine(c1: RationalLike, mu: DiscreteMeasure,
         raise WindowError(f"windows {mu.window} and {nu.window} do not overlap")
     scaled = ([(a.position, c * a.mass) for a in restrict(m, window).atoms]
               for c, m in ((c1, mu), (c2, nu)))
-    atoms = []
-    for p, group in groupby(merge(*scaled, key=itemgetter(0)), key=itemgetter(0)):
-        mass = sum(m for _, m in group)
-        if mass:
-            atoms.append(Atom(p, mass))
-    return DiscreteMeasure(tuple(atoms), window)
+    return _merged(merge(*scaled, key=itemgetter(0)), window)
 
 
 def restrict(mu: DiscreteMeasure, J: Interval) -> DiscreteMeasure:
@@ -278,30 +279,34 @@ def span_within(items: Sequence[T], J: Interval,
     return lo, max(lo, hi)
 
 
-def _densest_run(mu: DiscreteMeasure, reach: Fraction, closed: bool,
+def _densest_run(anchors: Sequence[int], keys: Sequence[int], ahead: int,
                  weights: Sequence[int]) -> tuple[int, int, int]:
-    """(w, i, j) for the leftmost atom i maximizing w = weights[i] + ... + weights[j],
-    where j is the last atom less than `reach` past atom i (at most `reach` when
-    `closed`).  mu has atoms and reach > 0.
+    """(w, i, j) for the leftmost i maximizing w = weights[i] + ... + weights[j], where j
+    is the last index with keys[j] < anchors[i] + ahead; (0, 0, 0) for no index.
 
-    One two-pointer scan on the integer grid of the positions and reach; a
-    closed reach r is the open reach r + 1 on that grid.
+    One two-pointer scan on ints, anchors and keys increasing, keys[i] <= anchors[i] and
+    ahead > 0: the sliding sups below and `matching.lump_decompose`'s lump count.
     """
-    positions = mu.positions()
-    D = common_denominator([reach, *positions])
-    xs = [on_grid(p, D) for p in positions]
-    ahead = on_grid(reach, D) + closed
     prefix = list(accumulate(weights, initial=0))
     best = best_i = best_j = j = 0
-    last = len(xs) - 1
-    for i, x in enumerate(xs):
+    last = len(keys) - 1
+    for i, x in enumerate(anchors):
         end = x + ahead
-        while j < last and xs[j + 1] < end:
+        while j < last and keys[j + 1] < end:
             j += 1
         w = prefix[j + 1] - prefix[i]
         if w > best:
             best, best_i, best_j = w, i, j
     return best, best_i, best_j
+
+
+def _sliding_run(mu: DiscreteMeasure, reach: Fraction, closed: bool,
+                 weights: Sequence[int]) -> tuple[int, int, int]:
+    """`_densest_run` on the grid of mu's positions and reach; a closed reach r is the open r + 1."""
+    positions = mu.positions()
+    D = common_denominator([reach, *positions])
+    xs = [on_grid(p, D) for p in positions]
+    return _densest_run(xs, xs, on_grid(reach, D) + closed, weights)
 
 
 def sliding_variation_sup(mu: DiscreteMeasure, L: RationalLike) -> tuple[Fraction, Fraction]:
@@ -317,7 +322,7 @@ def sliding_variation_sup(mu: DiscreteMeasure, L: RationalLike) -> tuple[Fractio
     if not mu.atoms:
         return Fraction(0), mu.window.lo
     unit = common_denominator(a.mass for a in mu.atoms)
-    best, i, _ = _densest_run(mu, L, True, [abs(on_grid(a.mass, unit)) for a in mu.atoms])
+    best, i, _ = _sliding_run(mu, L, True, [abs(on_grid(a.mass, unit)) for a in mu.atoms])
     return Fraction(best, unit), mu.atoms[i].position
 
 
@@ -332,5 +337,5 @@ def sliding_count_sup(mu: DiscreteMeasure, u: RationalLike) -> tuple[int, Fracti
         raise ValueError(f"neighborhood radius must be positive, got {u}")
     if not mu.atoms:
         return 0, mu.window.lo
-    best, i, j = _densest_run(mu, 2 * u, False, [1] * len(mu))
+    best, i, j = _sliding_run(mu, 2 * u, False, [1] * len(mu))
     return best, (mu.atoms[i].position + mu.atoms[j].position) / 2

@@ -20,7 +20,9 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .measures import (
+    DEFAULT_ATOM_CAP,
     Atom,
+    AtomBudgetError,
     DiscreteMeasure,
     Interval,
     RationalLike,
@@ -311,11 +313,12 @@ def almost_period_certificate(f: PiecewiseLinearFn, epsilon: RationalLike,
                               tau_range: RationalLike, s: int,
                               source: Callable[[Interval], DiscreteMeasure],
                               J: Interval = Interval.closed(Fraction(-1, 2), Fraction(1, 2)),
-                              ) -> AlmostPeriodCertificate:
+                              atom_cap: int = DEFAULT_ATOM_CAP) -> AlmostPeriodCertificate:
     """Measure the defect at every candidate shift tau = p*3**s, |tau| <= range.
 
     Defects are exact; the certificate passes when all of them are strictly
-    below epsilon on the window J.
+    below epsilon on the window J.  More rows than `atom_cap` raise
+    `AtomBudgetError` before the first query.
     """
     if s < 1:
         raise ValueError(f"scale exponent must be >= 1, got {s}")
@@ -325,6 +328,8 @@ def almost_period_certificate(f: PiecewiseLinearFn, epsilon: RationalLike,
         raise ValueError(f"shift range must be >= 0, got {tau_range}")
     step = Fraction(3 ** s)
     p_max = int(tau_range / step)
+    if 2 * p_max + 1 > atom_cap:
+        raise AtomBudgetError(f"shifts up to {tau_range} make {2 * p_max + 1} rows, cap is {atom_cap}")
     rows = []
     worst = Fraction(0)
     for p in range(-p_max, p_max + 1):

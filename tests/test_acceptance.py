@@ -144,6 +144,11 @@ def test_criterion_08_sparsity_violation():
           "(unbounded cluster growth)")
 
 
+def test_criterion_08_one_stage_further():
+    # the counts are the products 2k over the stages: 4, 4*6 = 24, then 4*6*8 = 192
+    assert sliding_count_sup(build_stage(4), F(1, 16)) == (192, F(-641, 16))
+
+
 def test_criterion_09_product_identities():
     # origin identity for difference masses 1, 2, 1/2 and 1..3 factors
     base = integer_comb(-5, 5, pad=1)

@@ -2,8 +2,12 @@ import argparse
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -298,6 +302,19 @@ class TestAp:
         code, out, err = run(capsys, "ap", "1", "--epsilon", "1", "--range", "3", "--window", window)
         assert code == 2 and out == ""
         assert err == f"error: window {window!r} is not LO:HI\n"
+
+    def test_huge_range_refuses_at_once(self):
+        # 2*floor(R/27) + 1 rows are checked against the cap before the first query; a fresh
+        # child, so the second includes the interpreter's start-up
+        env = {k: v for k, v in os.environ.items() if k != "APMEASURE_ATOM_CAP"}
+        env["PYTHONPATH"] = str(Path(construction.__file__).resolve().parents[1])
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "apmeasure.cli", "ap", "3", "--epsilon", "1/10",
+                               "--range", "1000000000000"], env=env, capture_output=True, text=True,
+                              timeout=30)
+        assert time.perf_counter() - start < 1.0
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == "error: shifts up to 1000000000000 make 74074074075 rows, cap is 10000000\n"
 
     def test_far_table_within_small_cap(self, capsys, ap3_table):
         code, out, _ = run(capsys, *AP3_FAR, "--cap", "10000")

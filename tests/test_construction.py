@@ -363,18 +363,20 @@ def test_cells_match_literal_cells(s):
     # every field of every cell, on the grid of a query up to stage s, and the charge
     query = construction._Query(s, stage_window(s), cells_walked(s) or 1)
     cells = [(F(a, query.D), F(b, query.D), None if gap == math.inf else F(gap, query.D),
-              F(mass, query.M), F(at, query.D), count, F(total, query.M))
-             for a, b, gap, mass, at, count, total in construction._cells(s, query)]
-    assert cells == literal_cells(s)
+              count, F(total, query.M))
+             for a, b, gap, count, total in construction._cells(s, query)]
+    literal = literal_cells(s)
+    assert cells == [(a, b, gap, count, total) for a, b, gap, _, _, count, total in literal]
     assert query.used == cells_walked(s)
+    # a cell's atoms share one mass: its largest is total/count, first reached at its first atom
+    assert all(top == total / count and at == a for a, _, _, top, at, count, total in literal)
 
 
 def one_atom_cell(x, grid):
-    return x, x, math.inf, grid.M, x, 1, grid.M
+    return x, x, math.inf, 1, grid.M
 
 
-# cells are (first, last, least step, largest mass, its first atom, atom count, total mass)
-# on the query's grid
+# cells are (first, last, least step, atom count, total mass) on the query's grid
 COLLIDING_CELLS = pytest.mark.parametrize("alter", [
     # a source cell one radius right of the first cell's first atom: its image starts
     # inside the first cell's image

@@ -54,6 +54,14 @@ class TestMakeMeasure:
     def test_cancellation(self):
         assert atoms_of(make_measure([(0, 1), (0, -1)], W)) == []
 
+    @pytest.mark.parametrize("pairs, atoms", [
+        ([(0, 1), (0, -1), (0, 1)], [(0, 1)]),  # a run that cancels, then refills
+        ([(0, 0), (0, 1)], [(0, 1)]),  # a zero mass first
+        ([(-1, 2), (-1, -2), (0, 1), (1, 3), (1, -3)], [(0, 1)]),  # a cancelling run at each end
+    ], ids=["cancel-then-refill", "zero-then-mass", "cancelling-ends"])
+    def test_merge_edge_runs(self, pairs, atoms):
+        assert atoms_of(make_measure(pairs, W)) == atoms
+
     def test_merge_by_sum(self):
         mu = make_measure([(F(1, 2), F(1, 3)), (F(1, 2), F(1, 3))], Interval.closed(0, 1))
         assert atoms_of(mu) == [(F(1, 2), F(2, 3))]

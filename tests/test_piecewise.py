@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apmeasure import (
+    AtomBudgetError,
     FaithfulnessError,
     Interval,
     PiecewiseLinearFn,
@@ -440,3 +441,13 @@ class TestAlmostPeriodCertificate:
             almost_period_certificate(TRIANGLE, F(1, 10), -3, 1, limit_window)
         cert = almost_period_certificate(TRIANGLE, F(1, 10), 0, 1, limit_window)
         assert [row.tau for row in cert.rows] == [0] and cert.all_within
+
+    def test_rows_past_the_cap_refuse_before_any_query(self):
+        # |tau| <= 27 at 3^1 is the 19 shifts -27, -24, ..., 27
+        def refuse(J):
+            raise AssertionError("the certificate queried a window")
+
+        with pytest.raises(AtomBudgetError, match="^shifts up to 27 make 19 rows, cap is 18$"):
+            almost_period_certificate(TRIANGLE, 1, 27, 1, refuse, atom_cap=18)
+        cert = almost_period_certificate(TRIANGLE, 1, 27, 1, limit_window, atom_cap=19)
+        assert len(cert.rows) == 19
