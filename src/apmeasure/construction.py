@@ -4,12 +4,12 @@ Stage 0 is a unit mass at the origin.  Stage s adds two translated copies
 (by +-3**(s-1)) of the stage-(s-1) measure smeared by the s-th averaging
 operator.  Every finite window of the weak limit is eventually frozen: once
 a stage covers the window, later stages never change it.  All positions and
-masses stay exact rationals.  One pruned expansion builds whole stages and
-windows of the limit; it runs on Python ints, positions on (1/D)Z and
-masses on (1/M)Z for a grid each query picks (see `_Query`), and returns
-to `Fraction` only in the atoms it hands out and in the reports.  An atom's
-provenance, the (stage, lattice shift, averaging offset) steps that made it
-from the origin, is decoded from its index.
+masses stay exact rationals.  Lattice cell n was made by the passes at the
+nonzero balanced-ternary digits of n (`_passes`), and its atoms are their
+shifts plus one offset each (`_pass`); stages, windows and cells all read
+that decode.  It runs on Python ints, positions on (1/D)Z and masses on
+(1/M)Z for a grid each query picks (`_Query`).  An atom's provenance is
+decoded from its index.
 
 Besides the builder, this module certifies the arithmetic facts the
 construction relies on: support confinement, unit mass per lattice cell,
@@ -23,8 +23,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
-from itertools import chain
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import accumulate, combinations
+from typing import Iterable, Iterator, Sequence
 
 from .measures import (
     DEFAULT_ATOM_CAP,
@@ -87,16 +87,11 @@ class ProvenanceStep:
 
 
 def _check_walks(s: int, atom_cap: int, cells: bool = False) -> None:
-    """Raise `AtomBudgetError` if a whole walk of stage s makes more atoms (or cells) than the cap.
-
-    A whole walk of stage s (`build`'s) makes w_s = 3*w_{s-1} + 4s*n_{s-1} atoms (w_0 = 0):
-    its stages below s, the 4s*n_{s-1} atoms of stage s's two side blocks and
-    the two walks of stage s-1 that are their sources; the cell walk (`_cells`, `verify`'s)
-    makes c_s = 3*c_{s-1} + 3 = 3 + ... + 3^s cells.  It stops at the first k past the cap.
-    """
-    w = 0
+    """Raise `AtomBudgetError` if a whole walk of stage s, n_s atoms (`build`'s), or its cell walk,
+    c_s = 3*c_{s-1} + 3 = 3 + ... + 3^s cells (`verify`'s), passes the cap; stops at the first k past it."""
+    w = 0 if cells else 1
     for k in range(1, s + 1):
-        w = 3 * w + (3 if cells else 4 * k * projected_atom_count(k - 1))
+        w = 3 * w + 3 if cells else w * (1 + 4 * k)
         if w > atom_cap:
             raise AtomBudgetError(f"walking stage {s} makes {'' if k == s else 'at least '}{w} "
                                   f"{'cells' if cells else 'atoms'}, cap is {atom_cap}")
@@ -185,10 +180,6 @@ class _Query:
         """The grid points of J as a closed range (lo, hi), empty when lo > hi."""
         return self.pos(J.lo) + J.lo_open, self.pos(J.hi) - J.hi_open
 
-    def half_width(self, s: int) -> int:
-        """The stage-s window is the open range (-h, h) for this h."""
-        return (3 ** s - 1) * self.D // 2 + self.D // 3
-
     def offsets(self, k: int) -> tuple[int, ...]:
         """The stage-k averaging offsets on the grid; raises unless they increase."""
         if k not in self._offsets:
@@ -204,13 +195,8 @@ class _Query:
         return tuple(Atom(Fraction(base + off, D), mass(m)) for base, m, kept in groups for off in kept)
 
 
-def _least_step(xs: Sequence[int]) -> int:
-    """The least step between neighbours of the increasing `xs` (two or more)."""
-    return min(b - a for a, b in zip(xs, xs[1:]))
-
-
 def _share(s: int, mass: int, parts: int) -> int:
-    """mass/parts, each of `parts` equal shares of a stage-s mass (2s averaged copies, a cell's atoms)."""
+    """mass/parts, each of `parts` equal shares of a stage-s mass (a cell's atoms)."""
     share, rem = divmod(mass, parts)
     if rem:
         raise AssertionError(f"stage {s}: a mass is not divisible by {parts}")
@@ -222,144 +208,153 @@ def _collision(t: int, last: int, start: int, query: _Query) -> AssertionError:
                           f" / {Fraction(start, query.D)}")
 
 
-def _side_sources(s: int, J: tuple[int, int], query: _Query
-                  ) -> Iterator[tuple[int, Iterator[_Group]]]:
-    """(shift, source groups) for the two blocks stage s adds around its copy of stage s-1, left first.
+def _passes(n: int, t: int) -> list[tuple[int, int]]:
+    """(stage k, side -1 or +1) of each averaging pass that made lattice cell n of stage t,
+    first pass first: the nonzero digits of n in balanced ternary, n = sum of side*3^(k-1)."""
+    if abs(n) > cell_center_bound(t):
+        raise IndexError(f"stage {t} has no lattice cell {n}")
+    passes, k = [], 1
+    while n:
+        side = (n + 1) % 3 - 1
+        if side:
+            passes.append((k, side))
+        n, k = (n - side) // 3, k + 1
+    return passes
 
-    J is a closed range of grid points.  Each block is stage s-1 shifted by
-    -+3^(s-1) and averaged; its source is the stage-(s-1) groups
-    (`_stage_groups`) within one averaging radius of the shifted J, the only
-    atoms whose averaged copies can land in J.
+
+def _pass(k: int, side: int, query: _Query) -> tuple[int, tuple[int, ...]]:
+    """The grid shift side*3^(k-1) and the increasing grid offsets of the stage-k pass on `side`:
+    the one place where groups and cells read the layout's numbers."""
+    return side * 3 ** (k - 1) * query.D, query.offsets(k)
+
+
+def _sides(k: int, query: _Query) -> list[_Cell]:
+    """The three choices at pass k as cells, left to right: the origin's images under the
+    pass on the left, the origin (no stage-k pass), and its images under the pass on the right."""
+    cells = [(0, 0, math.inf, 1, query.M)]
+    for side in (-1, 1):
+        shift, offs = _pass(k, side, query)
+        step = min(b - a for a, b in zip(offs, offs[1:]))
+        cells.insert(side + 1, (shift + offs[0], shift + offs[-1], step, len(offs), query.M))
+    return cells
+
+
+def _images(t: int, cells: Sequence[_Cell], images: Iterable[_Cell], query: _Query) -> Iterator[_Cell]:
+    """Each of `cells` imaged under each of `images`, the cells of later passes, image-major.
+
+    Atoms x_1 < ... < x_m of a cell and y_1 < ... < y_q of an image make the m*q atoms
+    x_i + y_j, x-major, of the cell's total mass.  So the least step is min(the cell's least
+    step - span, the image's least step), span = y_q - y_1, and a cell's least step of at most
+    the span is a collision; each cell made must start after the one before ends.
     """
-    lo, hi = J
-    radius = query.offsets(s)[-1]
-    shift_mag = 3 ** (s - 1) * query.D
-    for sh in (-shift_mag, shift_mag):
-        yield sh, _stage_groups(s - 1, (lo - sh - radius, hi - sh + radius), query)
+    last = -math.inf
+    for c, d, step, count, _ in images:
+        span = d - c
+        for a, b, gap, n, total in cells:
+            if gap <= span:
+                raise AssertionError(f"stage {t}: atom collision imaging the cell at {Fraction(a, query.D)}")
+            if not last < a + c:
+                raise _collision(t, last, a + c, query)
+            last = b + d
+            yield a + c, last, min(gap - span, step), n * count, total
 
 
-def _groups(s: int, sh: int, source: Iterable[_Group], J: tuple[int, int],
-            query: _Query) -> Iterator[_Group]:
-    """The averaged copies in J of one shifted source block, one group per source atom.
+def _layout(k0: int, k1: int, query: _Query) -> list[_Cell]:
+    """The cells the passes of stages k0+1..k1 make from the origin, left to right (stage k1's
+    for k0 = 0): at each stage, the cells so far imaged under its three choices (`_sides`)."""
+    cells = [(0, 0, math.inf, 1, query.M)]
+    for k in range(k0 + 1, k1 + 1):
+        cells = list(_images(k, cells, _sides(k, query), query))
+    return cells
 
-    The source is groups; each of their atoms, at p, stands for the 2s atoms
-    base + offset (base = p + sh, offsets from `_Query.offsets`, increasing),
-    all of mass mass_p/(2s), and its group is (base, mass, offsets kept in
-    J).  Containment is tested at the two ends of each group, and only a
-    group that J cuts is tested atom by atom.  Each group's kept atoms are charged to the budget as it is made,
-    so a budget trips at most one group past the cap.
+
+def _cells(t: int, query: _Query) -> Iterator[_Cell]:
+    """The lattice cells of stage t on the query's grid, left to right; its c_t = 3 + ... + 3^t
+    cells are charged first, stage by stage.
+
+    Images compose, so stage t's cells are stage h's, h = floor(t/2), imaged under the cells
+    of passes h+1..t: two lists of at most 3^ceil(t/2) cells, and stage t streams.
     """
+    for k in range(1, t + 1):
+        query.charge(3 ** k)
+    return _images(t, _layout(0, t // 2, query), _layout(t // 2, t, query), query)
+
+
+def _lattice(t: int, J: tuple[int, int], query: _Query, top: Sequence[int] = (-1, 0, 1)
+             ) -> Iterator[tuple[int, int, int, int]]:
+    """(n, first atom, last atom, atom count) of each lattice cell n of stage t that may meet
+    the grid range J, left to right, its side at pass t in `top` (0 for no pass).  The sides
+    are chosen from pass t down; a prefix of them is pruned when its reach, plus the widest
+    reach of the passes below, misses J."""
     lo, hi = J
-    offsets = query.offsets(s)
-    first, last = offsets[0], offsets[-1]
-    for src, mass, src_kept in source:
-        mass = _share(s, mass, 2 * s)
-        for p in src_kept:
-            base = src + p + sh
-            kept = offsets
-            if not (lo <= base + first and base + last <= hi):
-                kept = [off for off in offsets if lo <= base + off <= hi]
-                if not kept:
-                    continue
+    sides, reach = [_sides(k, query) for k in range(1, t + 1)], [(0, 0)]
+    for cells in sides:
+        reach.append((reach[-1][0] + min(c[0] for c in cells), reach[-1][1] + max(c[1] for c in cells)))
+
+    def walk(k: int, n: int, a: int, b: int, count: int) -> Iterator[tuple[int, int, int, int]]:
+        if a + reach[k][0] > hi or b + reach[k][1] < lo:
+            return
+        if not k:
+            yield n, a, b, count
+            return
+        for side, (first, last, _, q, _) in zip((-1, 0, 1), sides[k - 1]):
+            if k < t or side in top:
+                yield from walk(k - 1, n + side * 3 ** (k - 1), a + first, b + last, count * q)
+
+    return walk(t, 0, 0, 0, 1)
+
+
+def _cell_groups(n: int, t: int, J: tuple[int, int], query: _Query) -> Iterator[_Group]:
+    """The groups of lattice cell n of stage t in the grid range J, left to right, each charged
+    as made.  Its atoms are its passes' shifts plus one offset of each pass, in the order of
+    the first pass's offset, then the next one's (`_images`).  A group fixes every offset but
+    the last pass's, and keeps those in J; a prefix whose reach misses J is pruned."""
+    lo, hi = J
+    passes = [_pass(k, side, query) for k, side in _passes(n, t)] or [(0, (0,))]
+    mass = _share(t, query.M, math.prod(len(offs) for _, offs in passes))
+    reach = [(0, 0)]  # of the offsets of passes i.., for i from the last down
+    for _, offs in reversed(passes):
+        reach.insert(0, (reach[0][0] + offs[0], reach[0][1] + offs[-1]))
+
+    def walk(i: int, base: int) -> Iterator[_Group]:
+        if base + reach[i][0] > hi or base + reach[i][1] < lo:
+            return
+        offs = passes[i][1]
+        if i + 1 < len(passes):
+            for off in offs:
+                yield from walk(i + 1, base + off)
+            return
+        kept = offs if lo <= base + offs[0] and base + offs[-1] <= hi else [
+            off for off in offs if lo <= base + off <= hi]
+        if kept:
             query.charge(len(kept))
             yield base, mass, kept
 
-
-def _side_blocks(s: int, J: tuple[int, int], query: _Query) -> Iterator[_Group]:
-    """The groups in the grid range J of the two blocks stage s adds around its copy of stage s-1."""
-    for sh, source in _side_sources(s, J, query):
-        yield from _groups(s, sh, source, J, query)
+    return walk(0, sum(shift for shift, _ in passes))
 
 
-def _misses(s: int, J: tuple[int, int], query: _Query) -> bool:
-    """Whether the grid range J misses the open stage-s window."""
-    lo, hi = J
-    half = query.half_width(s)
-    return max(lo, 1 - half) > min(hi, half - 1)
-
-
-def _stage_groups(t: int, J: tuple[int, int], query: _Query) -> Iterator[_Group]:
-    """The groups (base, mass, kept offsets) of stage t in the grid range J, left to right.
-
-    Stage t is, in position order, the left blocks of stages t..1, the
-    origin's one group and the right blocks of stages 1..t; stages whose
-    window misses J are pruned.  A side block is `_groups` of its stage,
-    shift and source (`_side_sources`), one group per source atom.  Strict
-    increase is proved here, each group's end against the next group's
-    start; inside a group the offsets increase.
-    """
-    lo, hi = J
-    origin = [(0, query.M, (0,))] if lo <= 0 <= hi else []
-    # each stage's sources yield its left block, then its right one
-    sides = {k: _side_sources(k, J, query) for k in range(1, t + 1) if not _misses(k, J, query)}
-    last = None
-    for k in (*reversed(sides), 0, *sides):
-        for group in _groups(k, *next(sides[k]), J, query) if k else origin:
+def _stage_groups(t: int, J: tuple[int, int], query: _Query, top: Sequence[int] = (-1, 0, 1)
+                  ) -> Iterator[_Group]:
+    """The groups (base, mass, kept offsets) of stage t in the grid range J, left to right:
+    `_cell_groups` of each cell `_lattice` finds.  Strict increase is proved here, each group's
+    end against the next group's start; inside a group the offsets increase."""
+    last = -math.inf
+    for n, *_ in _lattice(t, J, query, top):
+        for group in _cell_groups(n, t, J, query):
             base, _, kept = group
-            if last is not None and not last < base + kept[0]:
+            if not last < base + kept[0]:
                 raise _collision(t, last, base + kept[0], query)
             last = base + kept[-1]
             yield group
 
 
 def _whole_stage(s: int, atom_cap: int) -> tuple[_Query, Iterator[_Group]]:
-    """The groups of stage s as a stream (`_stage_groups`), and their query.
-
-    The walk runs unclipped from the origin, so an atom outside the stage
-    window is kept, and what it charges, w_s (`_check_walks`), is checked
-    before any work.  It asserts strict increase, so a collision fails
-    loudly.
-    """
+    """The groups of stage s as a stream (`_stage_groups`), and their query.  The walk runs
+    unclipped, so an atom outside the stage window is kept; its charge, n_s (`_check_walks`),
+    is checked before any work."""
     _check_walks(s, atom_cap)
     query = _Query(s, stage_window(s), atom_cap)
     return query, _stage_groups(s, (-math.inf, math.inf), query)
-
-
-def _cell_block(k: int, sh: int, cells: Iterable[_Cell], query: _Query) -> Iterator[_Cell]:
-    """The cells of the block stage k adds at grid shift sh: the image of each stage-(k-1) cell.
-
-    Atoms x_1 < ... < x_m of a cell become the 2k*m atoms x_i + sh + o_j, source atom first,
-    for the increasing stage-k offsets o_1 < ... < o_2k, of mass over 2k (the same total).
-    So the image's least step is min(least step - span, the offsets' least step),
-    span = o_2k - o_1, and a least step of at most the span is a collision.
-    """
-    offsets = query.offsets(k)
-    first, last = offsets[0], offsets[-1]
-    span, step = last - first, _least_step(offsets)
-    for a, b, gap, count, total in cells:
-        if gap <= span:
-            raise AssertionError(f"stage {k}: atom collision imaging the cell at {Fraction(a, query.D)}")
-        yield a + sh + first, b + sh + last, min(gap - span, step), 2 * k * count, total
-
-
-def _cells(t: int, query: _Query) -> Iterator[_Cell]:
-    """The lattice cells of stage t on the query's grid, left to right: the layout recurrence at cell grain.
-
-    Stage 0 is the origin's one cell, and stage k is `_stage_cells` of stage k-1's.
-    Stages below t-1 are held as lists; stages t-1 and t stream, each of their passes a
-    fresh pass over the stage below.  Each stage's 3^k cells are charged before it is
-    made, all of them before this returns.
-    """
-    passes: Callable[[], Iterator[_Cell]] = partial(iter, [(0, 0, math.inf, 1, query.M)])
-    for k in range(1, t + 1):
-        query.charge(3 ** k)
-        passes = partial(_stage_cells, k, passes, query)
-        if k < t - 1:
-            passes = partial(iter, list(passes()))
-    return passes()
-
-
-def _stage_cells(k: int, below: Callable[[], Iterator[_Cell]], query: _Query) -> Iterator[_Cell]:
-    """Stage k's cells from three passes `below()` over stage k-1's: its left block's (`_cell_block`
-    at the shift -3^(k-1)), stage k-1's, then its right block's, checked to increase strictly as
-    they pass, each cell's last atom before the next cell's first."""
-    sh = 3 ** (k - 1) * query.D
-    last = -math.inf
-    for cell in chain(_cell_block(k, -sh, below(), query), below(), _cell_block(k, sh, below(), query)):
-        if not last < cell[0]:
-            raise _collision(k, last, cell[0], query)
-        last = cell[1]
-        yield cell
 
 
 def build_stage(s: int, atom_cap: int = DEFAULT_ATOM_CAP) -> DiscreteMeasure:
@@ -381,11 +376,18 @@ def _covering_stage(J: Interval) -> int:
 def _frozen(s: int, J: tuple[int, int], query: _Query) -> bool:
     """Whether stage s+1 agrees with stage s on the grid range J.
 
-    Stage s+1 is stage s flanked by two new blocks, so the two stages agree
-    on J exactly when both new blocks miss J; the pruned expansion shows
-    that without building stage s+1.
+    Stage s+1 is stage s flanked by two new blocks, its cells |n| > (3^s-1)/2,
+    whose pass s+1 is on a side; the two stages agree on J exactly when those
+    cells put no atom in J.
     """
-    return not any(_side_blocks(s + 1, J, query))
+    return not any(_stage_groups(s + 1, J, query, top=(-1, 1)))
+
+
+def _held(t: int, J: tuple[int, int], query: _Query) -> Iterator[int]:
+    """The atom counts of the cells of stage t that the grid range J wholly holds, left to
+    right: their sum is a lower bound on stage t's atoms in J, known before any group."""
+    lo, hi = J
+    return (count for _, first, last, count in _lattice(t, J, query) if lo <= first and last <= hi)
 
 
 def limit_window(J: Interval, atom_cap: int = DEFAULT_ATOM_CAP) -> DiscreteMeasure:
@@ -394,11 +396,16 @@ def limit_window(J: Interval, atom_cap: int = DEFAULT_ATOM_CAP) -> DiscreteMeasu
     Expands the smallest stage s whose window contains J, pruned to J; no
     stage is built.  That stage s+1 agrees with stage s on J is checked
     (`StageStabilityError`).  `atom_cap` bounds the atoms the expansion
-    produces (stability check included); passing it raises `AtomBudgetError`.
+    makes (stability check included): the atoms of the cells J wholly holds
+    (`_held`) are checked against it before any group is made, and passing
+    it raises `AtomBudgetError`.
     """
     s = _covering_stage(J)
     query = _Query(s + 1, J, atom_cap)
     grid_J = query.window(J)
+    bound = next((n for n in accumulate(_held(s, grid_J, query)) if n > atom_cap), None)
+    if bound is not None:
+        raise AtomBudgetError(f"window {J} holds at least {bound} atoms, cap is {atom_cap}")
     out = DiscreteMeasure(query.atoms(_stage_groups(s, grid_J, query)), J)
     if not _frozen(s, grid_J, query):
         raise StageStabilityError(f"stage {s + 1} disagrees with stage {s} on {J}")
@@ -469,14 +476,13 @@ def verify_stage_scan(s: int, measure: DiscreteMeasure | None = None,
                       atom_cap: int = DEFAULT_ATOM_CAP) -> StageScan:
     """Count, total mass, support, unit mass per cell and least gap of stage s, in one pass over cells.
 
-    With no `measure` the pass reads stage s's cells (`_cells`, charging exactly its pre-check
-    c_s) and makes no `Atom`; a measure's atoms go onto one grid first (positions over
+    With no `measure` the pass reads stage s's cells (`_cells`, charging its pre-check c_s)
+    and makes no `Atom`; a measure's atoms go onto one grid first (positions over
     D = lcm(6, their denominators), masses over the lcm of theirs), each a cell of one atom,
     and its 3^s lattice cells are charged first.  An atom p/D lies in lattice cell
-    n = floor(p/D + 1/2), strictly inside it when 3|p - n*D| < D.  A cell whose two ends lie
-    strictly inside one lattice cell |n| <= the bound counts its atoms, mass and least step at
-    once; a cell that straddles a lattice cell's boundary or the window is read atom by atom,
-    a stage's through `_stage_groups` over its range, which must give all its atoms.
+    n = floor(p/D + 1/2), strictly inside it when 3|p - n*D| < D.  A cell whose ends lie
+    strictly inside one lattice cell |n| <= the bound counts at once; any other is read atom
+    by atom, a stage's through `_stage_groups` over its range.
     """
     bound = cell_center_bound(s)
     if measure is None:
@@ -514,8 +520,6 @@ def verify_stage_scan(s: int, measure: DiscreteMeasure | None = None,
             continue
         atoms = ([(base + off, m) for base, m, kept in _stage_groups(s, (a, b), query) for off in kept]
                  if measure is None else [(a, mass)])
-        if len(atoms) != size:  # short when the kernel prunes a stage whose window misses the range
-            raise AssertionError(f"stage {s}: kernel reads {len(atoms)} of {size} atoms at {Fraction(a, D)}")
         for p, m in atoms:  # a cell straddling a lattice cell's boundary or the window
             if offender is None and not -half < p < half:
                 offender = p
@@ -546,16 +550,14 @@ class MassDecayCheck:
 def verify_mass_decay(s: int, J: Interval, atom_cap: int = DEFAULT_ATOM_CAP) -> MassDecayCheck:
     """Check that atom masses outside the stage-s window stay below 1/(2s).
 
-    J must strictly contain the stage window, so the check actually sees
-    atoms created by later stages.  On J the limit is stage t, the smallest
-    stage whose window contains J (that stage t+1 agrees with it there is
-    checked, as in `limit_window`), and t > s.  The maximum runs over stage
-    t's cells (`_cells`) inside J and outside the stage-s window, each read
-    as its one mass total/count at its first atom, the witness; a cell that
-    J or that window cuts is read atom by atom (`_stage_groups` over the
-    cell's range within J).  `atom_cap` bounds the cells made and the atoms of the
-    reads' groups (`AtomBudgetError`); the cells of stages 1..s+1, which
-    every such J makes, are checked first.
+    J must strictly contain the stage window.  On J the limit is stage t > s,
+    the smallest stage whose window contains J (stage t+1 agreeing there is
+    checked, as in `limit_window`).  The maximum runs over stage t's cells
+    (`_cells`) inside J and outside the stage-s window, each read as its one
+    mass total/count at its first atom, the witness; a cell that J or that
+    window cuts is read atom by atom (`_stage_groups` over its range in J).
+    `atom_cap` bounds the cells and atoms made (`AtomBudgetError`); the cells
+    of stages 1..s+1, which every such J makes, are checked first.
     """
     if s < 1:
         raise ValueError("mass decay bound is undefined for stage 0")
@@ -566,7 +568,7 @@ def verify_mass_decay(s: int, J: Interval, atom_cap: int = DEFAULT_ATOM_CAP) -> 
     t = _covering_stage(J)
     query = _Query(t + 1, J, atom_cap)
     lo, hi = query.window(J)
-    half = query.half_width(s)  # the stage-s window is the open range (-half, half)
+    half = query.pos(inner.hi)  # the stage-s window is the open range (-half, half)
     worst, witness = 0, None
     for a, b, _, count, total in _cells(t, query):
         if b < lo or hi < a or -half < a and b < half or (mass := _share(t, total, count)) <= worst:
@@ -639,32 +641,21 @@ def cluster_certificate(target_stage: int, ancestor_stage: int,
     if ancestor_mass == 0:
         raise ValueError(f"{y} is not an atom of stage {ancestor_stage}")
 
-    stages: list[int] = []
-    shifts: list[Fraction] = []
-    prev = ancestor_stage
-    for k, sh in branch:
-        sh = rational(sh)
+    stages, shifts = [k for k, _ in branch], [rational(sh) for _, sh in branch]
+    for prev, k, sh in zip([ancestor_stage, *stages], stages, shifts):
         if k <= prev or k > target_stage:
             raise ValueError(f"branch stage {k} must increase within ({ancestor_stage}, {target_stage}]")
         if abs(sh) != 3 ** (k - 1):
             raise ValueError(f"branch shift {sh} is not a stage-{k} lattice step")
-        stages.append(k)
-        shifts.append(sh)
-        prev = k
 
     level_offsets: list[set[Fraction]] = [{Fraction(0)}]
     for k in stages:
-        step = set()
-        for base in level_offsets[-1]:
-            for off in averaging_offsets(k):
-                step.add(base + off)
+        step = {base + off for base in level_offsets[-1] for off in averaging_offsets(k)}
         if len(step) != len(level_offsets[-1]) * 2 * k:
             raise AssertionError(f"offset collision while expanding stage {k}")
         level_offsets.append(step)
-    for i in range(len(level_offsets)):
-        for j in range(i + 1, len(level_offsets)):
-            if level_offsets[i] & level_offsets[j]:
-                raise AssertionError("iterated averaging images are not disjoint")
+    if any(a & b for a, b in combinations(level_offsets, 2)):
+        raise AssertionError("iterated averaging images are not disjoint")
 
     q = math.prod(2 * k for k in stages)
     spread = sum((averaging_radius(k) for k in stages), Fraction(0))
@@ -677,14 +668,5 @@ def cluster_certificate(target_stage: int, ancestor_stage: int,
     mass = ancestor_mass / q
     if any(a.mass != mass for a in found.atoms):
         raise AssertionError(f"cluster near {center} has masses differing from {mass}")
-    return ClusterCertificate(
-        ancestor_stage=ancestor_stage,
-        ancestor_position=y,
-        stages=tuple(stages),
-        shifts=tuple(shifts),
-        center=center,
-        q=q,
-        spread=spread,
-        members=tuple(expected),
-        member_mass=mass,
-    )
+    return ClusterCertificate(ancestor_stage, y, tuple(stages), tuple(shifts), center, q, spread,
+                              tuple(expected), mass)

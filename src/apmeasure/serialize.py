@@ -61,6 +61,14 @@ def _json(value: Any, kind: type, what: str) -> Any:
     return value
 
 
+def _field(d: dict[str, Any], key: str, what: str) -> Any:
+    """d[key]; a `ValueError` naming the key and `what` lacks it if d has no such key."""
+    try:
+        return d[key]
+    except KeyError:
+        raise ValueError(f"{what} has no {key!r} field") from None
+
+
 def interval_to_dict(J: Interval) -> dict[str, Any]:
     return {"lo": frac(J.lo), "hi": frac(J.hi),
             "lo_open": J.lo_open, "hi_open": J.hi_open}
@@ -76,7 +84,7 @@ def _flag(d: dict[str, Any], key: str, default: bool) -> bool:
 
 def interval_from_dict(d: dict[str, Any]) -> Interval:
     _json(d, dict, "a window")
-    return Interval(parse_frac(d["lo"]), parse_frac(d["hi"]),
+    return Interval(parse_frac(_field(d, "lo", "a window")), parse_frac(_field(d, "hi", "a window")),
                     _flag(d, "lo_open", False), _flag(d, "hi_open", False))
 
 
@@ -90,29 +98,33 @@ def _canonical_atoms(entries: list[Any], window: Interval) -> tuple[Atom, ...] |
     distinct mass string.
     Each entry is read as `make_measure`'s path reads it ("pos", then
     "mass"), up to the first entry that is not plain, so a malformed entry
-    fails the same way on either path.
+    fails the same way on either path; an entry that lacks a field goes to that path, which
+    names it.
     """
     masses: dict[str, Fraction] = {}
     atoms: list[Atom] = []
     last_n, last_d = 0, 0
-    for entry in entries:
-        if type(entry) is not dict:
-            return None
-        pos = _plain(entry["pos"])
-        if pos is None:
-            return None
-        text = entry["mass"]
-        mass = masses.get(text) if type(text) is str else None
-        if mass is None:
-            m = _plain(text)
-            if m is None or m[0] == 0:
+    try:
+        for entry in entries:
+            if type(entry) is not dict:
                 return None
-            mass = masses[text] = Fraction(*m)
-        n, d = pos
-        if atoms and n * last_d <= last_n * d:
-            return None
-        last_n, last_d = n, d
-        atoms.append(Atom(Fraction(n, d), mass))
+            pos = _plain(entry["pos"])
+            if pos is None:
+                return None
+            text = entry["mass"]
+            mass = masses.get(text) if type(text) is str else None
+            if mass is None:
+                m = _plain(text)
+                if m is None or m[0] == 0:
+                    return None
+                mass = masses[text] = Fraction(*m)
+            n, d = pos
+            if atoms and n * last_d <= last_n * d:
+                return None
+            last_n, last_d = n, d
+            atoms.append(Atom(Fraction(n, d), mass))
+    except KeyError:
+        return None
     if atoms and not (window.contains(atoms[0].position) and window.contains(atoms[-1].position)):
         return None
     return tuple(atoms)
@@ -126,12 +138,12 @@ def measure_from_dict(d: dict[str, Any]) -> DiscreteMeasure:
     definition of canonical form, so it loads exactly as it always did.
     """
     _json(d, dict, "a measure file")
-    window = interval_from_dict(d["window"])
-    entries = _json(d["atoms"], list, "atoms")
+    window = interval_from_dict(_field(d, "window", "a measure file"))
+    entries = _json(_field(d, "atoms", "a measure file"), list, "atoms")
     atoms = _canonical_atoms(entries, window)
     if atoms is not None:
         return DiscreteMeasure(atoms, window)
-    pairs = [(parse_frac(a["pos"]), parse_frac(a["mass"]))
+    pairs = [(parse_frac(_field(a, "pos", "an atom")), parse_frac(_field(a, "mass", "an atom")))
              for a in (_json(e, dict, "an atom") for e in entries)]
     return make_measure(pairs, window)
 
@@ -278,12 +290,12 @@ def plf_from_dict(d: dict[str, Any]) -> PiecewiseLinearFn:
     """A test function; an optional "zero_outside" key must be true, as every
     test function is compactly supported."""
     from .piecewise import PiecewiseLinearFn
-    _json(d, dict, "a test-function file")
+    _json(d, dict, what := "a test-function file")
     if not _flag(d, "zero_outside", True):
         raise ValueError("a test function must be compactly supported (zero_outside true)")
     return PiecewiseLinearFn(
-        tuple(parse_frac(b) for b in _json(d["breakpoints"], list, "breakpoints")),
-        tuple(parse_frac(v) for v in _json(d["values"], list, "values")),
+        tuple(parse_frac(b) for b in _json(_field(d, "breakpoints", what), list, "breakpoints")),
+        tuple(parse_frac(v) for v in _json(_field(d, "values", what), list, "values")),
     )
 
 

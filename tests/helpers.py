@@ -289,15 +289,6 @@ def literal_cells(s: int) -> list[tuple[Fraction, Fraction, Fraction | None, Fra
     return cells
 
 
-def whole_walk_atoms(s: int) -> int:
-    """w_s, the atoms a whole walk of stage s makes, summed block by block: for
-    each stage k <= s, the 2k*n_{k-1} atoms of each of its two side blocks and
-    the whole walk of stage k-1 that is each block's source, n_k = prod(1+4j)."""
-    def n(k):
-        return math.prod(1 + 4 * j for j in range(1, k + 1))
-    return sum(2 * (2 * k * n(k - 1) + whole_walk_atoms(k - 1)) for k in range(1, s + 1))
-
-
 def measure_to_dict(mu: DiscreteMeasure) -> dict:
     """The measure file of `mu` as a dict.
 

@@ -15,7 +15,7 @@ from apmeasure import (Interval, build_stage, combine, construction, make_measur
                        piecewise, projected_atom_count, serialize)
 from apmeasure.cli import build_parser, main, parse_window, parse_windows
 from apmeasure.serialize import load_measure, provenance_sidecar_path, save_measure
-from helpers import integer_comb, perturbed_comb, whole_walk_atoms
+from helpers import integer_comb, perturbed_comb
 
 
 def run(capsys, *argv):
@@ -34,6 +34,17 @@ def ap3_table():
     with contextlib.redirect_stdout(buf):
         assert main(list(AP3_FAR)) == 0
     return buf.getvalue()
+
+
+def fresh_child(*argv):
+    """(the finished process, its wall seconds) of the CLI run as a fresh child at the default
+    cap, so the time includes the interpreter's start-up."""
+    env = {k: v for k, v in os.environ.items() if k != "APMEASURE_ATOM_CAP"}
+    env["PYTHONPATH"] = str(Path(construction.__file__).resolve().parents[1])
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "apmeasure.cli", *argv], env=env, capture_output=True,
+                          text=True, timeout=30)
+    return proc, time.perf_counter() - start
 
 
 class TestParsing:
@@ -104,13 +115,12 @@ class TestBuild:
 
     @pytest.mark.parametrize("s", range(1, 6))
     def test_least_cap_is_the_walk(self, s, tmp_path, capsys):
-        # each stage file is one unclipped walk of w_s atoms; one less is refused first
-        code, _, err = run(capsys, "build", str(s), "--cap", str(whole_walk_atoms(s) - 1),
-                           "--out", str(tmp_path / "s.json"))
-        assert code == 1 and err.endswith(f"makes {whole_walk_atoms(s)} atoms, "
-                                          f"cap is {whole_walk_atoms(s) - 1}\n")
+        # each stage file is one unclipped walk that makes its n_s atoms; one less is refused first
+        n = projected_atom_count(s)
+        code, _, err = run(capsys, "build", str(s), "--cap", str(n - 1), "--out", str(tmp_path / "s.json"))
+        assert code == 1 and err.endswith(f"makes {n} atoms, cap is {n - 1}\n")
         assert list(tmp_path.iterdir()) == []
-        code, out, _ = run(capsys, "build", str(s), "--cap", str(whole_walk_atoms(s)),
+        code, out, _ = run(capsys, "build", str(s), "--cap", str(n),
                            "--out", str(tmp_path / "s.json"))
         assert code == 0 and out == f"atoms={projected_atom_count(s)} mass={3 ** s}\n"
 
@@ -131,11 +141,11 @@ class TestBuild:
 
 
 def _no_cells(monkeypatch):
-    """Make the walk of a stage's cells fail as it starts."""
+    """Make the walk of a stage's cells fail as it starts: its first read of the pass table."""
     def refuse(*args, **kwargs):
         raise AssertionError("a cell walk started")
 
-    monkeypatch.setattr(construction, "_cell_block", refuse)
+    monkeypatch.setattr(construction, "_pass", refuse)
 
 
 class TestVerify:
@@ -209,12 +219,12 @@ class TestVerify:
     @pytest.mark.parametrize("argv", [("build", "1500", "--out", "unused.json"),
                                       ("verify", "100000")], ids=["build", "verify"])
     def test_huge_stage_trips_the_cap_quickly(self, capsys, argv):
-        # the closed-form walk total stops at the first stage past the cap: w_7 for
+        # the closed-form walk total stops at the first stage past the cap: n_7 for
         # build's walk, and c_15 for the cells of verify's decay, which runs first
         start = time.perf_counter()
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
-        assert err == {"build": "error: walking stage 1500 makes at least 163327536 atoms, "
+        assert err == {"build": "error: walking stage 1500 makes at least 151412625 atoms, "
                                 "cap is 10000000\n",
                        "verify": "error: walking stage 100001 makes at least 21523359 "
                                  "cells, cap is 10000000\n"}[argv[0]]
@@ -304,17 +314,20 @@ class TestAp:
         assert err == f"error: window {window!r} is not LO:HI\n"
 
     def test_huge_range_refuses_at_once(self):
-        # 2*floor(R/27) + 1 rows are checked against the cap before the first query; a fresh
-        # child, so the second includes the interpreter's start-up
-        env = {k: v for k, v in os.environ.items() if k != "APMEASURE_ATOM_CAP"}
-        env["PYTHONPATH"] = str(Path(construction.__file__).resolve().parents[1])
-        start = time.perf_counter()
-        proc = subprocess.run([sys.executable, "-m", "apmeasure.cli", "ap", "3", "--epsilon", "1/10",
-                               "--range", "1000000000000"], env=env, capture_output=True, text=True,
-                              timeout=30)
-        assert time.perf_counter() - start < 1.0
+        # 2*floor(R/27) + 1 rows are checked against the cap before the first query
+        proc, seconds = fresh_child("ap", "3", "--epsilon", "1/10", "--range", "1000000000000")
+        assert seconds < 1.0
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr == "error: shifts up to 1000000000000 make 74074074075 rows, cap is 10000000\n"
+
+    def test_far_window_refuses_at_once(self):
+        # the first far window wholly holds cell -30000, made by 8 passes up to stage 11, whose
+        # 567,705,600 atoms are counted before any group is made
+        proc, seconds = fresh_child("ap", "1", "--epsilon", "1/10", "--range", "30000")
+        assert seconds < 1.0
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == ("error: window [-90002/3, -89998/3] holds at least 567705600 atoms, "
+                               "cap is 10000000\n")
 
     def test_far_table_within_small_cap(self, capsys, ap3_table):
         code, out, _ = run(capsys, *AP3_FAR, "--cap", "10000")
@@ -594,6 +607,24 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("owner, field", [
+        ("an atom", "pos"), ("an atom", "mass"), ("a measure file", "atoms"),
+        ("a measure file", "window"), ("a window", "lo"), ("a window", "hi"),
+        ("a test-function file", "breakpoints"), ("a test-function file", "values")])
+    def test_missing_field_is_named(self, owner, field, capsys, tmp_path):
+        # the error names the field and what lacked it, not Python's bare KeyError text
+        atom, window = {"pos": "0", "mass": "1"}, {"lo": "-1", "hi": "1"}
+        measure = {"window": window, "atoms": [atom]}
+        fn = {"breakpoints": ["-1", "0", "1"], "values": ["0", "1", "0"]}
+        del {"an atom": atom, "a window": window, "a measure file": measure,
+             "a test-function file": fn}[owner][field]
+        path, fn_path = tmp_path / "m.json", tmp_path / "f.json"
+        path.write_text(json.dumps(measure))
+        fn_path.write_text(json.dumps(fn))
+        code, out, err = run(capsys, "conv", "--fn", str(fn_path), "--measure", str(path), "--window", "-1:1")
+        assert code == 2 and out == ""
+        assert err == f"error: {owner} has no {field!r} field\n"
 
     @pytest.mark.parametrize("case", ["measure", "test-function"])
     def test_json_float_in_a_file_is_usage(self, case, capsys, tmp_path):

@@ -2,7 +2,9 @@ import dataclasses
 import itertools
 import math
 import tracemalloc
+from bisect import bisect_left, bisect_right
 from fractions import Fraction as F
+from functools import cache
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,9 +29,9 @@ from apmeasure import (
     verify_tail_estimate,
 )
 from apmeasure import construction
-from apmeasure.construction import cell_center_bound
+from apmeasure.construction import cell_center_bound, provenance_digits
 from apmeasure.measures import make_measure
-from helpers import literal_cells, literal_scan, literal_stage, whole_walk_atoms, widened
+from helpers import literal_cells, literal_scan, literal_stage, widened
 
 
 def atoms_of(mu):
@@ -256,8 +258,8 @@ def test_real_cells_are_clean(monkeypatch):
                                    lambda: verify_mass_decay(4, stage_window(5))],
                          ids=["stage-scan", "mass-decay"])
 def test_expansion_streams(check):
-    # stage 4 has 9945 atoms, never held as one list; the scan holds stage 2's 9
-    # cells and the decay, walking stage 5's, stage 3's 27
+    # stage 4 has 9945 atoms, never held as one list; the scan holds stage 2's 9 cells
+    # and the 9 of passes 3..4, and the decay, walking stage 5's, 9 and the 27 of passes 3..5
     tracemalloc.start()
     try:
         check()
@@ -265,18 +267,6 @@ def test_expansion_streams(check):
     finally:
         tracemalloc.stop()
     assert peak < 256 * 1024
-
-
-def test_cells_hold_two_stages_below():
-    # the decay walks stage 9's cells holding stage 7's 2,187 as a list and streaming
-    # stages 8 and 9; a list of stage 8's 6,561 cells would pass 1 MB
-    tracemalloc.start()
-    try:
-        assert verify_mass_decay(8, stage_window(9))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1024 * 1024
 
 
 class TestTailEstimate:
@@ -311,37 +301,47 @@ class TestTailEstimate:
             verify_tail_estimate(0)
 
 
-# sources are (base, mass, kept offsets) groups on the query's integer grid; grid.M is mass 1
-COLLIDING_SOURCES = pytest.mark.parametrize("alter", [
-    # a source atom one radius right of the first: its group starts inside the first group
-    lambda source, grid: [source[0], (source[0][0] + source[0][2][0] + grid.pos(averaging_radius(2)),
-                                      grid.M, (0,)), *source[1:]],
-    # a source atom that the shift -3 takes to the origin, inside the stage-1 window
-    lambda source, grid: [*source, (grid.pos(F(3)), grid.M, (0,))],
-    # the first source group's atoms one radius apart: their groups overlap inside its image
-    lambda source, grid: [(source[0][0], source[0][1],
-                           (source[0][2][0], source[0][2][0] + grid.pos(averaging_radius(2)))),
-                          *source[1:]],
+def alter_passes(monkeypatch, alter):
+    """Make `alter(k, side, shift, offsets, grid)` rewrite every pass the table gives, on the
+    grid of the query that reads it: the one seam of the layout."""
+    table = construction._pass
+    monkeypatch.setattr(construction, "_pass",
+                        lambda k, side, grid: alter(k, side, *table(k, side, grid), grid))
+
+
+def on_stage(k, side=None, shift=None, offsets=None):
+    """An `alter` that gives the stage-k pass (on `side` only, when given) the grid shift
+    `shift(grid)` or the grid offsets `offsets(grid)` in place of its own."""
+    def alter(j, s, old_shift, old_offsets, grid):
+        if j != k or side not in (None, s):
+            return old_shift, old_offsets
+        return (old_shift if shift is None else shift(grid),
+                old_offsets if offsets is None else offsets(grid))
+    return alter
+
+
+def grid_points(grid, *xs):
+    """The rationals `xs` as points of the query's grid."""
+    return tuple(grid.pos(F(x)) for x in xs)
+
+
+# faults of the pass table; each must fail every walk that reads stage 2
+COLLIDING = pytest.mark.parametrize("alter", [
+    # stage 2's offsets span 1/4, wider than the least step 1/8 of a stage-1 cell: the
+    # images of its two atoms overlap
+    on_stage(2, offsets=lambda grid: grid_points(grid, F(-1, 8), F(-1, 16), F(1, 16), F(1, 8))),
+    # stage 2's left shift is 0, not -3: its block lands on stage 1
+    on_stage(2, -1, shift=lambda grid: 0),
+    # stage 1's two offsets one stage-2 radius apart, closer than stage 2's span
+    on_stage(1, offsets=lambda grid: grid_points(grid, 0, averaging_radius(2))),
 ], ids=["overlapping-groups", "group-inside-stage-window", "overlapping-groups-in-one-image"])
-
-
-def alter_stage_two_source(monkeypatch, alter):
-    """Make `alter` rewrite the source of stage 2's left block."""
-    side_sources = construction._side_sources
-
-    def altered(s, J, budget):
-        for sh, source in side_sources(s, J, budget):
-            yield sh, alter(list(source), budget) if s == 2 and sh < 0 else source
-
-    monkeypatch.setattr(construction, "_side_sources", altered)
 
 
 @pytest.mark.parametrize("s", range(6))
 def test_whole_stage_charges_its_closed_form(s):
-    # the unclipped walk of stage s ends its running charge at exactly w_s
-    query, groups = construction._whole_stage(s, whole_walk_atoms(s) or 1)
-    assert sum(len(kept) for _, _, kept in groups) == projected_atom_count(s)
-    assert query.used == whole_walk_atoms(s)
+    # the unclipped walk of stage s charges exactly the n_s atoms it makes
+    query, groups = construction._whole_stage(s, projected_atom_count(s))
+    assert sum(len(kept) for _, _, kept in groups) == projected_atom_count(s) == query.used
 
 
 def cells_walked(s):
@@ -372,67 +372,69 @@ def test_cells_match_literal_cells(s):
     assert all(top == total / count and at == a for a, _, _, top, at, count, total in literal)
 
 
-def one_atom_cell(x, grid):
-    return x, x, math.inf, 1, grid.M
+@pytest.mark.parametrize("s", range(6))
+def test_the_two_decodes_agree(s):
+    # the passes decoded from an atom's index are those decoded from its lattice cell
+    for i, atom in enumerate(build_stage(s).atoms):
+        n = math.floor(atom.position + F(1, 2))
+        assert [(k, side) for k, side, _ in provenance_digits(s, i)] == construction._passes(n, s)
 
 
-# cells are (first, last, least step, atom count, total mass) on the query's grid
-COLLIDING_CELLS = pytest.mark.parametrize("alter", [
-    # a source cell one radius right of the first cell's first atom: its image starts
-    # inside the first cell's image
-    lambda cells, grid: [cells[0], one_atom_cell(cells[0][0] + grid.pos(averaging_radius(2)), grid),
-                         *cells[1:]],
-    # a source cell that the shift -3 takes to the origin, inside the stage-1 window
-    lambda cells, grid: [*cells, one_atom_cell(grid.pos(F(3)), grid)],
-    # the first source cell's atoms one radius apart: their groups overlap inside its image
-    lambda cells, grid: [(*cells[0][:2], grid.pos(averaging_radius(2)), *cells[0][3:]), *cells[1:]],
-], ids=["overlapping-groups", "group-inside-stage-window", "overlapping-groups-in-one-image"])
+@pytest.mark.parametrize("t", range(9))
+def test_passes_spell_the_cell(t):
+    # the passes of cell n are the nonzero digits of n in balanced ternary, stages 1..t
+    bound = cell_center_bound(t)
+    for n in range(-bound, bound + 1):
+        passes = construction._passes(n, t)
+        assert sum(side * 3 ** (k - 1) for k, side in passes) == n
+        assert all(j < k <= t and side in (-1, 1) for (j, _), (k, side) in zip([(0, 0), *passes], passes))
+    with pytest.raises(IndexError):
+        construction._passes(bound + 1, t)
 
 
-def alter_stage_two_cells(monkeypatch, alter):
-    """Make `alter` rewrite the source cells of stage 2's left block."""
-    cell_block = construction._cell_block
+def test_cell_walk_holds_no_stage():
+    # draining stage 12's 531,441 cells holds stage 6's 729 cells and the 729 that passes
+    # 7..12 make; a list of stage 9's 19,683 cells would pass 1 MB
+    query = construction._Query(12, stage_window(12), cells_walked(12))
+    tracemalloc.start()
+    try:
+        assert sum(count for _, _, _, count, _ in construction._cells(12, query)) == \
+            projected_atom_count(12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024
 
-    def altered(k, sh, cells, query):
-        return cell_block(k, sh, alter(list(cells), query) if k == 2 and sh < 0 else cells, query)
 
-    monkeypatch.setattr(construction, "_cell_block", altered)
-
-
-@COLLIDING_CELLS
+@COLLIDING
 def test_scan_collisions_are_reported(monkeypatch, alter):
-    alter_stage_two_cells(monkeypatch, alter)
+    alter_passes(monkeypatch, alter)
     with pytest.raises(AssertionError, match="collision"):
         verify_stage_scan(2)
 
 
 def test_straddling_groups_match_literal_scan(monkeypatch):
-    # two source atoms of mass 1 added to stage 2's left block, as groups and as cells:
-    # the shift -3 centres one image of 4 atoms on the window end -13/3 and one on the
-    # boundary -3 + 1/3 of cell -3, so the scan reads both atom by atom through the
-    # groups; the two atoms past the window end are kept, and the first is the offender
-    def add(source, item):
-        return [item(F(-4, 3)), *source[:2], item(F(1, 3)), *source[2:]]
-
-    alter_stage_two_source(monkeypatch, lambda source, grid: add(
-        source, lambda x: (grid.pos(x), grid.M, (0,))))
-    alter_stage_two_cells(monkeypatch, lambda cells, grid: add(
-        cells, lambda x: one_atom_cell(grid.pos(x), grid)))
+    # stage 1's offsets +-3/8 reach past the 1/3 cell boundary: every cell with a stage-1
+    # pass straddles, so the scan reads them atom by atom through the groups; those past
+    # the window end are kept, and the first is the offender
+    alter_passes(monkeypatch, on_stage(1, offsets=lambda grid: grid_points(grid, F(-3, 8), F(3, 8))))
     scan = verify_stage_scan(2)
     assert scan == trimmed(literal_scan(2, build_stage(2)))
-    assert scan.atoms == projected_atom_count(2) + 8 and scan.offender == F(-6659, 1536)
-    assert scan.strays == (F(-6659, 1536), F(-13315, 3072), F(-8189, 3072))
-    assert scan.bad_cells == ((-4, F(3, 2)), (-3, F(3, 2)))
+    assert scan.atoms == projected_atom_count(2) and scan.offender == F(-2241, 512)
+    assert scan.strays == (F(-2241, 512), F(-4481, 1024), F(-4479, 1024))
+    assert scan.bad_cells == ((-4, 0), (-2, 0), (-1, 0))
 
 
 def test_cell_outside_the_window_fails_loudly(monkeypatch):
-    # a source atom of mass 1 at -5 added to stage 2's left block, as a group and as a cell:
-    # its image, 4 atoms near -8, lies wholly outside the stage-2 window, where the kernel
-    # prunes stage 2, so the kernel's read of the cell comes back short
-    alter_stage_two_source(monkeypatch, lambda source, grid: [(grid.pos(F(-5)), grid.M, (0,)), *source])
-    alter_stage_two_cells(monkeypatch, lambda cells, grid: [one_atom_cell(grid.pos(F(-5)), grid), *cells])
-    with pytest.raises(AssertionError, match="^stage 2: kernel reads 0 of 4 atoms at -4097/512$"):
-        verify_stage_scan(2)
+    # stage 2's left shift -8, not -3, puts its block's cells at -9, -8 and -7, wholly outside
+    # the stage-2 window: the scan reads each through the groups, all its atoms, and
+    # reports its first atom as the offender and the cells it left empty, as the literal scan does
+    alter_passes(monkeypatch, on_stage(2, -1, shift=lambda grid: grid.pos(F(-8))))
+    scan = verify_stage_scan(2)
+    stage = build_stage(2)
+    assert scan == trimmed(literal_scan(2, stage))
+    assert scan.atoms == projected_atom_count(2) and scan.offender == stage.atoms[0].position
+    assert scan.bad_cells == ((-4, 0), (-3, 0), (-2, 0))
 
 
 class TestMassDecay:
@@ -462,10 +464,10 @@ class TestMassDecay:
             verify_mass_decay(s, stage_window(s + 1), atom_cap=cells_walked(s + 1) - 1)
 
     def test_a_step_near_the_span_collides_a_stage_later(self, monkeypatch):
-        # a stage-1 cell whose least step is one grid point above stage 2's offset span:
-        # its stage-2 image holds, with least step 1, and that image's stage-3 image collides
-        alter_stage_two_cells(monkeypatch, lambda cells, grid: [
-            (*cells[0][:2], grid.offsets(2)[-1] - grid.offsets(2)[0] + 1, *cells[0][3:]), *cells[1:]])
+        # stage 1's offsets one grid point further apart than stage 2's offset span: a stage-1
+        # cell's stage-2 image holds, with least step 1, and its stage-3 image collides
+        alter_passes(monkeypatch, on_stage(1, offsets=lambda grid: (
+            grid.offsets(1)[0], grid.offsets(1)[0] + grid.offsets(2)[-1] - grid.offsets(2)[0] + 1)))
         assert verify_mass_decay(1, stage_window(2))
         with pytest.raises(AssertionError, match="stage 3: atom collision imaging the cell"):
             verify_mass_decay(2, stage_window(3))
@@ -488,16 +490,16 @@ class TestMassDecay:
         with pytest.raises(ValueError):
             verify_mass_decay(1, stage_window(1))
 
-    @COLLIDING_CELLS
+    @COLLIDING
     def test_collisions_are_reported(self, monkeypatch, alter):
-        alter_stage_two_cells(monkeypatch, alter)
+        alter_passes(monkeypatch, alter)
         with pytest.raises(AssertionError, match="collision"):
             verify_mass_decay(1, stage_window(2))
 
 
-@COLLIDING_SOURCES
+@COLLIDING
 def test_expansion_collisions_are_reported(monkeypatch, alter):
-    alter_stage_two_source(monkeypatch, alter)
+    alter_passes(monkeypatch, alter)
     with pytest.raises(AssertionError, match="collision"):
         build_stage(2)
 
@@ -591,21 +593,28 @@ class TestLimitWindow:
             limit_window(Interval.closed(-3 ** 8, 3 ** 8), atom_cap=10_000)
 
     def test_budget_outcome(self):
-        # (3/2, 13] cuts stage-3 clusters at both ends; its expansion returns
-        # 266 atoms and charges 317, counting the sources of the side blocks
+        # (3/2, 13] cuts stage-3 clusters at both ends; its expansion makes and charges
+        # exactly its 266 atoms
         J = Interval(F(3, 2), F(13), True, False)
-        with pytest.raises(AtomBudgetError, match="cap is 316$"):
-            limit_window(J, atom_cap=316)
-        assert len(limit_window(J, atom_cap=317)) == 266
+        with pytest.raises(AtomBudgetError, match="made 266 atoms and cells, cap is 265$"):
+            limit_window(J, atom_cap=265)
+        assert len(limit_window(J, atom_cap=266)) == 266
+
+    def test_window_holding_a_thick_cell_refuses_before_any_group(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("limit_window made a group")
+
+        # cell 121 = 1 + 3 + 9 + 27 + 81 went through passes 1..5, so it has 2*4*6*8*10 = 3840
+        # atoms; [120, 122] holds it whole and cuts its two neighbours
+        monkeypatch.setattr(construction, "_cell_groups", refuse)
+        with pytest.raises(AtomBudgetError, match=r"^window \[120, 122\] holds at least 3840 atoms, "
+                                                  r"cap is 3839$"):
+            limit_window(Interval.closed(120, 122), atom_cap=3839)
 
     def test_unstable_stage_is_reported(self, monkeypatch):
-        # a new block of stage s+1 that lands in J means stage s was not frozen there
-        side_blocks = construction._side_blocks
-
-        def stray_stage_two_atom(s, J, query):  # one group of stage 2 at the origin
-            return iter([(0, query.M, (0,))]) if s == 2 else side_blocks(s, J, query)
-
-        monkeypatch.setattr(construction, "_side_blocks", stray_stage_two_atom)
+        # a new block of stage s+1 that lands in J means stage s was not frozen there:
+        # stage 2's left shift -1, not -3, puts one of its cells at -1
+        alter_passes(monkeypatch, on_stage(2, -1, shift=lambda grid: grid.pos(F(-1))))
         with pytest.raises(StageStabilityError, match="stage 2 disagrees with stage 1"):
             limit_window(Interval.closed(-1, 1))
 
@@ -638,6 +647,32 @@ def test_window_expansion_agrees_with_builder(case):
     assert limit_window(J) == restrict(build_stage(s), J)
 
 
+@cache
+def literal_positions(s):
+    return [p for p, _, _ in literal_stage(s)]
+
+
+@given(st.integers(min_value=0, max_value=5), st.data())
+@settings(max_examples=30, deadline=None)
+def test_window_bound_is_below_the_atoms_made(s, data):
+    # the atoms of the cells a window wholly holds are at most the literal stage's atoms in
+    # it, which are exactly what the walk makes and charges
+    positions = literal_positions(s)
+    inner = stage_window(s)
+    point = (st.sampled_from(positions)
+             | st.fractions(min_value=inner.lo - 1, max_value=inner.hi + 1, max_denominator=64))
+    a, b = sorted((data.draw(point), data.draw(point)))
+    J = Interval(a, b, data.draw(st.booleans()), data.draw(st.booleans()))
+    query = construction._Query(s, J, projected_atom_count(s))
+    grid_J = query.window(J)
+    bound = sum(construction._held(s, grid_J, query))
+    made = sum(len(kept) for _, _, kept in construction._stage_groups(s, grid_J, query))
+    # the literal stage increases, so its atoms in J are an index range
+    first = (bisect_right if J.lo_open else bisect_left)(positions, J.lo)
+    end = (bisect_left if J.hi_open else bisect_right)(positions, J.hi)
+    assert bound <= max(end - first, 0) == made == query.used
+
+
 class TestStability:
     def test_small_stages(self):
         for s in range(3):
@@ -651,26 +686,17 @@ class TestStability:
         assert verify_stage_stability(s)
 
     def test_stray_side_block_atom_is_reported(self, monkeypatch):
-        side_blocks = construction._side_blocks
-
-        def stray_stage_three_atom(s, J, query):  # one group of stage 3 at 4
-            return iter([(query.pos(F(4)), query.M, (0,))]) if s == 3 else side_blocks(s, J, query)
-
-        monkeypatch.setattr(construction, "_side_blocks", stray_stage_three_atom)
+        # stage 3's right shift 3, not 9, puts its block's cells at -1..7
+        alter_passes(monkeypatch, on_stage(3, 1, shift=lambda grid: grid.pos(F(3))))
         assert not verify_stage_stability(2)
         assert verify_stage_stability(1)
 
     def test_cap_covers_the_next_stage(self, monkeypatch):
         # stage 4's side blocks read no atom of stage 3, so they make none in its window ...
         assert verify_stage_stability(3, atom_cap=1)
-        # ... and a group they did make there, here the 8 stage-4 copies of the
-        # origin, would be charged
-        side_sources = construction._side_sources
-
-        def origin_source(s, J, query):
-            return iter([(0, iter([(0, query.M, (0,))]))]) if s == 4 else side_sources(s, J, query)
-
-        monkeypatch.setattr(construction, "_side_sources", origin_source)
+        # ... and a group they did make there would be charged: stage 4's left shift -26,
+        # not -27, puts stage 3's last cell at -13, and its first group is 8 stage-4 copies
+        alter_passes(monkeypatch, on_stage(4, -1, shift=lambda grid: grid.pos(F(-26))))
         with pytest.raises(AtomBudgetError, match="made 8 atoms and cells, cap is 7$"):
             verify_stage_stability(3, atom_cap=7)
         assert not verify_stage_stability(3, atom_cap=8)
