@@ -14,15 +14,15 @@ pays only for the modules it runs.
 from importlib import import_module
 
 _EXPORTS = {  # module: the names re-exported from it
-    "construction": """AtomBudgetError ClusterCertificate StageScan StageStabilityError
+    "construction": """ClusterCertificate StageScan StageStabilityError
         build_stage cluster_certificate limit_window projected_atom_count provenance
         radius_series_tail_bound stage_window verify_mass_decay verify_stage_scan
         verify_stage_stability verify_tail_estimate""",
     "matching": """FarFieldReport HarnessConfig HarnessConfigError LumpDecomposition MatchReport
         OriginIdentityCheck disagreement_product far_field_check lump_decompose match_close
         origin_product_identity sparsity_bound""",
-    "measures": """Atom DiscreteMeasure Interval WindowError averaging_radius combine make_measure
-        rational restrict sliding_count_sup sliding_variation_sup""",
+    "measures": """Atom AtomBudgetError DiscreteMeasure Interval WindowError averaging_radius
+        combine make_measure rational restrict sliding_count_sup sliding_variation_sup""",
     "piecewise": """AlmostPeriodCertificate FaithfulnessError PiecewiseLinearFn
         almost_period_certificate almost_period_defect bump convolution_rows convolution_sup
         convolution_value triangle_test_function""",

@@ -231,19 +231,20 @@ def cmd_psi(args) -> int:
     hc = matching.HarnessConfig(
         v=measures.rational(args.v), n=n, epsilon=measures.rational(args.epsilon),
         compact=parse_window(args.compact), u=u)
+    # both checks run, on mu - nu built once, before any line prints
+    diff = measures.combine(1, mu, -1, nu) if args.zero_identity or args.samples else None
+    ident = matching.origin_product_identity(mu, nu, hc, diff) if args.zero_identity else None
+    if args.samples:
+        samples = [measures.rational(b.strip()) for b in args.samples.split(",") if b.strip()]
+        report = matching.far_field_check(mu, nu, hc, samples, args.cap, diff)
     print(f"harness: n={hc.n} v={hc.v} u={hc.u} epsilon={hc.epsilon} compact={hc.compact}")
     ok = True
-    # mu - nu, built once for both checks
-    diff = measures.combine(1, mu, -1, nu) if args.zero_identity or args.samples else None
     if args.zero_identity:
-        ident = matching.origin_product_identity(mu, nu, hc, diff)
         flag = " (degenerate)" if ident.degenerate else ""
         ok &= _check("origin_identity",
                      ident.holds, f"value={fmt(ident.value, args)} "
                                   f"expected={fmt(ident.expected, args)}{flag}")
     if args.samples:
-        samples = [measures.rational(b.strip()) for b in args.samples.split(",") if b.strip()]
-        report = matching.far_field_check(mu, nu, hc, samples, args.cap, diff)
         print(f"examined={report.examined} C={fmt(report.c_bound, args)}")
         _check("matching_hypothesis", report.hypothesis_ok, report.hypothesis_note)
         for row in report.samples:
@@ -295,7 +296,7 @@ def _add_common(p: argparse.ArgumentParser, decimal: bool = True, cap: bool = Tr
         p.add_argument("--decimal", type=_int_at_least(0, "digit count"), default=None, metavar="K",
                        help="append K-digit decimal approximations (marked approximate)")
     if cap:
-        # unset, the default is `construction.DEFAULT_ATOM_CAP`, read in `main` after parsing
+        # unset, the default is `measures.DEFAULT_ATOM_CAP`, read in `main` after parsing
         p.add_argument("--cap", type=_int_at_least(1, "atom cap"),
                        default=os.environ.get("APMEASURE_ATOM_CAP"),
                        help="atom cap override (also APMEASURE_ATOM_CAP)")
@@ -399,16 +400,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     if getattr(args, "cap", 0) is None:
-        args.cap = construction.DEFAULT_ATOM_CAP
+        args.cap = measures.DEFAULT_ATOM_CAP
     try:
         _check_out_dirs(args)
         return args.func(args)
-    except (construction.AtomBudgetError, construction.StageStabilityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, KeyError, OSError) as exc:  # the library's usage errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (measures.AtomBudgetError, construction.StageStabilityError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

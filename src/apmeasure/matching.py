@@ -18,9 +18,10 @@ from functools import cache, partial
 from itertools import accumulate, chain, islice
 from typing import Sequence
 
-from .construction import DEFAULT_ATOM_CAP, AtomBudgetError
 from .measures import (
+    DEFAULT_ATOM_CAP,
     Atom,
+    AtomBudgetError,
     DiscreteMeasure,
     Interval,
     RationalLike,

@@ -19,17 +19,11 @@ from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
-from .construction import (DEFAULT_ATOM_CAP, _whole_stage, projected_atom_count, provenance_digits,
-                           provenance_step, stage_window)
-from .measures import Atom, DiscreteMeasure, Interval, make_measure, rational
+from .measures import DEFAULT_ATOM_CAP, Atom, DiscreteMeasure, Interval, make_measure, rational
 
 if TYPE_CHECKING:  # annotations only: a command that writes no report loads neither module
     from .matching import FarFieldReport, LumpDecomposition, MatchReport
     from .piecewise import AlmostPeriodCertificate, PiecewiseLinearFn
-
-
-def frac(x: Fraction) -> str:
-    return str(x)
 
 
 def parse_frac(text: str) -> Fraction:
@@ -70,7 +64,7 @@ def _field(d: dict[str, Any], key: str, what: str) -> Any:
 
 
 def interval_to_dict(J: Interval) -> dict[str, Any]:
-    return {"lo": frac(J.lo), "hi": frac(J.hi),
+    return {"lo": str(J.lo), "hi": str(J.hi),
             "lo_open": J.lo_open, "hi_open": J.hi_open}
 
 
@@ -207,6 +201,7 @@ def provenance_sidecar_path(measure_path: str | Path) -> Path:
 @cache
 def _step_fragments(k: int, sign: int, j: int) -> tuple[str, str, str]:
     """One averaging pass as items of the sidecar's stages, shifts and offsets lists."""
+    from .construction import provenance_step
     step = provenance_step(k, sign, j)
     return f"\n    {step.stage}", f'\n    "{step.shift!s}"', f'\n    "{step.offset!s}"'
 
@@ -223,38 +218,31 @@ def _stage_entries(s: int, groups: Iterable[tuple[int, int, Sequence[int]]], D: 
     positions over D and masses over M; each position is rendered once, for both.
     Raises `AssertionError` at the end unless the groups held n_s atoms of mass 3^s.
 
-    Atom i's passes are `provenance_digits(s, i)`.  If the last of them is
-    (k, sign, j), atoms i+1, ..., i+2k-1-j are the next copies of the same
-    source atom: they differ from atom i only in j, counting up.  So the
-    passes are decoded once per such run (one run per full group) and the
-    earlier passes are rendered once.
+    A group of the unclipped walk is the 2k copies of one atom under its
+    cell's last pass (k, sign, j), j = 0..2k-1 being the least significant
+    digit of the atom index (the origin's group is its one atom), so the
+    passes are decoded and rendered once per group.  The first group of
+    another shape starts where such a run would, so its length differs:
+    that raises `AssertionError` naming the stage and its first atom.
     """
+    from .construction import projected_atom_count, provenance_digits
     i = total = 0
     for base, m, kept in groups:
         total += m * len(kept)
         mass = f'",\n   "mass": "{_ratio(m, M)}"\n  }}'
-        r = 0
-        while r < len(kept):
-            digits = provenance_digits(s, i + r)
-            if not digits:  # the origin, made by no pass
-                head = '  {\n   "pos": "' + _ratio(base + kept[r], D)
-                yield head + mass, (head + '",\n   "stages": [],\n   "shifts": [],\n'
-                                    '   "offsets": []\n  }')
-                r += 1
-                continue
-            *earlier, (k, sign, j) = digits
-            heads = ["", "", ""]
-            for digit in earlier:
-                for c, fragment in enumerate(_step_fragments(*digit)):
-                    heads[c] += fragment + ","
-            stage, shift, _ = _step_fragments(k, sign, j)
-            middle = (f'",\n   "stages": [{heads[0]}{stage}\n   ],\n   "shifts": [{heads[1]}{shift}'
-                      f'\n   ],\n   "offsets": [{heads[2]}')
-            run = min(len(kept) - r, 2 * k - j)
-            for q in range(run):
-                head = '  {\n   "pos": "' + _ratio(base + kept[r + q], D)
-                yield head + mass, head + middle + _step_fragments(k, sign, j + q)[2] + '\n   ]\n  }'
-            r += run
+        tails = ['",\n   "stages": [],\n   "shifts": [],\n   "offsets": []\n  }']  # the origin's
+        if digits := provenance_digits(s, i):
+            k, sign, _ = digits[-1]
+            stages, shifts, offsets = zip(*(_step_fragments(*digit) for digit in digits))
+            middle = (f'",\n   "stages": [{",".join(stages)}\n   ],\n   "shifts": [{",".join(shifts)}'
+                      f'\n   ],\n   "offsets": [{"".join(o + "," for o in offsets[:-1])}')
+            tails = [middle + _step_fragments(k, sign, j)[2] + '\n   ]\n  }' for j in range(2 * k)]
+        if len(kept) != len(tails):
+            raise AssertionError(f"stage {s}: the group at atom {i} has {len(kept)} atoms, "
+                                 f"not the {len(tails)} copies of one atom")
+        for off, tail in zip(kept, tails):
+            head = '  {\n   "pos": "' + _ratio(base + off, D)
+            yield head + mass, head + tail
         i += len(kept)
     if i != projected_atom_count(s) or total != 3 ** s * M:
         raise AssertionError(f"stage {s} streamed {i} atoms of mass {Fraction(total, M)}")
@@ -268,8 +256,10 @@ def save_stage(s: int, path: str | Path, atom_cap: int = DEFAULT_ATOM_CAP) -> Pa
     before any file is opened).  A group's mass is rendered once, each
     position once from its grid int, so no `Atom` or `Fraction` is made and
     neither file is ever in memory as one string.  Raises `AssertionError`
-    unless the walk gave n_s atoms of mass 3^s (`_stage_entries`).
+    unless the walk gave n_s atoms of mass 3^s in groups of one atom's
+    copies (`_stage_entries`).  Only this writer runs `construction`.
     """
+    from .construction import _whole_stage, stage_window
     query, groups = _whole_stage(s, atom_cap)
     side = provenance_sidecar_path(path)
     window = interval_to_dict(stage_window(s).closure())
@@ -281,8 +271,8 @@ def save_stage(s: int, path: str | Path, atom_cap: int = DEFAULT_ATOM_CAP) -> Pa
 
 def plf_to_dict(f: PiecewiseLinearFn) -> dict[str, Any]:
     return {
-        "breakpoints": [frac(b) for b in f.breakpoints],
-        "values": [frac(v) for v in f.values],
+        "breakpoints": [str(b) for b in f.breakpoints],
+        "values": [str(v) for v in f.values],
     }
 
 
@@ -316,19 +306,19 @@ def match_report_to_dict(report: MatchReport) -> dict[str, Any]:
         "window": interval_to_dict(report.window),
         "pairs": [
             {
-                "left_pos": frac(p.left.position), "right_pos": frac(p.right.position),
-                "position_gap": frac(p.position_gap), "mass_gap": frac(p.mass_gap),
+                "left_pos": str(p.left.position), "right_pos": str(p.right.position),
+                "position_gap": str(p.position_gap), "mass_gap": str(p.mass_gap),
             }
             for p in report.pairs
         ],
-        "unmatched_left": [frac(a.position) for a in report.unmatched_left],
-        "unmatched_right": [frac(a.position) for a in report.unmatched_right],
+        "unmatched_left": [str(a.position) for a in report.unmatched_left],
+        "unmatched_right": [str(a.position) for a in report.unmatched_right],
         "profiles": [
             {
                 "window": interval_to_dict(pr.window),
                 "pairs_outside": pr.pairs_outside,
-                "max_abs_position_gap": frac(pr.max_abs_position_gap),
-                "max_abs_mass_gap": frac(pr.max_abs_mass_gap),
+                "max_abs_position_gap": str(pr.max_abs_position_gap),
+                "max_abs_mass_gap": str(pr.max_abs_mass_gap),
                 "unmatched_outside": pr.unmatched_outside,
             }
             for pr in report.profiles
@@ -350,12 +340,12 @@ def save_match_report(report: MatchReport, path: str | Path) -> None:
 def far_field_report_to_dict(report: FarFieldReport) -> dict[str, Any]:
     return {
         "examined": interval_to_dict(report.examined),
-        "c_bound": frac(report.c_bound),
+        "c_bound": str(report.c_bound),
         "n": report.n,
-        "epsilon": frac(report.epsilon),
+        "epsilon": str(report.epsilon),
         "samples": [
-            {"point": frac(s.point), "product": frac(s.product),
-             "bound": frac(s.bound), "holds": s.holds}
+            {"point": str(s.point), "product": str(s.product),
+             "bound": str(s.bound), "holds": s.holds}
             for s in report.samples
         ],
         "hypothesis_ok": report.hypothesis_ok,
@@ -366,20 +356,20 @@ def far_field_report_to_dict(report: FarFieldReport) -> dict[str, Any]:
 
 def lump_decomposition_to_dict(dec: LumpDecomposition) -> dict[str, Any]:
     return {
-        "link": frac(dec.link),
-        "count_radius": frac(dec.count_radius),
+        "link": str(dec.link),
+        "count_radius": str(dec.count_radius),
         "max_lumps_per_neighborhood": dec.max_lumps_per_neighborhood,
-        "count_witness": frac(dec.count_witness),
+        "count_witness": str(dec.count_witness),
         "all_pairwise_close": dec.all_pairwise_close,
         "lumps": [
             {
-                "lo": frac(lump.lo), "hi": frac(lump.hi),
-                "diameter": frac(lump.diameter),
-                "left_positions": [frac(p) for p in lump.left_positions],
-                "right_positions": [frac(p) for p in lump.right_positions],
-                "left_mass": frac(lump.left_mass),
-                "right_mass": frac(lump.right_mass),
-                "mass_gap": frac(lump.mass_gap),
+                "lo": str(lump.lo), "hi": str(lump.hi),
+                "diameter": str(lump.diameter),
+                "left_positions": [str(p) for p in lump.left_positions],
+                "right_positions": [str(p) for p in lump.right_positions],
+                "left_mass": str(lump.left_mass),
+                "right_mass": str(lump.right_mass),
+                "mass_gap": str(lump.mass_gap),
             }
             for lump in dec.lumps
         ],
@@ -389,14 +379,14 @@ def lump_decomposition_to_dict(dec: LumpDecomposition) -> dict[str, Any]:
 def ap_certificate_to_dict(cert: AlmostPeriodCertificate) -> dict[str, Any]:
     return {
         "scale_exponent": cert.scale_exponent,
-        "epsilon": frac(cert.epsilon),
+        "epsilon": str(cert.epsilon),
         "window": interval_to_dict(cert.window),
-        "tau_range": frac(cert.tau_range),
-        "density_gap": frac(cert.density_gap),
+        "tau_range": str(cert.tau_range),
+        "density_gap": str(cert.density_gap),
         "rows": [
-            {"tau": frac(r.tau), "defect": frac(r.defect), "witness": frac(r.witness)}
+            {"tau": str(r.tau), "defect": str(r.defect), "witness": str(r.witness)}
             for r in cert.rows
         ],
-        "max_defect": frac(cert.max_defect),
+        "max_defect": str(cert.max_defect),
         "all_within": cert.all_within,
     }

@@ -526,6 +526,15 @@ class TestPsi:
         assert "origin_identity: PASS" in out and "far_field b=20: PASS" in out
         assert len(calls) == 1
 
+    def test_usage_error_prints_nothing_first(self, tmp_path, capsys):
+        # both checks run before any line prints, so a refused sample leaves no partial stdout
+        mpath, npath = self._write_combs(tmp_path)
+        code, out, err = run(capsys, "psi", "--mu", str(mpath), "--nu", str(npath),
+                             "--v", "1/32", "--u", "1/2", "--epsilon", "1/8",
+                             "--compact", "-10:10", "--samples", "10")
+        assert code == 2 and out == ""
+        assert err.startswith("error: sample 10 lies inside the enlarged compact") and err.count("\n") == 1
+
     def test_invalid_config_is_usage_error(self, tmp_path, capsys):
         mpath, npath = self._write_combs(tmp_path)
         code, _, err = run(capsys, "psi", "--mu", str(mpath), "--nu", str(npath),

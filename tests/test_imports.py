@@ -40,6 +40,8 @@ def fresh(script, *argv, **env):
 
 BASE = ["apmeasure", "apmeasure.cli"]
 EXPANSION = [*BASE, "apmeasure.construction", "apmeasure.measures"]
+# the file commands: only `save_stage` runs the expansion
+FILES = [*BASE, "apmeasure.measures", "apmeasure.piecewise", "apmeasure.serialize"]
 # every layer is in sys.modules once the CLI is imported, as code that wraps them expects
 LAYERS = [*EXPANSION, "apmeasure.matching", "apmeasure.piecewise", "apmeasure.serialize"]
 
@@ -59,9 +61,17 @@ def files(tmp_path_factory):
     (["verify", "2"], {}, 0, EXPANSION),
     (["build", "1", "--out", "{work}/s1.json"], {}, 0, [*EXPANSION, "apmeasure.serialize"]),
     (["ap", "2", "--epsilon", "1/10", "--range", "9"], {}, 0, [*EXPANSION, "apmeasure.piecewise"]),
+    (["conv", "--measure", "{work}/mu.json", "--window", "-1:1"], {}, 0, FILES),
+    (["conv", "--measure", "{work}/missing.json", "--window", "-1:1"], {}, 2, FILES),
+    (["match", "{work}/mu.json", "{work}/nu.json", "--windows", "-1:1;-2:2"], {}, 0,
+     [*FILES, "apmeasure.matching"]),
+    (["psi", "--mu", "{work}/mu.json", "--nu", "{work}/nu.json", "--v", "1/16", "--u", "1/2",
+      "--epsilon", "1/8", "--compact", "-1:1", "--n", "1", "--samples", "2"], {}, 0,
+     [*FILES, "apmeasure.matching"]),
     (["lump", "--mu", "{work}/mu.json", "--nu", "{work}/nu.json", "--v", "1/4"], {}, 0,
-     [*EXPANSION, "apmeasure.matching", "apmeasure.piecewise", "apmeasure.serialize"]),
-], ids=["help", "usage-error", "bad-env-cap", "verify", "build", "ap", "lump"])
+     [*FILES, "apmeasure.matching"]),
+], ids=["help", "usage-error", "bad-env-cap", "verify", "build", "ap", "conv", "conv-no-file",
+        "match", "psi", "lump"])
 def test_command_runs_only_its_modules(argv, env, code, loaded, files):
     argv = [arg.format(work=files) for arg in argv]
     assert fresh(RUN_MAIN, *argv, **env) == [code, sorted(LAYERS), sorted(loaded)]
@@ -84,6 +94,12 @@ def test_package_import_loads_no_submodule():
     script = ('import json, sys, apmeasure\n'
               'print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "apmeasure")))')
     assert fresh(script) == ["apmeasure"]
+
+
+def test_budget_error_loads_only_its_home_module():
+    script = ('import json, sys, apmeasure\napmeasure.AtomBudgetError\n'
+              'print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "apmeasure")))')
+    assert fresh(script) == ["apmeasure", "apmeasure.measures"]
 
 
 def test_package_exports():

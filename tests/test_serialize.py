@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from apmeasure import (Interval, PiecewiseLinearFn, build_stage, make_measure, match_close,
                        projected_atom_count, provenance, triangle_test_function)
-from apmeasure import serialize
+from apmeasure import construction, serialize
 from apmeasure.serialize import (
     load_measure,
     load_plf,
@@ -259,10 +259,34 @@ def test_sidecar_reconstructs_positions(tmp_path):
         assert total == F(entry["pos"])
 
 
+def _patch_groups(monkeypatch, change):
+    """Make `save_stage` read `change(list of the stage's groups)` instead of its walk."""
+    whole_stage = construction._whole_stage
+
+    def changed(*args):
+        query, groups = whole_stage(*args)
+        return query, iter(change(list(groups)))
+
+    monkeypatch.setattr(construction, "_whole_stage", changed)
+
+
 def test_save_stage_checks_what_it_wrote(tmp_path, monkeypatch):
     # a stream that disagrees with the closed-form count n_s fails loudly
-    monkeypatch.setattr(serialize, "projected_atom_count", lambda s: 46)
-    with pytest.raises(AssertionError, match="stage 2 streamed 45 atoms of mass 9"):
+    _patch_groups(monkeypatch, lambda groups: groups[:-1])
+    with pytest.raises(AssertionError, match="stage 2 streamed 41 atoms of mass 17/2"):
+        save_stage(2, tmp_path / "stage2.json")
+
+
+def test_save_stage_checks_each_group(tmp_path, monkeypatch):
+    # a group that is not the 2k copies of one atom under its cell's last pass fails loudly,
+    # naming its first atom: here the stage-2 group at atoms 4..7 split in two
+    def split(groups):
+        base, m, kept = groups[1]
+        return [groups[0], (base, m, kept[:1]), (base, m, kept[1:]), *groups[2:]]
+
+    _patch_groups(monkeypatch, split)
+    with pytest.raises(AssertionError, match="stage 2: the group at atom 4 has 1 atoms, "
+                                             "not the 4 copies of one atom"):
         save_stage(2, tmp_path / "stage2.json")
 
 
@@ -302,13 +326,13 @@ def test_window_function_file_is_refused():
 def test_save_stage_walks_the_stage_once(tmp_path, monkeypatch):
     # both files are written from one walk, so each position is rendered once
     walks = []
-    whole_stage = serialize._whole_stage
+    whole_stage = construction._whole_stage
 
     def counted(*args):
         walks.append(args)
         return whole_stage(*args)
 
-    monkeypatch.setattr(serialize, "_whole_stage", counted)
+    monkeypatch.setattr(construction, "_whole_stage", counted)
     side = save_stage(3, tmp_path / "stage3.json")
     assert len(walks) == 1
     monkeypatch.undo()
